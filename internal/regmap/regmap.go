@@ -897,11 +897,10 @@ type WriteStats struct {
 
 // ReadStats counts the work a Reader handle performed.
 type ReadStats struct {
-	// ReadStats aggregates over the handle's component registers: Ops
-	// counts Gets (hits and misses), FastPath counts Gets served with
-	// zero RMW instructions (unchanged directory and unchanged or absent
-	// key), RMW sums the RMW instructions the directory and per-key
-	// handles executed.
+	// ReadStats: Ops counts Gets (hits and misses), FastPath counts Gets
+	// served with zero RMW instructions (unchanged directory and unchanged
+	// or absent key), RMW counts the RMW instructions the directory and
+	// per-key handles executed, Close's releases included.
 	register.ReadStats
 	// Misses counts Gets of absent keys.
 	Misses uint64
@@ -1004,6 +1003,11 @@ type Reader struct {
 	laneFree func()
 	watchWS  *notify.WatchStats
 
+	// rmw is the running total of RMW instructions the directory and
+	// per-key handles executed, added where they execute them (refresh's
+	// directory View, a changed ViewFresh, Close's releases), so Stats
+	// reads it in O(1) however many keys the handle has touched.
+	rmw         uint64
 	ops         uint64
 	fastPath    uint64
 	misses      uint64
@@ -1088,7 +1092,9 @@ func (r *Reader) refresh(si int) error {
 	}
 	rebased := false
 	for {
+		rmw := rs.dirRd.ReadStats().RMW
 		v, err := rs.dirRd.View()
+		r.rmw += rs.dirRd.ReadStats().RMW - rmw
 		if err != nil {
 			return err
 		}
@@ -1309,11 +1315,16 @@ func (r *Reader) GetFresh(key string) (v []byte, changed bool, err error) {
 		rs.handles[i] = h
 		changed = true
 	}
+	// Only a changed view executed RMW (ARC's slow path): the fast path
+	// reads the handle's counters and adds nothing to the tally.
+	rmw := h.ReadStats().RMW
 	v, vchanged, err := h.ViewFresh()
 	if err != nil {
 		return nil, false, err
 	}
-	if dirFresh && !vchanged {
+	if vchanged {
+		r.rmw += h.ReadStats().RMW - rmw
+	} else if dirFresh {
 		r.fastPath++ // two loads, no RMW: the fully gated hot path
 	}
 	return v, changed || vchanged, nil
@@ -1493,9 +1504,13 @@ func (r *Reader) collectShard(si int) (map[string][]byte, uint64, error) {
 				}
 				rs.handles[slot] = h
 			}
-			v, _, err := h.ViewFresh()
+			rmw := h.ReadStats().RMW
+			v, vchanged, err := h.ViewFresh()
 			if err != nil {
 				return nil, 0, err
+			}
+			if vchanged {
+				r.rmw += h.ReadStats().RMW - rmw
 			}
 			part[key] = append([]byte(nil), v...)
 		}
@@ -1506,35 +1521,18 @@ func (r *Reader) collectShard(si int) (map[string][]byte, uint64, error) {
 	}
 }
 
-// Stats reports the handle's read counters. Collect after the owning
-// goroutine has quiesced.
+// Stats reports the handle's read counters in O(1): the RMW total is
+// tallied as the handles execute it, not summed over them here. Collect
+// after the owning goroutine has quiesced.
 func (r *Reader) Stats() ReadStats {
-	st := ReadStats{
-		ReadStats:       register.ReadStats{Ops: r.ops, FastPath: r.fastPath},
+	return ReadStats{
+		ReadStats:       register.ReadStats{Ops: r.ops, FastPath: r.fastPath, RMW: r.rmw},
 		Misses:          r.misses,
 		DirRefreshes:    r.refreshes,
 		Snapshots:       r.snapshots,
 		SnapshotRetries: r.snapRetries,
 		Repairs:         r.repairs,
 	}
-	for si := range r.shards {
-		rs := &r.shards[si]
-		if rs.dirRd != nil {
-			st.RMW += rs.dirRd.ReadStats().RMW
-		}
-		for _, h := range rs.handles {
-			if h != nil {
-				st.RMW += h.ReadStats().RMW
-			}
-		}
-		for _, h := range rs.retired {
-			st.RMW += h.ReadStats().RMW
-		}
-		for _, d := range rs.displaced {
-			st.RMW += d.h.ReadStats().RMW
-		}
-	}
-	return st
 }
 
 // Close releases the handle: every per-key handle (live and retired) and
@@ -1545,21 +1543,27 @@ func (r *Reader) Close() error {
 		return register.ErrReaderClosed
 	}
 	r.closed = true
+	// Each handle's Close releases its held slot: tally that RMW too.
+	release := func(h *arc.Reader) {
+		rmw := h.ReadStats().RMW
+		h.Close()
+		r.rmw += h.ReadStats().RMW - rmw
+	}
 	for si := range r.shards {
 		rs := &r.shards[si]
 		if rs.dirRd != nil {
-			rs.dirRd.Close()
+			release(rs.dirRd)
 		}
 		for _, h := range rs.handles {
 			if h != nil {
-				h.Close()
+				release(h)
 			}
 		}
 		for _, h := range rs.retired {
-			h.Close()
+			release(h)
 		}
 		for _, d := range rs.displaced {
-			d.h.Close()
+			release(d.h)
 		}
 	}
 	if r.laneFree != nil {

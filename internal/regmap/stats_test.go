@@ -2,7 +2,9 @@ package regmap
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -261,5 +263,218 @@ func TestWatchStatsLedgerOnMap(t *testing.T) {
 	}
 	if m.WatchTracker().Watchers() != 0 {
 		t.Fatalf("watchers after exit = %d", m.WatchTracker().Watchers())
+	}
+}
+
+// walkRMW is the reference Reader.Stats' running RMW tally must match:
+// the sum over every handle the reader has opened — directory, live
+// per-key, retired and displaced — of the RMW that handle executed.
+// Stats itself never walks; this O(keys touched) sum exists only here.
+func walkRMW(r *Reader) uint64 {
+	var n uint64
+	for si := range r.shards {
+		rs := &r.shards[si]
+		if rs.dirRd != nil {
+			n += rs.dirRd.ReadStats().RMW
+		}
+		for _, h := range rs.handles {
+			if h != nil {
+				n += h.ReadStats().RMW
+			}
+		}
+		for _, h := range rs.retired {
+			n += h.ReadStats().RMW
+		}
+		for _, d := range rs.displaced {
+			n += d.h.ReadStats().RMW
+		}
+	}
+	return n
+}
+
+// TestStatsRMWTallyMatchesWalk pins the O(1) RMW tally to the handle
+// walk at every point where a reader's handles execute RMW: first
+// touch, hot Gets, a value change, a foreign-shard create, a
+// delete/recreate that retires a handle, a compaction rebase, a
+// Snapshot that opens handles, a corrupt latch holding a staged
+// displacement and its repair, and Close's releases. A seeded run of
+// mixed operations then checks the same equality after every step.
+func TestStatsRMWTallyMatchesWalk(t *testing.T) {
+	m := newMap(t, Config{Shards: 2, MaxReaders: 2, MaxValueSize: 32})
+	set := func(k, v string) {
+		t.Helper()
+		if err := m.Set(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := func(k string) {
+		t.Helper()
+		if err := m.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const hot = "hot"
+	si := m.ShardOf(hot)
+	keyOn := func(prefix string, same bool) string {
+		for i := 0; ; i++ {
+			k := fmt.Sprintf("%s-%d", prefix, i)
+			if (m.ShardOf(k) == si) == same {
+				return k
+			}
+		}
+	}
+	foreign, sibling := keyOn("foreign", false), keyOn("sibling", true)
+	set(hot, "v1")
+	set(sibling, "s")
+
+	rd, err := m.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(k string) {
+		t.Helper()
+		if _, err := rd.Get(k); err != nil {
+			t.Fatalf("Get(%q): %v", k, err)
+		}
+	}
+	// check compares tally and walk, and whether the stage moved the
+	// walk at all — so no stage passes by executing nothing.
+	var last uint64
+	check := func(stage string, moved bool) {
+		t.Helper()
+		got, want := rd.Stats().RMW, walkRMW(rd)
+		if got != want {
+			t.Fatalf("%s: Stats().RMW = %d, handle walk = %d", stage, got, want)
+		}
+		if (want != last) != moved {
+			t.Fatalf("%s: walk went %d -> %d, want moved=%v", stage, last, want, moved)
+		}
+		last = want
+	}
+	check("new reader", false)
+
+	get(hot)
+	check("first touch", true)
+	for i := 0; i < 50; i++ {
+		get(hot)
+	}
+	check("hot gets", false)
+
+	set(hot, "v2")
+	get(hot)
+	check("value change", true)
+
+	set(foreign, "f")
+	get(hot)
+	get(foreign)
+	check("foreign-shard create", true)
+
+	del(hot)
+	if _, err := rd.Get(hot); !errors.Is(err, ErrKeyNotFound) {
+		t.Fatalf("Get after delete = %v, want ErrKeyNotFound", err)
+	}
+	set(hot, "v3")
+	get(hot)
+	if len(rd.shards[si].retired) == 0 {
+		t.Fatal("recreate retired no handle: the leg never exercised retirement")
+	}
+	check("delete/recreate", true)
+
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	get(hot)
+	get(foreign)
+	check("compact", true)
+
+	if _, err := rd.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot", true) // opens the never-read sibling's handle
+
+	// latch recreates the hot key, then corrupts the publication
+	// carrying the recreate: the decode stages the old handle's
+	// displacement before it fails on the garbage entry, so the latched
+	// reader holds a displaced handle.
+	latch := func() {
+		t.Helper()
+		del(hot)
+		set(hot, "v4")
+		if err := m.InjectDirectoryCorruption(si); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rd.Get(hot); !errors.Is(err, ErrShardCorrupt) {
+			t.Fatalf("Get on corrupt shard = %v, want ErrShardCorrupt", err)
+		}
+		if len(rd.shards[si].displaced) == 0 {
+			t.Fatal("corrupt decode staged no displacement")
+		}
+	}
+	latch()
+	check("corrupt latch", true)
+
+	set(keyOn("repair", true), "r")
+	get(hot)
+	if st := rd.Stats(); st.Repairs != 1 {
+		t.Fatalf("Repairs = %d, want 1", st.Repairs)
+	}
+	check("repair", true)
+
+	// Close while latched, so its releases include a displaced handle.
+	latch()
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("close", true)
+
+	// Seeded mixed operations over a small key space, two readers, the
+	// equality checked after every step.
+	rng := rand.New(rand.NewSource(1))
+	rds := make([]*Reader, 2)
+	for i := range rds {
+		if rds[i], err = m.NewReader(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		k := fmt.Sprintf("k%d", rng.Intn(12))
+		r := rds[rng.Intn(len(rds))]
+		switch op := rng.Intn(100); {
+		case op < 55:
+			if _, err := r.Get(k); err != nil && !errors.Is(err, ErrKeyNotFound) && !errors.Is(err, ErrShardCorrupt) {
+				t.Fatalf("step %d: Get: %v", step, err)
+			}
+		case op < 80:
+			set(k, fmt.Sprintf("v%d", step))
+		case op < 90:
+			if err := m.Delete(k); err != nil && !errors.Is(err, ErrKeyNotFound) {
+				t.Fatalf("step %d: Delete: %v", step, err)
+			}
+		case op < 95:
+			if _, err := r.Snapshot(); err != nil && !errors.Is(err, ErrShardCorrupt) {
+				t.Fatalf("step %d: Snapshot: %v", step, err)
+			}
+		case op < 98:
+			if err := m.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := m.InjectDirectoryCorruption(rng.Intn(m.Shards())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, r := range rds {
+			if got, want := r.Stats().RMW, walkRMW(r); got != want {
+				t.Fatalf("step %d reader %d: Stats().RMW = %d, handle walk = %d", step, i, got, want)
+			}
+		}
+	}
+	for i, r := range rds {
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Stats().RMW, walkRMW(r); got != want {
+			t.Fatalf("reader %d after Close: Stats().RMW = %d, handle walk = %d", i, got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"runtime"
 	"testing"
@@ -22,7 +23,10 @@ import (
 // pool folds in at release time — that the register reads behind them
 // executed zero RMW instructions and all rode the fast path. This is
 // the wire-level restatement of the paper's R1–R2 claim: the network
-// edge adds syscalls, but not contention on the register.
+// edge adds syscalls, but not contention on the register. A changed-
+// value leg then pins the fold-in off the fast path: each GET after a
+// Set must add exactly ARC's 2 RMW, so a fold that dropped slow-path
+// RMW cannot pass on the zero-RMW leg alone.
 func TestServeHotGetZeroRMW(t *testing.T) {
 	s, ts := newTestServer(t, regmap.Config{Shards: 1, MaxReaders: 4}, Config{Readers: 1, WatchStreams: 2})
 	c := ts.Client()
@@ -62,6 +66,29 @@ func TestServeHotGetZeroRMW(t *testing.T) {
 	}
 	if got := aFast - bFast; got < n {
 		t.Fatalf("read_fastpath advanced %d, want >= %d (every unchanged GET must ride the fast path)", got, n)
+	}
+
+	// Changed values: the GET after each Set re-acquires the key's slot
+	// — exactly ARC's 2 RMW, off the fast path — and the release-time
+	// fold-in must carry both.
+	for i := 0; i < 8; i++ {
+		want := fmt.Sprintf("v%d", i)
+		if err := s.Set("hot", []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		resp, body := doReq(t, c, "GET", ts.URL+"/k/hot", nil)
+		if resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Fatalf("GET after Set %d: status %d body %q, want %q", i, resp.StatusCode, body, want)
+		}
+		after := s.Stats()
+		for name, wantDelta := range map[string]uint64{"read_rmw": 2, "read_fastpath": 0} {
+			b, _ := before.Get(name)
+			a, _ := after.Get(name)
+			if a-b != wantDelta {
+				t.Fatalf("GET after Set %d: %s advanced %d, want %d", i, name, a-b, wantDelta)
+			}
+		}
 	}
 }
 

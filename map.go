@@ -66,7 +66,7 @@ type MapConfig struct {
 }
 
 // MapReadStats counts a MapReader's work: Ops (Gets), FastPath (Gets
-// served with zero RMW instructions), RMW (summed over the directory and
+// served with zero RMW instructions), RMW (executed by the directory and
 // per-key handles), plus Misses, DirRefreshes, Snapshots and
 // SnapshotRetries.
 type MapReadStats = regmap.ReadStats
@@ -250,8 +250,9 @@ func (r *MapReader) Len() (int, error) { return r.r.Len() }
 // returned by Get may be invalidated.
 func (r *MapReader) Snapshot() (map[string][]byte, error) { return r.r.Snapshot() }
 
-// ReadStats reports the handle's counters; collect after the owning
-// goroutine has quiesced.
+// ReadStats reports the handle's counters in constant time, however many
+// keys the handle has read; collect after the owning goroutine has
+// quiesced.
 func (r *MapReader) ReadStats() MapReadStats { return r.r.Stats() }
 
 // MapDelta is one WatchAll event at the byte level: the keys whose
