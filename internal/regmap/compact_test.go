@@ -7,6 +7,7 @@ package regmap
 // Compact, and fault-point coverage (run under -race in CI).
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -301,6 +302,58 @@ func TestCorruptRepair(t *testing.T) {
 				t.Fatalf("Snapshot after repair = %v, %v", snap, err)
 			}
 		})
+	}
+}
+
+// TestShorterLogRebases pins the in-epoch regression guard: a reader
+// that accepted a plausible-garbage log (same cgen, longer than the
+// genuine one, every entry naming a real slot at its real generation)
+// has a poisoned frontier. The writer's next genuine publication is a
+// shorter log, which the reader must treat as a regression — re-decode
+// it from scratch and count a repair — instead of resuming its decode
+// past the end and keeping the garbage bindings.
+func TestShorterLogRebases(t *testing.T) {
+	m := newMap(t, Config{Shards: 1, MaxReaders: 1, MaxValueSize: 32})
+	for _, k := range []string{"k0", "k1"} {
+		if err := m.Set(k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd, err := m.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if _, err := rd.Get("k0"); err != nil {
+		t.Fatal(err)
+	}
+	// Tombstone k1's slot and re-add it, same generation, under another
+	// key: decodes cleanly against the slot array.
+	sh := m.shards[0]
+	garbage := append(bytes.Clone(sh.dirBuf), 1<<1|tombstoneFlag)
+	garbage = appendAdd(garbage, 1, 1, "impostor-key-with-a-long-name")
+	if err := sh.dir.Write(garbage); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := rd.Get("impostor-key-with-a-long-name"); err != nil || string(v) != "v-k1" {
+		t.Fatalf("garbage log not accepted as plausible: %q, %v", v, err)
+	}
+	if err := m.Set("k2", []byte("v-k2")); err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.dirBuf) >= len(garbage) {
+		t.Fatalf("genuine log (%d bytes) not shorter than the garbage (%d)", len(sh.dirBuf), len(garbage))
+	}
+	for _, k := range []string{"k0", "k1", "k2"} {
+		if v, err := rd.Get(k); err != nil || string(v) != "v-"+k {
+			t.Fatalf("Get(%s) after the shorter genuine log = %q, %v", k, v, err)
+		}
+	}
+	if _, err := rd.Get("impostor-key-with-a-long-name"); err != ErrKeyNotFound {
+		t.Fatalf("garbage binding survived: %v", err)
+	}
+	if st := rd.Stats(); st.Repairs != 1 {
+		t.Fatalf("Repairs = %d, want 1", st.Repairs)
 	}
 }
 

@@ -100,16 +100,13 @@ func FuzzDirectoryDecode(f *testing.F) {
 // bytes happen to form a valid log extension) or fail with an error —
 // never panic and never mis-parse silently into a torn lookup.
 func FuzzDirectoryDecodeCorrupt(f *testing.F) {
+	// valid lays entries out behind a cgen header; the log's length
+	// delimits it, so there is no count to fill in.
 	valid := func(cgen uint32, entries ...[]byte) []byte {
-		buf := make([]byte, dirHeaderSize)
-		n := 0
+		buf := binary.LittleEndian.AppendUint32(nil, cgen)
 		for _, e := range entries {
 			buf = append(buf, e...)
-			n++
 		}
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(n))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(n))
-		binary.LittleEndian.PutUint32(buf[12:16], cgen)
 		return buf
 	}
 	addEntry := func(slot int, gen uint32, key string) []byte {
@@ -128,9 +125,22 @@ func FuzzDirectoryDecodeCorrupt(f *testing.F) {
 	f.Add(valid(1, addEntry(0, 1, "a")))                      // compaction epoch naming an unknown slot
 	f.Add(valid(0, addEntry(0, 0, "a")))                      // generation zero is invalid
 	f.Add([]byte{1, 2, 3})                                    // shorter than the header
-	f.Add(append(valid(0, addEntry(0, 1, "a")), 0xff))        // trailing garbage (beyond count: ignored)
+	// Trailing garbage: the length delimits the log, so bytes after the
+	// last entry are decoded as entries too, and rejected. The empty map
+	// already rejects the first seed's add, so the second puts the stray
+	// byte (an unterminated tag varint) right after the header.
+	f.Add(append(valid(0, addEntry(0, 1, "a")), 0xff))
+	f.Add(append(valid(0), 0xff))
 	truncated := valid(0, addEntry(0, 1, "a-long-key"))
 	f.Add(truncated[:len(truncated)-4]) // keylen overruns the buffer
+	// A truncated tail entry: an add cut off after its generation, where
+	// the log's length ends before the key length.
+	f.Add(valid(0, addEntry(0, 1, "b")[:2]))
+	// The key-length uvarint overflow that committed crasher
+	// a58b0497fd6bc1fe caught, whose bytes are laid out for an older
+	// header: a slot-0 add, generation 1, then a key length above 2^63,
+	// which would wrap negative as an int and slip past a signed bound.
+	f.Add(valid(0, []byte{0x00, 0x01, 0x98, 0x98, 0x98, 0x98, 0x98, 0x98, 0x98, 0x98, 0x98, 0x01}))
 
 	f.Fuzz(func(t *testing.T, dir []byte) {
 		m, err := New(Config{Shards: 1, MaxReaders: 1, MaxValueSize: 64})

@@ -16,7 +16,6 @@ package regmap
 // whatever the crash left unpublished.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"arcreg/internal/fault"
@@ -93,8 +92,6 @@ func (m *Map) InjectDirectoryCorruption(si int) error {
 	for i := 0; i < 10; i++ {
 		bad = append(bad, 0xff) // an overlong varint: Uvarint reports overflow
 	}
-	binary.LittleEndian.PutUint64(bad[0:8], sh.epoch+1)
-	binary.LittleEndian.PutUint32(bad[8:12], uint32(sh.nentries+1))
 	sh.beginPub()
 	err := sh.dir.Write(bad)
 	sh.endPub()

@@ -34,14 +34,18 @@
 //     (one per shard, §3.3 dynamic-buffer variant, so its value can grow
 //     without bound while unchanged publications cost nothing). Adding or
 //     deleting a key is one log append plus one directory re-publish by
-//     that shard's writer — and directory lookups, key enumeration and
-//     change detection on the reader side are all wait-free zero-copy
-//     register reads, never mutex acquisitions.
+//     that shard's writer. Published log bytes are never written again,
+//     so each publication hands the register a longer prefix of the same
+//     append-only buffer by reference, and the slot array grows by
+//     append too: key creation costs amortized O(1), not O(keys in the
+//     shard). Directory lookups, key enumeration and change detection on
+//     the reader side are all wait-free zero-copy register reads, never
+//     mutex acquisitions.
 //
 // # The fresh-gated Get
 //
 // Every Reader handle caches, per shard, the decoded directory — a
-// (directory epoch, key→slot table, per-key ARC reader) tuple. A Get
+// (decode frontier, key→slot table, per-key ARC reader) tuple. A Get
 // probes the shard's directory register with arc.Reader.Fresh (one atomic
 // load, no RMW); only when the directory actually changed does it re-view
 // and re-decode — and the decode is incremental: the append-only log is
@@ -80,7 +84,8 @@
 //
 // The writer-to-reader handoff of a new key needs no locks: the shard's
 // slot array is an immutable snapshot behind an atomic pointer, replaced
-// (copy-on-write) before the directory register publishes the new entry.
+// (by a longer capped reslice, or a copy on slot reuse) before the
+// directory register publishes the new entry.
 // A reader that observes the new directory through the register's RMW
 // chain therefore observes the updated slot array too. Slot reuse adds
 // one subtlety: the slot array can run ahead of the directory view a
@@ -98,6 +103,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -140,14 +146,14 @@ const dirMaxBytes = 1 << 30
 // exercise the full-directory paths without allocating a gibibyte.
 var dirCapacity = dirMaxBytes
 
-// dirHeaderSize is the fixed directory prefix: 8-byte publication epoch
-// + 4-byte entry count + 4-byte compaction generation. Fixed-width (not
-// varint) so the entry region's byte offsets never shift as the log
-// grows — that is what makes the reader's incremental tail decode sound.
-// The epoch is globally monotone (it never resets); the entry count
-// restarts at each compaction; the compaction generation (cgen) bumps
-// once per compaction and is the reader's rebase signal.
-const dirHeaderSize = 16
+// dirHeaderSize is the fixed directory prefix: the 4-byte compaction
+// generation (cgen), the only field fixed for a log's whole lifetime. It
+// bumps once per compaction and is the reader's rebase signal. The
+// publication's length delimits the log (there is no entry count), so a
+// published log's bytes are never written again: each publication is a
+// longer prefix of the same append-only buffer, published by reference
+// (arc.Register.WriteOwned), which is what keeps an append O(1).
+const dirHeaderSize = 4
 
 // Directory log entries are tagged with their target slot:
 //
@@ -233,10 +239,12 @@ func Hash(key string) uint64 {
 }
 
 // slots is an immutable snapshot of a shard's per-key registers and their
-// generations, in slot order. Replaced copy-on-write by the shard writer
-// whenever a slot is added or reused; readers load it atomically after
-// viewing the directory and verify the generations against their decoded
-// state.
+// generations, in slot order: capped reslices (wregs[:n:n]) of the
+// writer's append-only slot arrays, so adding a slot is one append and
+// every snapshot shares the prefix it covers. Reusing a tombstoned slot
+// rewrites an element published snapshots can see, so reuse copies the
+// arrays first. Readers load the snapshot atomically after viewing the
+// directory and verify the generations against their decoded state.
 type slots struct {
 	regs []*arc.Register
 	gens []uint32
@@ -277,14 +285,14 @@ type shard struct {
 
 	si          int             // shard index (error context)
 	index       map[string]int  // writer-side key → slot (live keys only)
-	wregs       []*arc.Register // writer-side slot array (uncopied)
-	wgens       []uint32        // writer-side slot generations
+	wregs       []*arc.Register // writer-side slot array (append-only; copied on reuse)
+	wgens       []uint32        // writer-side slot generations (same discipline)
 	wkeys       []string        // writer-side slot → key ("" when dead) — compaction's source of truth
 	freeSlots   []int           // tombstoned slots available for reuse
-	epoch       uint64          // directory publish count (monotone across compactions)
+	epoch       uint64          // directory publish count (Stats dir_epoch; monotone across compactions)
 	cgen        uint32          // compaction generation (bumps per compaction)
 	nentries    int             // log entries in the current compaction epoch
-	dirBuf      []byte          // directory encoding (prefix-stable within an epoch)
+	dirBuf      []byte          // directory log (append-only within an epoch; published prefixes are immutable)
 	deletes     uint64          // tombstones published (including compaction-folded deletes)
 	creates     uint64          // keys created (including re-creations)
 	compactions uint64          // compaction epochs published
@@ -403,7 +411,7 @@ func New(cfg Config) (*Map, error) {
 		m.tracer = trace.New(trace.Config{RingEvents: cfg.TraceRingEvents, Lanes: cfg.TraceLanes})
 		m.fanRing = m.tracer.Ring("fan-root")
 	}
-	genesis := make([]byte, dirHeaderSize) // epoch 0, no entries, cgen 0
+	genesis := make([]byte, dirHeaderSize) // cgen 0, no entries
 	for i := range m.shards {
 		dir, err := arc.New(register.Config{
 			MaxReaders:   cfg.MaxReaders,
@@ -514,14 +522,12 @@ func (m *Map) Delete(key string) error {
 	sh.epoch++
 	sh.nentries++
 	sh.dirBuf = append(sh.dirBuf, tagBuf[:n]...)
-	binary.LittleEndian.PutUint64(sh.dirBuf[0:8], sh.epoch)
-	binary.LittleEndian.PutUint32(sh.dirBuf[8:12], uint32(sh.nentries))
 	faultDirPrepublish.Hit()
 	stamp := sh.stampNow()
 	sh.beginPub()
 	sh.flushStats()
 	faultDirPublish.Hit()
-	err := sh.dir.WriteStamped(sh.dirBuf, stamp)
+	err := sh.dir.WriteOwned(sh.dirBuf, stamp)
 	sh.endPub()
 	if err == nil {
 		sh.notify.PublishAt(stamp)
@@ -546,7 +552,9 @@ func (sh *shard) unbind(key string, slot int) {
 // appends an add entry to the directory log. The order — register ready,
 // slots stored, directory published — is what readers rely on: observing
 // the new entry through the register's RMW chain happens-after the slot
-// store.
+// store. Appending a slot and publishing the longer log are both by
+// reference, so creating a key costs amortized O(1) however many keys
+// the shard holds; only reusing a slot copies the slot arrays.
 func (m *Map) addKey(sh *shard, key string, val []byte) error {
 	initial := val
 	if initial == nil {
@@ -571,6 +579,11 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 	if n := len(sh.freeSlots); n > 0 {
 		slot = sh.freeSlots[n-1]
 		sh.freeSlots = sh.freeSlots[:n-1]
+		// Published snapshots alias the slot arrays, so rewrite a reused
+		// slot in fresh copies: a reader holding an older snapshot keeps
+		// seeing the slot's previous incarnation.
+		sh.wregs = slices.Clone(sh.wregs)
+		sh.wgens = slices.Clone(sh.wgens)
 		sh.wregs[slot] = reg
 		sh.wgens[slot]++
 		sh.wkeys[slot] = key
@@ -580,10 +593,7 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 		sh.wgens = append(sh.wgens, 1)
 		sh.wkeys = append(sh.wkeys, key)
 	}
-	next := &slots{
-		regs: append(make([]*arc.Register, 0, len(sh.wregs)), sh.wregs...),
-		gens: append(make([]uint32, 0, len(sh.wgens)), sh.wgens...),
-	}
+	next := sh.slotSnapshot()
 	sh.index[key] = slot
 	sh.creates++
 	sh.liveKeys.Add(1)
@@ -592,20 +602,25 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 	sh.epoch++
 	sh.nentries++
 	sh.dirBuf = appendAdd(sh.dirBuf, slot, sh.wgens[slot], key)
-	binary.LittleEndian.PutUint64(sh.dirBuf[0:8], sh.epoch)
-	binary.LittleEndian.PutUint32(sh.dirBuf[8:12], uint32(sh.nentries))
 	faultDirPrepublish.Hit()
 	stamp := sh.stampNow()
 	sh.beginPub()
 	sh.flushStats()
 	sh.entries.Store(next)
 	faultSlotStore.Hit()
-	err = sh.dir.WriteStamped(sh.dirBuf, stamp)
+	err = sh.dir.WriteOwned(sh.dirBuf, stamp)
 	sh.endPub()
 	if err == nil {
 		sh.notify.PublishAt(stamp)
 	}
 	return err
+}
+
+// slotSnapshot returns the reader-visible snapshot of the writer's slot
+// arrays: capped reslices, so later appends can never reach into it.
+func (sh *shard) slotSnapshot() *slots {
+	n := len(sh.wregs)
+	return &slots{regs: sh.wregs[:n:n], gens: sh.wgens[:n:n]}
 }
 
 // ensureRoom guarantees the next append of up to need bytes fits under
@@ -643,7 +658,9 @@ func (sh *shard) ensureRoom(need int) error {
 // the writer's back — one compact republishes the writer's truth and
 // every latched reader rebases onto it.
 func (sh *shard) compact() error {
+	sh.cgen++
 	buf := make([]byte, dirHeaderSize, dirHeaderSize+len(sh.dirBuf)/2)
+	binary.LittleEndian.PutUint32(buf, sh.cgen)
 	count := 0
 	for slot, key := range sh.wkeys {
 		if key == "" {
@@ -653,29 +670,22 @@ func (sh *shard) compact() error {
 		count++
 	}
 	sh.epoch++
-	sh.cgen++
 	sh.nentries = count
 	sh.dirBuf = buf
-	binary.LittleEndian.PutUint64(buf[0:8], sh.epoch)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(count))
-	binary.LittleEndian.PutUint32(buf[12:16], sh.cgen)
 	sh.compactions++
-	// Re-store the slot snapshot from the writer tables: normally a
-	// no-op copy, but after a crash that unwound addKey between its
+	// Re-store the slot snapshot from the writer tables: normally the
+	// same contents, but after a crash that unwound addKey between its
 	// state mutation and its publication, the published pointer is
 	// stale — re-storing it here is what makes compact the universal
 	// crash repair (readers verify decoded generations against it).
-	next := &slots{
-		regs: append(make([]*arc.Register, 0, len(sh.wregs)), sh.wregs...),
-		gens: append(make([]uint32, 0, len(sh.wgens)), sh.wgens...),
-	}
+	next := sh.slotSnapshot()
 	faultCompactBuilt.Hit()
 	stamp := sh.stampNow()
 	sh.beginPub()
 	sh.flushStats()
 	sh.entries.Store(next)
 	faultCompactPublish.Hit()
-	err := sh.dir.WriteStamped(sh.dirBuf, stamp)
+	err := sh.dir.WriteOwned(sh.dirBuf, stamp)
 	sh.endPub()
 	if err == nil {
 		sh.notify.PublishAt(stamp)
@@ -918,7 +928,7 @@ type ReadStats struct {
 }
 
 // readerShard is a Reader's per-shard cache: the directory reader handle
-// plus the decoded (epoch, key→slot table, per-key handle) state.
+// plus the decoded (key→slot table, per-key handle) state.
 type readerShard struct {
 	dirRd *arc.Reader
 	// table maps live keys to slots; keys, gens, live mirror the decoded
@@ -953,18 +963,15 @@ type readerShard struct {
 	// reader must never re-acquire a handle for an incarnation it still
 	// holds one for.
 	displaced []displacedHandle
-	// epoch is the decoded publication epoch — a monotonicity guard: a
-	// later publication carries a strictly larger epoch, so a decode
-	// observing a smaller one (without a rebase) means the protocol
-	// broke. cgen is the decoded compaction generation: a publication
-	// with a different cgen makes the reader rebase — drop every binding
-	// and the incremental frontier, then decode the fresh log from its
-	// start. decoded/tailOff track the incremental decode frontier
-	// (entries parsed, byte offset of the next one — valid across
-	// publications because the log is prefix-stable within a cgen).
-	epoch   uint64
+	// cgen is the decoded compaction generation: a publication with a
+	// different cgen makes the reader rebase — drop every binding and
+	// the incremental frontier, then decode the fresh log from its start.
+	// tailOff is the incremental decode frontier: the byte offset of the
+	// first undecoded entry, valid across publications because the log
+	// is prefix-stable within a cgen. It doubles as the in-epoch
+	// monotonicity guard: a later publication is never shorter, so one
+	// that is (without a rebase) means the protocol broke.
 	cgen    uint32
-	decoded int
 	tailOff int
 	// corrupt latches a failed decode: the directory handle already
 	// holds the broken publication (so freshness probes would pass), and
@@ -1037,6 +1044,7 @@ func (m *Map) NewReader() (*Reader, error) {
 		}
 		r.shards[i].dirRd = h
 		r.shards[i].table = make(map[string]int)
+		r.shards[i].tailOff = dirHeaderSize
 	}
 	return r, nil
 }
@@ -1054,7 +1062,6 @@ func (rs *readerShard) rebase(cgen uint32) {
 	}
 	clear(rs.table)
 	rs.cgen = cgen
-	rs.decoded = 0
 	rs.tailOff = dirHeaderSize
 }
 
@@ -1101,26 +1108,24 @@ func (r *Reader) refresh(si int) error {
 		if len(v) < dirHeaderSize {
 			return fail(fmt.Errorf("%w: shard %d shorter than header (%d bytes)", ErrShardCorrupt, si, len(v)))
 		}
-		epoch := binary.LittleEndian.Uint64(v[0:8])
-		count := int(binary.LittleEndian.Uint32(v[8:12]))
-		cgen := binary.LittleEndian.Uint32(v[12:16])
+		cgen := binary.LittleEndian.Uint32(v)
 		progressed := false
 		if cgen != rs.cgen || (repairing && !rebased) {
 			// A compaction epoch — or a repair, which re-decodes from
 			// scratch unconditionally because the incremental state may
-			// be poisoned. The rebase also re-baselines epoch and count:
+			// be poisoned. The rebase also re-baselines the frontier:
 			// monotonicity is a per-epoch invariant (DESIGN.md §9), and
 			// insisting on it across a repair would leave a shard whose
 			// reader once accepted garbage unrecoverable.
 			rs.rebase(cgen)
 			rebased, progressed = true, true
-		} else if !rebased && (epoch < rs.epoch || count < rs.decoded) {
+		} else if !rebased && len(v) < rs.tailOff {
 			// Within one compaction epoch ARC never serves an older
-			// publication to the same handle, so a regressed epoch or
-			// entry count means either the directory protocol broke or —
-			// indistinguishably from this side — the reader once accepted
-			// a plausible-garbage publication that poisoned its
-			// baselines. Latching here could be permanent (the broken
+			// publication to the same handle, so a log shorter than the
+			// decoded frontier means either the directory protocol broke
+			// or — indistinguishably from this side — the reader once
+			// accepted a plausible-garbage publication that poisoned its
+			// baseline. Latching here could be permanent (the broken
 			// baseline would condemn every future publication), so
 			// re-decode the current publication from scratch instead: a
 			// genuine log re-verifies fully against the slot array and
@@ -1134,29 +1139,24 @@ func (r *Reader) refresh(si int) error {
 		// which also bounds every genuine entry's slot index.
 		el := r.m.shards[si].entries.Load()
 		off := rs.tailOff
-		if rs.decoded == 0 {
-			off = dirHeaderSize
-		}
-		if count > rs.decoded {
+		if len(v) > off {
 			progressed = true
 		}
-		for i := rs.decoded; i < count; i++ {
+		// The publication's length delimits the log: every byte up to it
+		// must parse as whole entries, so a truncated tail entry fails.
+		for off < len(v) {
+			at := off
 			tag, n := binary.Uvarint(v[off:])
 			if n <= 0 || tag>>1 > math.MaxInt32 {
-				return fail(fmt.Errorf("%w: shard %d entry %d corrupt at offset %d", ErrShardCorrupt, si, i, off))
+				return fail(fmt.Errorf("%w: shard %d entry corrupt at offset %d", ErrShardCorrupt, si, at))
 			}
 			off += n
 			slot := int(tag >> 1)
-			if slot >= len(el.regs) {
-				// The slot array is stored before any add naming the slot
-				// publishes, and el was loaded after viewing v — a genuine
-				// log can never name a slot el lacks.
-				return fail(fmt.Errorf("%w: shard %d entry %d names slot %d beyond the slot array (%d)",
-					ErrShardCorrupt, si, i, slot, len(el.regs)))
-			}
 			if tag&tombstoneFlag != 0 {
+				// Only an add makes a slot live, so this also bounds the
+				// slot by the slot array (see the add's check below).
 				if slot >= len(rs.keys) || !rs.live[slot] {
-					return fail(fmt.Errorf("%w: shard %d entry %d tombstones dead slot %d", ErrShardCorrupt, si, i, slot))
+					return fail(fmt.Errorf("%w: shard %d entry at offset %d tombstones dead slot %d", ErrShardCorrupt, si, at, slot))
 				}
 				delete(rs.table, rs.keys[slot])
 				rs.live[slot] = false
@@ -1168,7 +1168,7 @@ func (r *Reader) refresh(si int) error {
 			}
 			gen64, n := binary.Uvarint(v[off:])
 			if n <= 0 || gen64 == 0 || gen64 > math.MaxUint32 {
-				return fail(fmt.Errorf("%w: shard %d entry %d has invalid generation", ErrShardCorrupt, si, i))
+				return fail(fmt.Errorf("%w: shard %d entry at offset %d has invalid generation", ErrShardCorrupt, si, at))
 			}
 			off += n
 			gen := uint32(gen64)
@@ -1176,11 +1176,19 @@ func (r *Reader) refresh(si int) error {
 			// Compare in uint64 space: a klen that would overflow int must
 			// not slip past the bound check.
 			if n <= 0 || klen > uint64(len(v)-(off+n)) {
-				return fail(fmt.Errorf("%w: shard %d entry %d corrupt at offset %d", ErrShardCorrupt, si, i, off))
+				return fail(fmt.Errorf("%w: shard %d entry at offset %d has a corrupt key length", ErrShardCorrupt, si, at))
 			}
 			off += n
 			key := string(v[off : off+int(klen)])
 			off += int(klen)
+			// The whole entry parsed; now check what it names. The slot
+			// array is stored before any add naming the slot publishes,
+			// and el was loaded after viewing v — a genuine log can never
+			// name a slot el lacks.
+			if slot >= len(el.regs) {
+				return fail(fmt.Errorf("%w: shard %d entry at offset %d names slot %d beyond the slot array (%d)",
+					ErrShardCorrupt, si, at, slot, len(el.regs)))
+			}
 			// Extend the per-slot arrays up to the named slot: a compacted
 			// log registers only live slots, so its slot indices may be
 			// sparse (bounded by the el check above).
@@ -1191,7 +1199,7 @@ func (r *Reader) refresh(si int) error {
 				rs.handles = append(rs.handles, nil)
 			}
 			if rs.live[slot] {
-				return fail(fmt.Errorf("%w: shard %d entry %d adds occupied slot %d", ErrShardCorrupt, si, i, slot))
+				return fail(fmt.Errorf("%w: shard %d entry at offset %d adds occupied slot %d", ErrShardCorrupt, si, at, slot))
 			}
 			if h := rs.handles[slot]; h != nil && rs.gens[slot] != gen {
 				// The slot re-registers as a different incarnation while
@@ -1207,13 +1215,11 @@ func (r *Reader) refresh(si int) error {
 			rs.gens[slot] = gen
 			rs.live[slot] = true
 			if _, dup := rs.table[key]; dup {
-				return fail(fmt.Errorf("%w: shard %d entry %d re-adds live key %q", ErrShardCorrupt, si, i, key))
+				return fail(fmt.Errorf("%w: shard %d entry at offset %d re-adds live key %q", ErrShardCorrupt, si, at, key))
 			}
 			rs.table[key] = slot
 		}
-		rs.decoded = count
 		rs.tailOff = off
-		rs.epoch = epoch
 		// Verify the snapshot matches the decoded state generation by
 		// generation. The snapshot is stored before its add publishes, so
 		// it can be ahead of the view (never behind it); ahead means a

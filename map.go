@@ -79,7 +79,8 @@ type MapWriteStats = regmap.WriteStats
 // (1,N) register and every shard publishes its key directory through a
 // directory ARC register. Key lookup, key enumeration and value reads
 // are wait-free zero-copy register reads; adding or deleting a key is
-// one directory re-publish by that shard's writer. A Get of an unchanged
+// one directory append and re-publish by that shard's writer, amortized
+// O(1) however many keys the shard holds. A Get of an unchanged
 // hot key costs two atomic loads — zero RMW instructions — regardless of
 // map size, and Snapshot yields an atomic point-in-time view of all live
 // keys (see internal/regmap for the protocol).
