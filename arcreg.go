@@ -35,30 +35,16 @@ type Reader = register.Reader
 type Viewer = register.Viewer
 
 // ReadStats counts per-handle read work (operations, RMW instructions,
-// fast-path hits); see StatReader. Its Snapshot method renders the
-// counters as a node of the Stats observability tree (see Reg.Stats).
+// fast-path hits); see TypedReader.ReadStats. Its Snapshot method
+// renders the counters as a node of the Stats observability tree (see
+// Reg.Stats).
 type ReadStats = register.ReadStats
 
 // WriteStats counts writer work (operations, RMW instructions, slot-scan
-// probes, hint hits); see StatWriter. Its Snapshot method renders the
-// counters as a node of the Stats observability tree (see Reg.Stats).
+// probes, hint hits); see TypedWriter.WriteStats. Its Snapshot method
+// renders the counters as a node of the Stats observability tree (see
+// Reg.Stats).
 type WriteStats = register.WriteStats
-
-// StatReader is implemented by reader handles exposing ReadStats.
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedReader.ReadStats (and Reg.Caps().ReadStats) instead of
-// asserting byte handles; use Reg.Stats for the live observability
-// tree. StatReader remains for raw-register code.
-type StatReader = register.StatReader
-
-// StatWriter is implemented by writers exposing WriteStats.
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedWriter.WriteStats (and Reg.Caps().WriteStats) instead of
-// asserting byte handles; use Reg.Stats for the live observability
-// tree. StatWriter remains for raw-register code.
-type StatWriter = register.StatWriter
 
 // Errors returned by register operations.
 var (
@@ -155,48 +141,8 @@ func NewSeqlock(cfg Config) (Register, error) { return seqlock.New(cfg) }
 // writer (ARC avoids exactly this with its N+2 slots).
 func NewLeftRight(cfg Config) (Register, error) { return leftright.New(cfg) }
 
-// View returns a zero-copy view of the freshest value if the reader
-// supports it, or (nil, false) otherwise. The view is valid until the
-// handle's next Read, View or Close.
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedReader.ViewBytes (and Reg.Caps().ZeroCopyView) instead of
-// asserting byte handles. View remains for raw-register code.
-func View(r Reader) ([]byte, bool) {
-	v, ok := r.(Viewer)
-	if !ok {
-		return nil, false
-	}
-	buf, err := v.View()
-	if err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
 // FreshnessProber is implemented by readers that can report, without
 // performing a read, whether their last-returned value is still current.
 // ARC and RF support it; for ARC the probe is a single atomic load with
 // no RMW instruction.
 type FreshnessProber = register.FreshnessProber
-
-// Fresh reports whether r's last-returned value is still the freshest
-// one. ok is false when the reader cannot answer without a full read.
-// Use it to skip decoding/processing in polling loops:
-//
-//	if fresh, ok := arcreg.Fresh(rd); !ok || !fresh {
-//	    v, _ := rd.Read(buf) // something new (or unknown): actually read
-//	    process(v)
-//	}
-//
-// Deprecated: the New facade resolves capabilities at construction —
-// use TypedReader.Fresh (and Reg.Caps().FreshProbe), or the Values poll
-// iterator, instead of asserting byte handles. Fresh remains for
-// raw-register code.
-func Fresh(r Reader) (fresh, ok bool) {
-	p, ok := r.(FreshnessProber)
-	if !ok {
-		return false, false
-	}
-	return p.Fresh(), true
-}

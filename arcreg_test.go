@@ -75,12 +75,14 @@ func TestPublicViewSupport(t *testing.T) {
 			t.Fatal(err)
 		}
 		rd, _ := reg.NewReader()
-		v, ok := arcreg.View(rd)
+		viewer, ok := rd.(arcreg.Viewer)
 		if ok != f.hasView {
 			t.Fatalf("%s: View support = %v, want %v", f.name, ok, f.hasView)
 		}
-		if ok && string(v) != "zero-copy" {
-			t.Fatalf("%s: view = %q", f.name, v)
+		if ok {
+			if v, err := viewer.View(); err != nil || string(v) != "zero-copy" {
+				t.Fatalf("%s: view = %q, %v", f.name, v, err)
+			}
 		}
 		rd.Close()
 	}
@@ -122,7 +124,7 @@ func TestPublicARCOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := rd.(arcreg.StatReader).ReadStats()
+	st := rd.(interface{ ReadStats() arcreg.ReadStats }).ReadStats()
 	if st.FastPath != 0 {
 		t.Fatalf("fast path used despite WithoutFastPath: %d", st.FastPath)
 	}
@@ -150,10 +152,10 @@ func TestPublicStats(t *testing.T) {
 		w.Write([]byte("v"))
 		rd.Read(make([]byte, 64))
 	}
-	if st := rd.(arcreg.StatReader).ReadStats(); st.Ops != 5 {
+	if st := rd.(interface{ ReadStats() arcreg.ReadStats }).ReadStats(); st.Ops != 5 {
 		t.Fatalf("read ops = %d", st.Ops)
 	}
-	if ws := w.(arcreg.StatWriter).WriteStats(); ws.Ops != 5 {
+	if ws := w.(interface{ WriteStats() arcreg.WriteStats }).WriteStats(); ws.Ops != 5 {
 		t.Fatalf("write ops = %d", ws.Ops)
 	}
 }
@@ -262,23 +264,49 @@ func TestPublicFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd, _ := reg.NewReader()
-	if fresh, ok := arcreg.Fresh(rd); !ok || fresh {
-		t.Fatalf("unread ARC handle: fresh=%v ok=%v", fresh, ok)
+	probe, ok := rd.(arcreg.FreshnessProber)
+	if !ok {
+		t.Fatal("ARC reader is not a FreshnessProber")
+	}
+	if probe.Fresh() {
+		t.Fatal("unread ARC handle reports fresh")
 	}
 	reg.Writer().Write([]byte("v1"))
 	rd.Read(make([]byte, 32))
-	if fresh, ok := arcreg.Fresh(rd); !ok || !fresh {
-		t.Fatalf("after read: fresh=%v ok=%v", fresh, ok)
+	if !probe.Fresh() {
+		t.Fatal("just-read handle reports stale")
 	}
 	reg.Writer().Write([]byte("v2"))
-	if fresh, _ := arcreg.Fresh(rd); fresh {
+	if probe.Fresh() {
 		t.Fatal("stale handle reports fresh")
 	}
 
 	// Peterson cannot answer without a read.
 	p, _ := arcreg.NewPeterson(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
 	prd, _ := p.NewReader()
-	if _, ok := arcreg.Fresh(prd); ok {
+	if _, ok := prd.(arcreg.FreshnessProber); ok {
 		t.Fatal("Peterson claimed freshness support")
+	}
+}
+
+func TestPublicDynamicBuffers(t *testing.T) {
+	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 1 << 20},
+		arcreg.WithDynamicBuffers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, _ := reg.NewReader()
+	for i := 0; i < 20; i++ {
+		val := make([]byte, 10+i*1000)
+		for j := range val {
+			val[j] = byte(i)
+		}
+		if err := reg.Writer().Write(val); err != nil {
+			t.Fatal(err)
+		}
+		v, err := rd.(arcreg.Viewer).View()
+		if err != nil || len(v) != len(val) {
+			t.Fatalf("view %d bytes, %v; want %d", len(v), err, len(val))
+		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Codec converts between Go values and the byte strings registers
-// store; it is the one encoding layer every typed surface (New,
-// Typed, TypedMN, MapOf) shares. Implement it to plug a custom wire
-// format into all of them at once.
+// store; it is the one encoding layer both typed surfaces (New and
+// NewMap) share. Implement it and pass it with WithCodec to plug a
+// custom wire format into either.
 //
 // Decode is handed a slice that may alias a register slot recycled as
 // soon as Decode returns: implementations must not retain it or any

@@ -170,16 +170,19 @@
 //
 // # Byte-level access
 //
-// The untyped constructors remain for code that works in raw bytes:
+// Typed access is New (registers) and NewMap (the keyed store). The
+// untyped constructors remain for code that works in raw bytes:
 // NewARC, NewRF, NewPeterson, NewLocked, NewSeqlock, NewLeftRight
-// return Register (one Writer, per-goroutine Readers, optional Viewer/
-// FreshnessProber capabilities), NewMN the (M,N) composite, NewByteMap
-// the keyed store. All of them share or adapt to the Register/Reader/
-// Writer interfaces, so they are interchangeable in application code
-// and in the bundled benchmark harness (cmd/arcbench) that regenerates
-// the paper's figures. Reg.Register/Reg.MN expose the byte register
-// underneath a typed facade; TypedReader.ViewBytes/ReadBytes and
-// TypedWriter.SetBytes bypass the codec per call.
+// return Register (one Writer, per-goroutine Readers), NewMN the (M,N)
+// composite, NewByteMap the keyed store. All of them share or adapt to
+// the Register/Reader/Writer interfaces, so they are interchangeable in
+// application code and in the bundled benchmark harness (cmd/arcbench)
+// that regenerates the paper's figures. A byte Reader exposes its
+// optional capabilities by assertion: rd.(Viewer) for zero-copy views,
+// rd.(FreshnessProber) for the freshness probe. Reg.Register/Reg.MN
+// expose the byte register underneath a typed facade;
+// TypedReader.ViewBytes/ReadBytes and TypedWriter.SetBytes bypass the
+// codec per call.
 //
 // # The (M,N) fresh-gated collect
 //

@@ -1,8 +1,8 @@
 // Freshness-gated polling: a worker loop that consults shared state
-// before every task, using arcreg.Fresh to skip deserialization when
-// nothing changed. The probe is one atomic load with no RMW instruction —
-// the R1 comparison of ARC's fast path exposed as an API — so polling at
-// per-task granularity costs essentially nothing.
+// before every task, using TypedReader.Fresh to skip deserialization
+// when nothing changed. The probe is one atomic load with no RMW
+// instruction — the R1 comparison of ARC's fast path exposed as an API
+// — so polling at per-task granularity costs essentially nothing.
 //
 // The example contrasts two worker pools processing the same task stream:
 // one re-decodes the shared routing table on every task, one only when
@@ -33,11 +33,12 @@ const workers = 4
 
 func main() {
 	initial, _ := json.Marshal(routingTable{Version: 0, Shards: map[string]int{"a": 0}})
-	reg, err := arcreg.NewARC(arcreg.Config{
-		MaxReaders:   2 * workers,
-		MaxValueSize: 8192,
-		Initial:      initial,
-	})
+	reg, err := arcreg.New[[]byte](
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(2*workers),
+		arcreg.WithMaxValueSize(8192),
+		arcreg.WithInitialBytes(initial),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 			defer wg.Done()
 			defer rd.Close()
 			for !stop.Load() {
-				v, _ := arcreg.View(rd)
+				v, _ := rd.ViewBytes()
 				var table routingTable
 				if err := json.Unmarshal(v, &table); err != nil {
 					log.Fatal(err)
@@ -86,8 +87,8 @@ func main() {
 			defer rd.Close()
 			var table routingTable
 			for !stop.Load() {
-				if fresh, ok := arcreg.Fresh(rd); !ok || !fresh {
-					v, _ := arcreg.View(rd)
+				if !rd.Fresh() {
+					v, _ := rd.ViewBytes()
 					if err := json.Unmarshal(v, &table); err != nil {
 						log.Fatal(err)
 					}
@@ -104,7 +105,7 @@ func main() {
 	for v := 1; v <= 100; v++ {
 		shards["a"] = v % 7
 		blob, _ := json.Marshal(routingTable{Version: v, Shards: shards})
-		if err := reg.Writer().Write(blob); err != nil {
+		if err := reg.Set(blob); err != nil {
 			log.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -35,7 +35,14 @@ const (
 const controlSize = 16 + lps*8
 
 func main() {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: lps, MaxValueSize: controlSize})
+	// Round 0 (GVT 0) seeds the register, so an LP that starts before the
+	// coordinator's first publication still decodes a full snapshot.
+	reg, err := arcreg.New[[]byte](
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(lps),
+		arcreg.WithMaxValueSize(controlSize),
+		arcreg.WithInitialBytes(make([]byte, controlSize)),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,10 +71,10 @@ func main() {
 			var lastRound uint64
 			for ev := 0; ev < eventsPer; ev++ {
 				// Wait-free control-state consultation.
-				if fresh, _ := arcreg.Fresh(rd); !fresh {
-					v, ok := arcreg.View(rd)
-					if !ok {
-						log.Fatalf("LP %d: view failed", id)
+				if !rd.Fresh() {
+					v, err := rd.ViewBytes()
+					if err != nil {
+						log.Fatalf("LP %d: view failed: %v", id, err)
 					}
 					round := binary.LittleEndian.Uint64(v[0:8])
 					newGVT := binary.LittleEndian.Uint64(v[8:16])
@@ -109,7 +116,7 @@ func main() {
 		for i := range clocks {
 			binary.LittleEndian.PutUint64(buf[16+i*8:], clocks[i].Load())
 		}
-		if err := reg.Writer().Write(buf); err != nil {
+		if err := reg.Set(buf); err != nil {
 			log.Fatal(err)
 		}
 		time.Sleep(gvtPeriod)

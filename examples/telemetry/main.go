@@ -37,22 +37,21 @@ const counters = 64 // one snapshot = 64 uint64 counters + a round header
 const snapshotSize = 16 + counters*8
 
 func main() {
-	reg, err := arcreg.NewARC(arcreg.Config{
-		MaxReaders:   6,
-		MaxValueSize: snapshotSize,
-	})
+	// An all-zero snapshot (round 0, sum 0) seeds the register, so a
+	// scraper that starts before the first publication sees a full one.
+	reg, err := arcreg.New[[]byte](
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithReaders(6),
+		arcreg.WithMaxValueSize(snapshotSize),
+		arcreg.WithInitialBytes(make([]byte, snapshotSize)),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Self-observation: export the register's own live stats tree as an
-	// expvar (an HTTP server would now serve it at /debug/vars). The
-	// raw register exposes the tree through the StatsSource capability.
-	src, ok := any(reg).(arcreg.StatsSource)
-	if !ok {
-		log.Fatal("ARC register must expose a stats tree")
-	}
-	arcreg.Observe("snapshot-register", src)
+	// expvar (an HTTP server would now serve it at /debug/vars).
+	arcreg.Observe("snapshot-register", reg)
 
 	var (
 		wg      sync.WaitGroup
@@ -88,9 +87,9 @@ func main() {
 			defer rd.Close()
 			var lastRound uint64
 			for !stop.Load() {
-				v, ok := arcreg.View(rd) // zero-copy: scrape without moving bytes
-				if !ok {
-					log.Fatalf("scraper %d: view unavailable", id)
+				v, err := rd.ViewBytes() // zero-copy: scrape without moving bytes
+				if err != nil {
+					log.Fatalf("scraper %d: view unavailable: %v", id, err)
 				}
 				round := binary.LittleEndian.Uint64(v[0:8])
 				claimed := binary.LittleEndian.Uint64(v[8:16])
@@ -114,7 +113,10 @@ func main() {
 
 	// The collector: the register's single writer. Every 2ms it freezes
 	// the live counters into a consistent snapshot and publishes it.
-	w := reg.Writer()
+	w, err := reg.NewWriter()
+	if err != nil {
+		log.Fatal(err)
+	}
 	buf := make([]byte, snapshotSize)
 	const rounds = 500
 	for round := uint64(1); round <= rounds; round++ {
@@ -126,7 +128,7 @@ func main() {
 		}
 		binary.LittleEndian.PutUint64(buf[0:8], round)
 		binary.LittleEndian.PutUint64(buf[8:16], sum)
-		if err := w.Write(buf); err != nil {
+		if err := w.Set(buf); err != nil {
 			log.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -141,7 +143,7 @@ func main() {
 	// The register's own telemetry, two ways: the text dump of the live
 	// Stats tree, and the same tree as expvar JSON — what a scraper
 	// hitting /debug/vars would receive.
-	sn := src.Stats()
+	sn := reg.Stats()
 	fmt.Println("\nregister stats tree:")
 	sn.WriteText(os.Stdout)
 	if epoch, ok := sn.Child("notify").Get("epoch"); !ok || epoch < rounds {

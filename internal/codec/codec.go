@@ -1,9 +1,9 @@
 // Package codec is the one encoding layer between the byte-oriented
-// registers and the typed public API. Every typed surface in the
-// repository — Reg[T]/New[T], the deprecated Typed[T]/TypedMN[T]
-// wrappers, and the keyed MapOf[T] — funnels through the Codec[T]
-// contract defined here, so a new encoding (protobuf, flatbuffers, a
-// hand-rolled wire format) plugs into all of them at once.
+// registers and the typed public API. Both typed surfaces in the
+// repository — Reg[T] from New[T] and the keyed MapOf[T] from NewMap[T]
+// — funnel through the Codec[T] contract defined here, so a new
+// encoding (protobuf, flatbuffers, a hand-rolled wire format) plugs
+// into both at once.
 //
 // Codecs run outside the registers' critical operations: encoding
 // happens before the wait-free write, decoding after the wait-free read.
@@ -147,38 +147,19 @@ func Binary[T any, PT interface {
 	return binaryCodec[T, PT]{}
 }
 
-// funcCodec adapts a pair of functions.
-type funcCodec[T any] struct {
-	enc func(T) ([]byte, error)
-	dec func([]byte) (T, error)
-}
-
-func (c funcCodec[T]) Encode(v T) ([]byte, error) { return c.enc(v) }
-
-func (c funcCodec[T]) Decode(p []byte) (T, error) { return c.dec(p) }
-
-func (funcCodec[T]) Name() string { return "funcs" }
-
-// Funcs adapts an encode/decode function pair into a Codec — the bridge
-// the deprecated NewTyped/NewTypedMN/NewMapOf constructors use. dec is
-// held to the Codec aliasing contract: it must not retain its argument.
-func Funcs[T any](enc func(T) ([]byte, error), dec func([]byte) (T, error)) Codec[T] {
-	return funcCodec[T]{enc: enc, dec: dec}
-}
-
 // ZeroInitial encodes T's zero value for use as a register's initial
-// value, bounds-checked against maxValueSize (0 = unchecked here; the
-// register's own Validate applies the default bound later). This is the
-// one copy of the bootstrap every typed constructor shares: readers that
-// Get before the first Set decode this blob instead of failing on the
-// registers' one-zero-byte default.
+// value, bounds-checked against a positive maxValueSize (a zero bound
+// is left to the register's default and a negative one to its own
+// validation, which rejects it). New seeds every register shape with
+// it: readers that Get before the first Set decode this blob instead of
+// failing on the registers' one-zero-byte default.
 func ZeroInitial[T any](c Codec[T], maxValueSize int) ([]byte, error) {
 	var zero T
 	blob, err := c.Encode(zero)
 	if err != nil {
 		return nil, fmt.Errorf("arcreg: encoding zero value: %w", err)
 	}
-	if maxValueSize != 0 && len(blob) > maxValueSize {
+	if maxValueSize > 0 && len(blob) > maxValueSize {
 		return nil, fmt.Errorf("arcreg: zero value needs %d bytes > MaxValueSize %d", len(blob), maxValueSize)
 	}
 	if blob == nil {

@@ -207,8 +207,11 @@ func New(cfg Config, opts Options) (*Register, error) {
 	if cfg.Readers <= 0 {
 		return nil, fmt.Errorf("mnreg: Readers must be positive, got %d", cfg.Readers)
 	}
-	if cfg.MaxValueSize <= 0 {
+	if cfg.MaxValueSize == 0 {
 		cfg.MaxValueSize = register.DefaultMaxValueSize
+	}
+	if cfg.MaxValueSize < 0 {
+		return nil, fmt.Errorf("mnreg: MaxValueSize must be positive, got %d", cfg.MaxValueSize)
 	}
 	if len(cfg.Initial) > cfg.MaxValueSize {
 		return nil, fmt.Errorf("mnreg: initial value (%d bytes) exceeds MaxValueSize (%d)",

@@ -30,6 +30,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Writers: 1, Readers: 1, MaxValueSize: 4, Initial: make([]byte, 8)}, Options{}); err == nil {
 		t.Error("oversized initial accepted")
 	}
+	if _, err := New(Config{Writers: 2, Readers: 1, MaxValueSize: -5}, Options{}); err == nil {
+		t.Error("negative MaxValueSize accepted")
+	}
 }
 
 func TestInitialValue(t *testing.T) {

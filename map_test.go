@@ -112,13 +112,14 @@ func TestMapHotGetZeroRMW(t *testing.T) {
 	}
 }
 
-// TestMapOfJSON covers the typed wrapper end to end.
+// TestMapOfJSON covers the typed store over its default JSON codec end
+// to end.
 func TestMapOfJSON(t *testing.T) {
 	type endpoint struct {
 		Host string
 		Port int
 	}
-	tm, err := arcreg.NewJSONMap[endpoint](arcreg.MapConfig{MaxReaders: 2, MaxValueSize: 256})
+	tm, err := arcreg.NewMap[endpoint](arcreg.WithReaders(2), arcreg.WithMaxValueSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}

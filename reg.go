@@ -49,11 +49,6 @@ const (
 	LeftRight
 )
 
-// Custom marks a Reg built over an out-of-tree Register implementation
-// (via the deprecated NewTyped); its name is whatever the wrapped
-// register's Name() reports.
-const Custom AlgorithmID = -1
-
 // String returns the harness/paper name of the algorithm.
 func (a AlgorithmID) String() string {
 	switch a {
@@ -69,22 +64,8 @@ func (a AlgorithmID) String() string {
 		return "seqlock"
 	case LeftRight:
 		return "leftright"
-	case Custom:
-		return "custom"
 	}
 	return fmt.Sprintf("algorithm(%d)", int(a))
-}
-
-// algorithmOf maps a register's self-reported Name back to its ID —
-// how wrapRegister attributes pre-built registers handed to the
-// deprecated constructors.
-func algorithmOf(name string) AlgorithmID {
-	for _, a := range []AlgorithmID{ARC, RF, Peterson, Lock, Seqlock, LeftRight} {
-		if a.String() == name {
-			return a
-		}
-	}
-	return Custom
 }
 
 // Caps declares which optional capabilities a register's handles
@@ -394,7 +375,14 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 	}
 	r.reg = reg
 	r.caps = register.CapsOf(reg)
-	r.resolveSequencer()
+	// Cache the publication sequencer and keep Caps.Watchable honest: a
+	// register that reports Watchable but exposes no sequencer is
+	// demoted to the poll fallback.
+	if sp, ok := reg.(sequencerProvider); ok {
+		r.seq = sp.Notifier()
+	} else {
+		r.caps.Watchable = false
+	}
 	return r, nil
 }
 
@@ -402,17 +390,6 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 // publication sequencer (internal/arc implements it).
 type sequencerProvider interface {
 	Notifier() *notify.Sequencer
-}
-
-// resolveSequencer caches the register's publication sequencer and
-// keeps Caps.Watchable honest: a register that reports Watchable but
-// exposes no sequencer is demoted to the poll fallback.
-func (r *Reg[T]) resolveSequencer() {
-	if sp, ok := r.reg.(sequencerProvider); ok {
-		r.seq = sp.Notifier()
-	} else {
-		r.caps.Watchable = false
-	}
 }
 
 // defaultReaders is the WithReaders default: GOMAXPROCS (one handle per
@@ -440,14 +417,6 @@ func defaultReaders(alg AlgorithmID) int {
 		n = limit
 	}
 	return n
-}
-
-// wrapRegister builds a Reg over an existing byte register — the
-// delegation target of the deprecated NewTyped constructor.
-func wrapRegister[T any](reg Register, cd Codec[T]) *Reg[T] {
-	r := &Reg[T]{c: cd, reg: reg, caps: register.CapsOf(reg), alg: algorithmOf(reg.Name())}
-	r.resolveSequencer()
-	return r
 }
 
 // Algorithm reports which construction backs the register.
@@ -528,9 +497,9 @@ func (r *Reg[T]) NewWriter() (*TypedWriter[T], error) {
 	}
 	w := r.reg.Writer()
 	tw := &TypedWriter[T]{c: r.c, w: w}
-	if sw, ok := w.(StatWriter); ok {
+	if sw, ok := w.(register.StatWriter); ok {
 		tw.statw = sw
-	} else if sw, ok := r.reg.(StatWriter); ok {
+	} else if sw, ok := r.reg.(register.StatWriter); ok {
 		tw.statw = sw
 	}
 	return tw, nil
@@ -569,7 +538,7 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 	if fv, ok := rd.(register.FreshViewer); ok {
 		tr.fviewer = fv
 	}
-	if sr, ok := rd.(StatReader); ok {
+	if sr, ok := rd.(register.StatReader); ok {
 		tr.statr = sr
 	}
 	if seq := r.seq; seq != nil {
@@ -732,7 +701,7 @@ func (r *Reg[T]) Stats() Stats {
 type TypedWriter[T any] struct {
 	c     Codec[T]
 	w     Writer // (1,N)
-	statw StatWriter
+	statw register.StatWriter
 	mnw   MNWriter // (M,N)
 }
 
@@ -804,7 +773,7 @@ type TypedReader[T any] struct {
 	viewer  Viewer
 	prober  FreshnessProber
 	fviewer register.FreshViewer
-	statr   StatReader
+	statr   register.StatReader
 	mnrd    MNReader // (M,N)
 	buf     []byte   // copy-read scratch when the register cannot view
 	maxSize int

@@ -9,8 +9,11 @@ package arcreg_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -298,6 +301,11 @@ func TestFacadeOptionValidation(t *testing.T) {
 			arcreg.WithInitial(1), arcreg.WithInitialBytes([]byte("1"))}},
 		{"codec-type-mismatch", "not a Codec", []arcreg.Option{arcreg.WithCodec(arcreg.String())}},
 		{"initial-type-mismatch", "not a", []arcreg.Option{arcreg.WithInitial("nope")}},
+		{"zero-value-too-large", "zero value needs", []arcreg.Option{
+			arcreg.WithCodec[int](fixedInt{}), arcreg.WithMaxValueSize(4)}},
+		{"negative-max-value-size", "must be positive", []arcreg.Option{arcreg.WithMaxValueSize(-5)}},
+		{"negative-max-value-size-mn", "must be positive", []arcreg.Option{
+			arcreg.WithWriters(2), arcreg.WithMaxValueSize(-5)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -581,49 +589,264 @@ func TestFacadeRawZeroSeed(t *testing.T) {
 	}
 }
 
-// TestWrappedRegisterAlgorithm: NewTyped over a pre-built register must
-// attribute it to the right algorithm, not default to ARC.
-func TestWrappedRegisterAlgorithm(t *testing.T) {
-	rf, err := arcreg.NewRF(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
-	if err != nil {
-		t.Fatal(err)
+// fixedInt is a user-implemented Codec[int], the path WithCodec opens
+// to any wire format: 8-byte little-endian, refusing negative values so
+// tests can drive the encode-error path.
+type fixedInt struct{}
+
+var errNegative = errors.New("fixedInt: negative value")
+
+func (fixedInt) Encode(v int) ([]byte, error) {
+	if v < 0 {
+		return nil, errNegative
 	}
-	tr := arcreg.NewTyped[string](rf,
-		func(v string) ([]byte, error) { return []byte(v), nil },
-		func(p []byte) (string, error) { return string(p), nil })
-	if got := tr.Algorithm(); got != arcreg.RF {
-		t.Errorf("Algorithm() = %s, want rf", got)
-	}
+	return binary.LittleEndian.AppendUint64(nil, uint64(v)), nil
 }
 
-// TestDeprecatedWrappersDelegate: the old constructors still work and
-// expose the new surface underneath.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	type point struct{ X, Y int }
-	tr, err := arcreg.NewJSON[point](arcreg.Config{MaxReaders: 2, MaxValueSize: 128})
+func (fixedInt) Decode(p []byte) (int, error) {
+	if len(p) != 8 {
+		return 0, fmt.Errorf("fixedInt: %d bytes, want 8", len(p))
+	}
+	return int(binary.LittleEndian.Uint64(p)), nil
+}
+
+func (fixedInt) Name() string { return "fixed-int" }
+
+// TestTypedCustomCodec: a user-implemented Codec round-trips through
+// WithCodec, the zero-value seed included.
+func TestTypedCustomCodec(t *testing.T) {
+	reg, err := arcreg.New[int](arcreg.WithCodec[int](fixedInt{}),
+		arcreg.WithReaders(1), arcreg.WithMaxValueSize(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Register() == nil {
-		t.Fatal("Typed.Register() lost")
+	if got := reg.Codec().Name(); got != "fixed-int" {
+		t.Errorf("Codec().Name() = %q", got)
 	}
-	if err := tr.Set(point{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := tr.NewReader()
+	rd, err := reg.NewReader()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	v, err := rd.Get()
-	if err != nil || v != (point{1, 2}) {
-		t.Fatalf("Get = %+v, %v", v, err)
+	if v, err := rd.Get(); err != nil || v != 0 {
+		t.Fatalf("Get before first Set = %d, %v; want the zero value", v, err)
 	}
-	// The wrapper inherits the facade's capability surface.
-	if !tr.Caps().ZeroCopyView {
-		t.Error("Typed wrapper lost the capability report")
+	for _, want := range []int{0xDEADBEEF, 1, 0, 1 << 31} {
+		if err := reg.Set(want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := rd.Get(); err != nil || got != want {
+			t.Fatalf("Get = %#x, %v; want %#x", got, err, want)
+		}
 	}
-	if !rd.Fresh() {
-		t.Error("Typed reader lost the freshness probe")
+}
+
+// TestTypedEncodeErrorsSurface: a codec's encode error surfaces from
+// TypedWriter.Set wrapped so errors.Is still matches, and nothing is
+// published.
+func TestTypedEncodeErrorsSurface(t *testing.T) {
+	reg, err := arcreg.New[int](arcreg.WithCodec[int](fixedInt{}), arcreg.WithReaders(1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	w, err := reg.NewWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Set(-1); !errors.Is(err, errNegative) {
+		t.Fatalf("Set err = %v, want errNegative", err)
+	}
+	if v, err := reg.Get(); err != nil || v != 0 {
+		t.Fatalf("Get after failed Set = %d, %v; want the zero seed", v, err)
+	}
+}
+
+// TestTypedOversizedValueRejected: a typed Set whose encoding exceeds
+// WithMaxValueSize fails with ErrValueTooLarge in both shapes. (A zero
+// value that does not fit fails at construction; see
+// TestFacadeOptionValidation.)
+func TestTypedOversizedValueRejected(t *testing.T) {
+	for _, writers := range []int{1, 2} {
+		reg, err := arcreg.New[string](arcreg.WithWriters(writers),
+			arcreg.WithReaders(1), arcreg.WithMaxValueSize(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Set(strings.Repeat("x", 200)); !errors.Is(err, arcreg.ErrValueTooLarge) {
+			t.Errorf("writers=%d: oversized Set: %v", writers, err)
+		}
+	}
+}
+
+// TestTypedConcurrent: concurrent typed readers never see a decoded
+// generation go backwards while the writer publishes.
+func TestTypedConcurrent(t *testing.T) {
+	type config struct {
+		Generation int      `json:"generation"`
+		Flags      []string `json:"flags"`
+	}
+	reg, err := arcreg.New[config](arcreg.WithReaders(4), arcreg.WithMaxValueSize(2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		rd, err := reg.NewReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer rd.Close()
+			last := -1
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cfg, err := rd.Get()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if cfg.Generation < last {
+					t.Errorf("generation regressed: %d after %d", cfg.Generation, last)
+					return
+				}
+				last = cfg.Generation
+			}
+		}()
+	}
+	for gen := 1; gen <= 500; gen++ {
+		if err := reg.Set(config{Generation: gen, Flags: []string{"x"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestTypedMNRoundtrip covers the typed (M,N) path: M writers publish
+// typed values through their own handles, a reader decodes the freshest
+// one, and its tags stay monotone.
+func TestTypedMNRoundtrip(t *testing.T) {
+	type state struct {
+		Writer int
+		Round  int
+	}
+	reg, err := arcreg.New[state](arcreg.WithWriters(3),
+		arcreg.WithReaders(2), arcreg.WithMaxValueSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := reg.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+
+	// The zero value seeds the register: a Get before any Set decodes.
+	got, err := rd.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != (state{}) {
+		t.Fatalf("genesis value = %+v", got)
+	}
+
+	var writers []*arcreg.TypedWriter[state]
+	for i := 0; i < 3; i++ {
+		w, err := reg.NewWriter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		writers = append(writers, w)
+	}
+	last := rd.MNReader().LastTag()
+	for round := 1; round <= 5; round++ {
+		for _, w := range writers {
+			if err := w.Set(state{Writer: w.ID(), Round: round}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := rd.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Writer != w.ID() || got.Round != round {
+				t.Fatalf("got %+v after writer %d round %d", got, w.ID(), round)
+			}
+			tag := rd.MNReader().LastTag()
+			if tag.Less(last) {
+				t.Fatalf("tag regressed: %v after %v", tag, last)
+			}
+			last = tag
+		}
+	}
+}
+
+// TestTypedMNConcurrent exercises the typed (M,N) path under
+// concurrency: every writer publishes its own counter while readers
+// decode only values some writer actually published.
+func TestTypedMNConcurrent(t *testing.T) {
+	type tick struct{ W, N int }
+	reg, err := arcreg.New[tick](arcreg.WithWriters(2),
+		arcreg.WithReaders(2), arcreg.WithMaxValueSize(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perW = 200
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		w, err := reg.NewWriter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer w.Close()
+			for n := 1; n <= perW; n++ {
+				if err := w.Set(tick{W: w.ID(), N: n}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		rd, err := reg.NewReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			defer rd.Close()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, err := rd.Get()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v.N < 0 || v.N > perW || v.W < 0 || v.W > 1 {
+					t.Errorf("impossible value %+v", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
 }
