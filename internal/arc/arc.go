@@ -52,11 +52,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"arcreg/internal/membuf"
 	"arcreg/internal/notify"
 	"arcreg/internal/obs"
-	"arcreg/internal/pad"
 	"arcreg/internal/register"
 	"arcreg/internal/trace"
 	"arcreg/internal/word"
@@ -69,19 +70,19 @@ const noSlot = ^uint32(0)
 const noHint = int64(-1)
 
 // slot is one of the register's N+2 snapshot containers (paper §3.3).
-// The counters live on dedicated cache lines: they are the RMW targets of
-// concurrent readers, and the paper's §1 discussion of QuickPath costs is
-// exactly about keeping such words from sharing (or straddling) lines.
+// Its counters sit beside its value header, unpadded: a slot is 48 bytes,
+// not the 288 a cache-line pair per counter would take, which is what
+// lets a map hold many cold registers (DESIGN.md §3 weighs the cost).
 type slot struct {
 	// rStart is the number of reads that started on this slot during its
 	// last publication. It is zeroed by the writer before publication and
 	// frozen to the retired presence count at retirement (W3). Between
 	// publication and retirement it stays 0 and is not consulted.
-	rStart pad.PaddedUint64
+	rStart atomic.Uint64
 	// rEnd counts reads finished on this slot (R3). rEnd ≤ total
 	// acquisitions at all times; the slot is free iff rStart == rEnd and
 	// it is not the freshest slot.
-	rEnd pad.PaddedUint64
+	rEnd atomic.Uint64
 	// size is the length of the value stored in content. Written only by
 	// the writer while the slot is free; readers observe it through the
 	// happens-before edge established by the RMW chain on current.
@@ -126,21 +127,28 @@ type Options struct {
 // its own Reader handle; a single goroutine at a time may write. These are
 // the paper's (1,N) ground rules, not an implementation shortcut.
 type Register struct {
+	// The first cache line holds every header field a read touches:
+	// the two shared words and the fields fixed at New. Only the RMWs
+	// on current (and the hint stores that ride with them) dirty it, and
+	// a read that finds current changed fetches the line anyway; the
+	// writer's per-write plain stores all land on later lines.
+
 	// current is the synchronization word: index<<32 | counter (§3.3).
-	current pad.PaddedUint64
+	current atomic.Uint64
 	// freeHint is the §3.4 shared proposal word: the index of a slot a
 	// reader observed becoming free, or noHint.
-	freeHint pad.PaddedInt64
-	// seq is the publication sequencer watchers park on: Publish after
-	// every W2 costs the writer one atomic store plus one gate load —
-	// zero RMW and zero allocation while nobody is parked (see
-	// internal/notify and TestWatchZeroRMWIdle).
-	seq notify.Sequencer
+	freeHint atomic.Int64
 
 	slots        []slot
 	maxReaders   int
 	maxValueSize int
 	opts         Options
+
+	// seq is the publication sequencer watchers park on: Publish after
+	// every W2 costs the writer one atomic store plus one load of the
+	// (usually nil) gate pointer — zero RMW and zero allocation while
+	// nobody is parked (see internal/notify and TestWatchZeroRMWIdle).
+	seq notify.Sequencer
 
 	// Writer-local state (single writer ⇒ plain fields).
 	lastSlot   uint32 // slot of the last write; always == current index
@@ -241,6 +249,20 @@ func (r *Register) MaxValueSize() int { return r.maxValueSize }
 
 // SlotCount reports the number of snapshot slots (always MaxReaders+2).
 func (r *Register) SlotCount() int { return len(r.slots) }
+
+// Footprint reports the bytes New allocates for a register built from
+// cfg and opts, from the types' sizes and the slot count: reg is the
+// register header plus its slot array, and bufs its fixed value buffers,
+// zero under DynamicBuffers (whose buffers follow the values written, so
+// only the caller can count them).
+func Footprint(cfg register.Config, opts Options) (reg, bufs int) {
+	nslots := cfg.MaxReaders + 2
+	reg = int(unsafe.Sizeof(Register{})) + nslots*int(unsafe.Sizeof(slot{}))
+	if !opts.DynamicBuffers {
+		bufs = nslots * membuf.AlignedBytes(cfg.MaxValueSize)
+	}
+	return reg, bufs
+}
 
 // Writer implements register.Register. The register itself is the writer
 // endpoint; the single-writer contract is the caller's to uphold.

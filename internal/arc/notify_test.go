@@ -14,7 +14,8 @@ import (
 // instructions and zero allocations to Write. WriteStats.RMW counts
 // every RMW the write path executes — exactly one per write (the W2
 // swap) means the notify hook added none — and the gate must stay
-// unarmed, proving the wakeup branch never ran.
+// uninstalled: the publisher never allocates one, and neither do the
+// read-only Stats probes (a gate is the first waiter's to install).
 func TestWatchZeroRMWIdle(t *testing.T) {
 	r, err := New(register.Config{MaxReaders: 4, MaxValueSize: 64}, Options{})
 	if err != nil {
@@ -33,8 +34,10 @@ func TestWatchZeroRMWIdle(t *testing.T) {
 		t.Errorf("no-waiter Write executed %d RMW over %d writes, want exactly %d (the W2 swap only)",
 			got, writes, writes)
 	}
-	if r.Notifier().Gate().Armed() {
-		t.Error("no-waiter writes armed the gate")
+	r.Stats()
+	r.Notifier().Stats()
+	if g := r.Notifier().Gated(); g != nil {
+		t.Errorf("no-waiter writes or Stats installed a gate (armed %v)", g.Armed())
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := r.Write(val); err != nil {

@@ -32,13 +32,17 @@ func Aligned(size int) []byte {
 	if size < 0 {
 		panic("membuf: negative buffer size")
 	}
-	raw := make([]byte, size+Alignment)
+	raw := make([]byte, AlignedBytes(size))
 	off := 0
 	if rem := addressOf(raw) % Alignment; rem != 0 {
 		off = Alignment - int(rem)
 	}
 	return raw[off : off+size : off+size]
 }
+
+// AlignedBytes reports the bytes Aligned(size) allocates: the buffer
+// plus the slack its alignment may skip.
+func AlignedBytes(size int) int { return size + Alignment }
 
 // AlignedWords returns a uint64 slice of the given word count, cache-line
 // aligned. Peterson's algorithm models its buffers as arrays of single-word

@@ -19,9 +19,9 @@
 // validated-gate discipline as the mnreg epoch gate and the regmap
 // snapshot counters:
 //
-//   - The epoch is a single padded word the publisher advances with a
-//     plain atomic store (the publisher is the register's single
-//     writer, so no RMW is needed — it owns the counter).
+//   - The epoch is a single word the publisher advances with a plain
+//     atomic store (the publisher is the register's single writer, so
+//     no RMW is needed — it owns the counter).
 //
 //   - The gate is one atomic pointer holding the broadcast channel the
 //     currently parked waiters share, or nil when nobody is parked.
@@ -30,22 +30,29 @@
 //     the channel — a broadcast to every parked waiter at once, off
 //     the no-waiter fast path.
 //
-//   - Waiters do the expensive part: allocate the channel, install it
-//     with a CAS, and — crucially — re-check the epoch *after* arming
-//     the gate. Both the waiter (gate CAS, then epoch load) and the
-//     publisher (epoch store, then gate load) cross the two words in
-//     opposite orders with sequentially consistent atomics, so at
-//     least one side observes the other: either the waiter sees the
-//     new epoch and never sleeps, or the publisher sees the armed gate
-//     and closes it. A lost wakeup would require both loads to miss
-//     both stores, which sequential consistency forbids (the
-//     linearization argument is spelled out in DESIGN.md §8).
+//   - A Sequencer allocates its gate lazily: the first waiter installs
+//     it with a CAS, so a register nobody ever watches never pays for
+//     one, and its publisher's wakeup check is one load of a nil
+//     pointer.
+//
+//   - Waiters do the expensive part: install the gate if needed,
+//     allocate the channel, arm it with a CAS, and — crucially —
+//     re-check the epoch *after* arming the gate. Both the waiter (gate
+//     CASes, then epoch load) and the publisher (epoch store, then gate
+//     loads) cross the words in opposite orders with sequentially
+//     consistent atomics, so at least one side observes the other:
+//     either the waiter sees the new epoch and never sleeps, or the
+//     publisher sees the installed, armed gate and closes it. A lost
+//     wakeup would require both loads to miss both stores, which
+//     sequential consistency forbids (the linearization argument is
+//     spelled out in DESIGN.md §8).
 //
 // The publisher's cost with no waiter parked is therefore one atomic
-// store plus one atomic load per chained gate — zero RMW instructions,
-// zero allocations, zero branches on shared mutable state beyond the
-// nil check. Waiters pay one allocation and one CAS per park, which is
-// the right side of the ledger: parked waiters are idle by definition.
+// store plus one atomic load per installed gate in the chain — zero RMW
+// instructions, zero allocations, zero branches on shared mutable state
+// beyond the nil checks. Waiters pay one allocation and one CAS per
+// park, which is the right side of the ledger: parked waiters are idle
+// by definition.
 //
 // # Gate chaining
 //
@@ -95,9 +102,9 @@ func nowNanos() int64 { return trace.Now() }
 // Arm, re-check their change predicate, and then block on the returned
 // channel (see Await for the packaged protocol).
 type Gate struct {
-	// armed is padded like every shared synchronization word in this
-	// repository: it is CAS target of parking waiters and must not
-	// false-share with the epoch word or neighbouring gates.
+	// armed is padded: it is the CAS target of every parking waiter
+	// and must not false-share with the epoch word or neighbouring
+	// gates.
 	_     [pad.CacheLineSize - 8]byte
 	armed atomic.Pointer[chan struct{}]
 	_     [pad.CacheLineSize - 8]byte
@@ -391,15 +398,26 @@ func WaitEpoch(ctx context.Context, epoch func() uint64, seen uint64, ws *WatchS
 // Sequencer is the per-register publication sequencer: a monotonic
 // epoch advanced by the register's single publisher on every
 // publication, plus the broadcast Gate waiters park on. The zero value
-// is ready to use (epoch 0 = "nothing published yet").
+// is ready to use (epoch 0 = "nothing published yet", no gate).
+//
+// The gate is allocated on demand: Gate, Wait, Fan and Chain install it
+// (one CAS, first caller wins), the read-only probes (Gated, Fanned,
+// Stats) never do. A register that nobody watches therefore carries a
+// 40-byte sequencer instead of a padded gate, which is what keeps a
+// cold map key small.
 //
 // Concurrency contract: exactly one goroutine calls Publish at a time —
 // the same single-writer contract as the (1,N) register it instruments,
 // which is what lets the epoch advance with a plain store instead of an
 // RMW. Any number of goroutines may call Epoch, Wait and Gate().Arm.
 type Sequencer struct {
-	epoch pad.PaddedUint64
-	gate  Gate
+	// epoch is unpadded: only the publisher stores it, right after the
+	// register's own publication RMW, and only watchers load it — no
+	// reader RMWs it, so it has no contended line to be isolated from.
+	epoch atomic.Uint64
+	// gate is nil until the first waiter (or Chain) installs it; it
+	// never changes afterwards.
+	gate atomic.Pointer[Gate]
 	// local mirrors epoch on the publisher's side so Publish needs no
 	// atomic read-modify-write — the publisher owns the counter.
 	local uint64
@@ -410,10 +428,11 @@ type Sequencer struct {
 }
 
 // Publish records one publication: it advances the epoch (one atomic
-// store) and wakes parked waiters (one atomic load per chained gate;
-// a swap and a channel close only when someone is parked). Call it
-// after the publication itself is visible (after the register's
-// publish store/RMW), from the single publisher goroutine.
+// store) and wakes parked waiters (one atomic load of the gate pointer,
+// one more per installed gate in the chain; a swap and a channel close
+// only when someone is parked). Call it after the publication itself is
+// visible (after the register's publish store/RMW), from the single
+// publisher goroutine.
 func (s *Sequencer) Publish() { s.PublishAt(0) }
 
 // PublishAt is Publish with a caller-supplied origin stamp (trace.Now
@@ -422,11 +441,16 @@ func (s *Sequencer) Publish() { s.PublishAt(0) }
 // watchers and the flight recorder attribute latency to the *origin*
 // publish, not the last relay hop. stamp 0 means "unstamped" (plain
 // Publish): the no-waiter publish path then never reads the clock.
+//
+// A nil gate pointer proves no waiter can be parked: a waiter installs
+// the gate before it arms and rechecks the epoch, so one whose install
+// this load missed loads the epoch after the store above (DESIGN.md
+// §8.2).
 func (s *Sequencer) PublishAt(stamp int64) {
 	s.local++
 	s.epoch.Store(s.local)
 	faultPublishEpoch.Hit()
-	if s.gate.WakeAt(stamp) > 0 {
+	if g := s.gate.Load(); g != nil && g.WakeAt(stamp) > 0 {
 		s.wakes.Add(1)
 	}
 }
@@ -437,17 +461,18 @@ func (s *Sequencer) Wakes() uint64 { return s.wakes.Load() }
 
 // Stats returns the sequencer's live counters as a Stats-tree node:
 // publication epoch, waking publications, and whether a waiter is
-// currently parked. Safe from any goroutine at any time.
+// currently parked. Safe from any goroutine at any time; it never
+// installs the gate.
 func (s *Sequencer) Stats() obs.Snapshot {
 	sn := obs.Snapshot{Name: "notify"}
 	sn.Put("epoch", s.epoch.Load())
 	sn.Put("wakes", s.wakes.Load())
 	armed := uint64(0)
-	if s.gate.Armed() {
+	if g := s.gate.Load(); g != nil && g.Armed() {
 		armed = 1
 	}
 	sn.Put("gate_armed", armed)
-	if t := s.gate.Fanned(); t != nil {
+	if t := s.Fanned(); t != nil {
 		sn.Children = append(sn.Children, t.Stats())
 	}
 	return sn
@@ -459,13 +484,34 @@ func (s *Sequencer) Stats() obs.Snapshot {
 // it).
 func (s *Sequencer) Epoch() uint64 { return s.epoch.Load() }
 
-// Gate returns the sequencer's parking gate, for callers composing
-// multi-gate waits (see Await).
-func (s *Sequencer) Gate() *Gate { return &s.gate }
+// Gate returns the sequencer's parking gate, installing it on first
+// call — the waiter's side of the lazy allocation. Callers composing
+// multi-gate waits (see Await) get the gate the publisher wakes.
+func (s *Sequencer) Gate() *Gate {
+	if g := s.gate.Load(); g != nil {
+		return g
+	}
+	s.gate.CompareAndSwap(nil, new(Gate)) // a lost race keeps the winner's
+	return s.gate.Load()
+}
 
-// Chain links the sequencer's gate to parent (see Gate.Chain).
+// Gated returns the sequencer's gate if one has been installed, nil
+// otherwise — the stats walkers' and tests' no-allocate probe.
+func (s *Sequencer) Gated() *Gate { return s.gate.Load() }
+
+// Fanned returns the wakeup tree attached to the sequencer's gate, nil
+// when no gate or no tree exists. Like Gated it never installs.
+func (s *Sequencer) Fanned() *Tree {
+	if g := s.gate.Load(); g != nil {
+		return g.Fanned()
+	}
+	return nil
+}
+
+// Chain installs the sequencer's gate and links it to parent (see
+// Gate.Chain), so every publication wakes the parent's waiters.
 // Wiring-time only.
-func (s *Sequencer) Chain(parent *Gate) { s.gate.Chain(parent) }
+func (s *Sequencer) Chain(parent *Gate) { s.Gate().Chain(parent) }
 
 // Wait blocks until the epoch differs from seen or ctx is done,
 // returning the epoch it observed. A caller that snapshots Epoch
@@ -482,12 +528,12 @@ func (s *Sequencer) Wait(ctx context.Context, seen uint64) (uint64, error) {
 // published on ws (the caller notes delivery once it has actually
 // yielded the value — see WatchStats.NoteDelivered). ws may be nil.
 func (s *Sequencer) WaitStats(ctx context.Context, seen uint64, ws *WatchStats) (uint64, error) {
-	return WaitEpoch(ctx, s.Epoch, seen, ws, &s.gate)
+	return WaitEpoch(ctx, s.Epoch, seen, ws, s.Gate())
 }
 
-// Fan returns the sequencer gate's wakeup tree, attaching one on first
-// call (see Gate.Fan). Large watcher populations subscribe a leaf and
-// park there instead of on the shared gate, bounding every wakeup
-// cohort at watchers/leaves while the publish path keeps its flat-gate
-// cost.
-func (s *Sequencer) Fan(arity, depth int) *Tree { return s.gate.Fan(arity, depth) }
+// Fan returns the sequencer gate's wakeup tree, attaching one (and the
+// gate) on first call (see Gate.Fan). Large watcher populations
+// subscribe a leaf and park there instead of on the shared gate,
+// bounding every wakeup cohort at watchers/leaves while the publish
+// path keeps its flat-gate cost.
+func (s *Sequencer) Fan(arity, depth int) *Tree { return s.Gate().Fan(arity, depth) }

@@ -2,6 +2,7 @@ package notify
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,8 +88,46 @@ func TestPublishIdleNoAllocNoArm(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("idle Publish allocates %.1f objects/op, want 0", allocs)
 	}
-	if s.Gate().Armed() {
-		t.Error("idle Publish armed the gate")
+	if s.Gated() != nil {
+		t.Error("idle Publish installed a gate")
+	}
+}
+
+// TestWatchGateInstallRace races the lazy gate install against a
+// publish. Each round's waiters make a fresh Sequencer's first Wait —
+// one installs the gate, the rest join it or lose the install CAS —
+// while one Publish runs. Every waiter must return: a publisher whose
+// gate-pointer load missed the install stored the epoch before the
+// installing waiter's recheck loaded it (DESIGN.md §8.2). Run it with
+// -race -count=10: a publisher that loads the gate pointer before
+// storing the epoch loses wakeups within a few instructions' window,
+// which the race detector's instrumentation widens enough to hit.
+func TestWatchGateInstallRace(t *testing.T) {
+	const rounds, waiters = 2000, 4
+	for r := 0; r < rounds; r++ {
+		var s Sequencer
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		start := make(chan struct{})
+		errs := make(chan error, waiters)
+		for i := 0; i < waiters; i++ {
+			go func() {
+				<-start
+				_, err := s.Wait(ctx, 0)
+				errs <- err
+			}()
+		}
+		close(start)
+		if r%2 == 0 {
+			runtime.Gosched() // let some waiters get ahead of the publish
+		}
+		s.Publish()
+		for i := 0; i < waiters; i++ {
+			if err := <-errs; err != nil {
+				cancel()
+				t.Fatalf("round %d: waiter missed the racing publish (lost wakeup): %v", r, err)
+			}
+		}
+		cancel()
 	}
 }
 

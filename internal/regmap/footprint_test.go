@@ -1,0 +1,163 @@
+package regmap
+
+// Per-key memory: what a key costs once created and read, what the Stats
+// tree says it costs, and the lazy-gate choice behind both.
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// heapGrowth runs build between two collections and returns how many
+// live heap bytes it left behind.
+func heapGrowth(build func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+func footprintKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%08d", i)
+	}
+	return keys
+}
+
+// TestPerKeyFootprint bounds what a created and read key costs: 10k
+// keys with 64-B dynamic values, read once each through one reader,
+// must leave at most 800 B of live heap per key. With every register
+// padded like a standalone one (808-B header with an embedded padded
+// gate, 288-B slots) the same map costs ~2,500 B per key.
+func TestPerKeyFootprint(t *testing.T) {
+	const nkeys, bound = 10_000, 800
+	keys := footprintKeys(nkeys)
+	val := make([]byte, 64)
+	var m *Map
+	var rd *Reader
+	grew := heapGrowth(func() {
+		m = newMap(t, Config{Shards: 8, MaxReaders: 2, DynamicValues: true})
+		for _, k := range keys {
+			if err := m.Set(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if rd, err = m.NewReader(); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if _, err := rd.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	perKey := float64(grew) / nkeys
+	t.Logf("%.0f B per key (%d keys, MaxReaders 2, 64-B values, one reader)", perKey, nkeys)
+	if perKey > bound {
+		t.Fatalf("a created and read key costs %.0f B of heap, want <= %d", perKey, bound)
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(rd)
+}
+
+// TestMapStatsMem checks the Stats tree's "mem" node against measured
+// heap growth: with empty values and no reader, the node's components
+// — registers, fixed value buffers, writer slot tables, the estimated
+// key index, directory logs — must add up to within 15% of what
+// building the map allocated.
+func TestMapStatsMem(t *testing.T) {
+	const nkeys = 10_000
+	for _, cfg := range []Config{
+		{Shards: 8, MaxReaders: 2, DynamicValues: true},
+		{Shards: 8, MaxReaders: 4, DynamicValues: true},
+		{Shards: 8, MaxReaders: 2, MaxValueSize: 32},
+	} {
+		t.Run(fmt.Sprintf("readers=%d,dynamic=%v", cfg.MaxReaders, cfg.DynamicValues), func(t *testing.T) {
+			keys := footprintKeys(nkeys)
+			var m *Map
+			grew := heapGrowth(func() {
+				m = newMap(t, cfg)
+				for _, k := range keys {
+					if err := m.Set(k, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			sn := m.Stats()
+			mem := sn.Child("mem")
+			if mem == nil {
+				t.Fatalf("Stats has no mem node:\n%s", sn.String())
+			}
+			total, _ := mem.Get("total")
+			var sum uint64
+			for _, c := range []string{"registers", "value_buffers", "slot_tables", "key_index_est", "dir_logs"} {
+				v, ok := mem.Get(c)
+				if !ok {
+					t.Fatalf("mem node lacks %q:\n%s", c, mem.String())
+				}
+				sum += v
+			}
+			if sum != total {
+				t.Fatalf("mem components sum to %d, total says %d", sum, total)
+			}
+			if bufs, _ := mem.Get("value_buffers"); (bufs == 0) != cfg.DynamicValues {
+				t.Fatalf("value_buffers = %d with DynamicValues %v", bufs, cfg.DynamicValues)
+			}
+			ratio := float64(total) / float64(grew)
+			t.Logf("mem total %d B vs heap growth %d B (%.3f)\n%s", total, grew, ratio, mem.String())
+			if ratio < 0.85 || ratio > 1.15 {
+				t.Fatalf("mem total %d B is %.0f%% of measured heap growth %d B, want within 15%%",
+					total, 100*ratio, grew)
+			}
+			runtime.KeepAlive(m)
+		})
+	}
+}
+
+// TestStatsInstallNoGate: a key's notify gate belongs to the first
+// waiter, so Sets, Gets, Map.Stats and FanRelays — none of which waits
+// — must leave every value register without one. A FanRelays written as
+// Notifier().Gate().Fanned() would allocate a padded gate per key on
+// every walk.
+func TestStatsInstallNoGate(t *testing.T) {
+	m := newMap(t, Config{Shards: 8, MaxReaders: 2, DynamicValues: true})
+	keys := footprintKeys(1000)
+	for _, k := range keys {
+		if err := m.Set(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		rd, err := m.NewReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		for _, k := range keys {
+			if _, err := rd.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m.Stats()
+	if n := m.FanRelays(); n != 0 {
+		t.Fatalf("FanRelays = %d with no watcher", n)
+	}
+	installed := 0
+	for _, sh := range m.shards {
+		for _, reg := range sh.wregs {
+			if reg.Notifier().Gated() != nil {
+				installed++
+			}
+		}
+	}
+	if installed != 0 {
+		t.Fatalf("%d of %d value registers have a gate installed with no waiter", installed, len(keys))
+	}
+}

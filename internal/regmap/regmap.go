@@ -106,6 +106,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"arcreg/internal/arc"
 	"arcreg/internal/notify"
@@ -319,6 +320,7 @@ type shardStats struct {
 	creates     obs.Cell
 	deletes     obs.Cell
 	compactions obs.Cell
+	slots       obs.Cell // len(wregs): live and tombstoned slots, each holding a register
 	_           pad.CacheLinePad
 }
 
@@ -339,7 +341,7 @@ func (sh *shard) stampNow() int64 {
 // flushStats publishes the shard's directory counters into the live
 // cells. Call only from the shard writer, only inside a publication
 // window (between beginPub and endPub): the window is what lets the
-// stats walker validate that the seven cells belong to one publication
+// stats walker validate that the eight cells belong to one publication
 // instead of tearing across two.
 func (sh *shard) flushStats() {
 	sh.stats.epoch.Store(sh.epoch)
@@ -349,6 +351,7 @@ func (sh *shard) flushStats() {
 	sh.stats.creates.Store(sh.creates)
 	sh.stats.deletes.Store(sh.deletes)
 	sh.stats.compactions.Store(sh.compactions)
+	sh.stats.slots.Store(uint64(len(sh.wregs)))
 }
 
 // Map is a sharded wait-free snapshot map of ARC registers.
@@ -753,7 +756,7 @@ func (m *Map) WriteStats() WriteStats {
 // same per-shard consistency contract as Snapshot's value collect.
 func (m *Map) Stats() obs.Snapshot {
 	sn := obs.Snapshot{Name: "map"}
-	var keys, pubs, wakes, epoch, entries, dirBytes, creates, deletes, compactions uint64
+	var keys, pubs, wakes, epoch, entries, dirBytes, creates, deletes, compactions, nslots uint64
 	children := make([]obs.Snapshot, 0, len(m.shards)+1)
 	for _, sh := range m.shards {
 		node := sh.statsSnapshot()
@@ -767,6 +770,7 @@ func (m *Map) Stats() obs.Snapshot {
 		creates += get("creates")
 		deletes += get("deletes")
 		compactions += get("compactions")
+		nslots += get("slots")
 		children = append(children, node)
 	}
 	sn.Put("shards", uint64(len(m.shards)))
@@ -781,7 +785,7 @@ func (m *Map) Stats() obs.Snapshot {
 	sn.Put("creates", creates)
 	sn.Put("deletes", deletes)
 	sn.Put("compactions", compactions)
-	sn.Children = append(sn.Children, m.watchTrack.Stats())
+	sn.Children = append(sn.Children, m.memStats(nslots, keys, dirBytes), m.watchTrack.Stats())
 	if t := m.watchGate.Fanned(); t != nil {
 		// The map-level gate's wakeup tree (attached by the first
 		// WatchAll session): topology, live relays, cascade counters.
@@ -791,6 +795,45 @@ func (m *Map) Stats() obs.Snapshot {
 		sn.Children = append(sn.Children, m.tracer.Stats())
 	}
 	sn.Children = append(sn.Children, children...)
+	return sn
+}
+
+// slotRowBytes is one slot's row across the writer's slot arrays (wregs,
+// wgens, wkeys). indexEntryEstimate is not counted but estimated: one
+// live key's share of the writer's key index (map[string]int), its
+// 24-byte key/value slot plus control-word and load-factor slack
+// averaged over the table's growth — the runtime does not expose a
+// map's bytes, so the mem node reports this share as key_index_est.
+const (
+	slotRowBytes       = unsafe.Sizeof((*arc.Register)(nil)) + unsafe.Sizeof(uint32(0)) + unsafe.Sizeof("")
+	indexEntryEstimate = 40
+)
+
+// memStats is the Stats tree's "mem" node: the map's heap bytes by
+// component, from the sums Stats already collects out of the shard
+// cells (slots, live keys, directory bytes) and from the registers' type
+// sizes — O(shards) in all, with no per-Set bookkeeping and no walk.
+// Every component but key_index_est is counted from sizes and counts;
+// total includes that one estimate. Values stored under DynamicValues,
+// key strings and reader-side state are not counted: they follow the
+// values, the callers and the handles, not the map's shape.
+func (m *Map) memStats(nslots, liveKeys, dirBytes uint64) obs.Snapshot {
+	valReg, valBufs := arc.Footprint(register.Config{
+		MaxReaders: m.maxReaders, MaxValueSize: m.maxValueSize,
+	}, arc.Options{DynamicBuffers: m.dynamic})
+	dirReg, _ := arc.Footprint(register.Config{MaxReaders: m.maxReaders}, arc.Options{DynamicBuffers: true})
+	regs := nslots*uint64(valReg) + uint64(len(m.shards)*dirReg)
+	bufs := nslots * uint64(valBufs)
+	tables := nslots * uint64(slotRowBytes)
+	index := liveKeys * indexEntryEstimate
+
+	sn := obs.Snapshot{Name: "mem"}
+	sn.Put("registers", regs)
+	sn.Put("value_buffers", bufs)
+	sn.Put("slot_tables", tables)
+	sn.Put("key_index_est", index)
+	sn.Put("dir_logs", dirBytes)
+	sn.Put("total", regs+bufs+tables+index+dirBytes)
 	return sn
 }
 
@@ -830,14 +873,16 @@ func (m *Map) traceTree(t *notify.Tree, name string) {
 func (m *Map) FanRelays() int64 {
 	var n int64
 	for _, sh := range m.shards {
-		if t := sh.dir.Notifier().Gate().Fanned(); t != nil {
+		if t := sh.dir.Notifier().Fanned(); t != nil {
 			n += t.Relays()
 		}
 		for _, reg := range sh.wregs {
 			if reg == nil {
 				continue
 			}
-			if t := reg.Notifier().Gate().Fanned(); t != nil {
+			// Fanned, not Gate().Fanned(): the walk must not install a
+			// gate on every key it passes.
+			if t := reg.Notifier().Fanned(); t != nil {
 				n += t.Relays()
 			}
 		}
@@ -869,6 +914,7 @@ func (sh *shard) statsSnapshot() obs.Snapshot {
 		node.Put("creates", sh.stats.creates.Load())
 		node.Put("deletes", sh.stats.deletes.Load())
 		node.Put("compactions", sh.stats.compactions.Load())
+		node.Put("slots", sh.stats.slots.Load())
 		// Independently atomic gauges: consistent with themselves, not
 		// window-validated (live_keys moves just outside the window).
 		node.Put("live_keys", uint64(sh.liveKeys.Load()))

@@ -10,6 +10,10 @@ package arcreg_test
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,6 +61,72 @@ func BenchmarkMapGet(b *testing.B) {
 	if st.Ops > 0 {
 		b.ReportMetric(float64(st.RMW)/float64(st.Ops), "rmw/get")
 		b.ReportMetric(100*float64(st.FastPath)/float64(st.Ops), "fastpath-%")
+	}
+}
+
+// BenchmarkMapGetHotContended probes false sharing around a hot key.
+// Register counters are unpadded, and keys created one after another
+// get their registers and slot arrays allocated side by side, so the
+// hot key's lines can sit beside, or be shared with, its neighbours'.
+// RunParallel readers, each with its own MapReader, Get the hot key
+// while one writer goroutine keeps Setting the 8 keys created just
+// before it and the 8 created just after. The hot key never changes, so
+// its Gets stay on the fast path (rmw/get ~0); ns/op shows what the
+// neighbours' writes cost them.
+func BenchmarkMapGetHotContended(b *testing.B) {
+	const hot, span = 32, 8
+	m, err := arcreg.NewByteMap(arcreg.MapConfig{
+		Shards: 16, MaxReaders: runtime.GOMAXPROCS(0), MaxValueSize: 1024,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, 2*hot)
+	for i := range names {
+		names[i] = workload.KeyName(i)
+		if err := m.Set(names[i], make2(64)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	neighbours := append(slices.Clone(names[hot-span:hot]), names[hot+1:hot+1+span]...)
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		val := make2(64)
+		for i := 0; !stop.Load(); i++ {
+			if err := m.Set(neighbours[i%len(neighbours)], val); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+	var mu sync.Mutex
+	var rmw, ops uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rd, err := m.NewReader()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer rd.Close()
+		for pb.Next() {
+			if _, err := rd.Get(names[hot]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		st := rd.ReadStats()
+		mu.Lock()
+		rmw, ops = rmw+st.RMW, ops+st.Ops
+		mu.Unlock()
+	})
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+	if ops > 0 {
+		b.ReportMetric(float64(rmw)/float64(ops), "rmw/get")
 	}
 }
 
