@@ -16,6 +16,12 @@ import (
 // sub-slice (encoding/json and encoding/gob already copy; a decoder
 // that keeps sub-slices must copy them first). Raw is the one
 // deliberate exception.
+//
+// Decode must be a pure function of its input: equal bytes decode to
+// equal values. MapOfReader.Get relies on it — for a copy-safe T
+// (bools, numbers, strings, and arrays and structs of those) it may
+// return an earlier decode of the same publication instead of calling
+// Decode again.
 type Codec[T any] = codec.Codec[T]
 
 // JSON returns the encoding/json codec — the zero-configuration choice

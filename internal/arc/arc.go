@@ -489,6 +489,13 @@ func (r *Register) LiveReaders() int {
 // goroutine has quiesced.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
 
+// Acquisitions counts the handle's slow-path reads: each one acquired a
+// slot (R4), and no other step moves the handle onto a slot. Two equal
+// counts therefore prove the handle held one slot throughout — and a
+// held slot is never free, so never rewritten: every read in between
+// returned the same publication. Owner goroutine only.
+func (rd *Reader) Acquisitions() uint64 { return rd.stats.Ops - rd.stats.FastPath }
+
 // View returns the freshest register value without copying (Algorithm 2).
 // The returned slice aliases the slot buffer and remains valid until this
 // handle's next View, Read or Close — the protocol pins the slot exactly

@@ -28,6 +28,12 @@ import (
 // or any sub-slice of it (encoding/json and encoding/gob already copy;
 // a decoder that keeps sub-slices must copy them first). Raw is the one
 // deliberate exception and documents its view semantics.
+//
+// Decode must be a pure function of p: equal bytes decode to equal
+// values, with no dependence on time, state or call count. Typed map
+// reads rely on it — for a copy-safe T (bools, numbers, strings, and
+// arrays and structs of those) a typed map Get may return an earlier
+// decode of the same publication instead of calling Decode again.
 type Codec[T any] interface {
 	// Encode serializes v. The returned slice is owned by the caller
 	// until the register copies it (registers copy on Write).

@@ -1333,8 +1333,45 @@ func (r *Reader) Get(key string) ([]byte, error) {
 // directory churn that did not touch their key. The first read of a key
 // (and of every re-created incarnation) reports changed == true.
 func (r *Reader) GetFresh(key string) (v []byte, changed bool, err error) {
+	v, _, _, changed, err = r.get(key)
+	return v, changed, err
+}
+
+// Token names the publication a GetToken returned: the per-key handle
+// that served it and that handle's acquisition count (see
+// arc.Reader.Acquisitions). Tokens are comparable, and two equal tokens
+// prove both Gets returned the same publication of the same key
+// incarnation, whatever ran on the handle in between — Get, GetFresh,
+// Snapshot or Watch through the same Reader. GetFresh's changed
+// report proves no such thing: it compares against the previous read
+// by any path, not against the read a caller remembers.
+type Token struct {
+	h   *arc.Reader
+	acq uint64
+	idx int
+}
+
+// Index is a dense position for the token's key incarnation within its
+// Reader, slot*shards + shard: distinct live keys never share one, and
+// it stays below shards times the largest slot count any shard reached.
+func (t Token) Index() int { return t.idx }
+
+// GetToken is Get plus a Token for the returned view: a caller that
+// derived state from an earlier view may keep it when the tokens are
+// equal. It costs what Get costs.
+func (r *Reader) GetToken(key string) ([]byte, Token, error) {
+	v, h, idx, _, err := r.get(key)
+	if err != nil {
+		return nil, Token{}, err
+	}
+	return v, Token{h: h, acq: h.Acquisitions(), idx: idx}, nil
+}
+
+// get is GetFresh's body, also returning the per-key handle that served
+// the view and the key's dense index (see Token).
+func (r *Reader) get(key string) (v []byte, h *arc.Reader, idx int, changed bool, err error) {
 	if r.closed {
-		return nil, false, register.ErrReaderClosed
+		return nil, nil, 0, false, register.ErrReaderClosed
 	}
 	si := r.m.ShardOf(key)
 	rs := &r.shards[si]
@@ -1345,7 +1382,7 @@ func (r *Reader) GetFresh(key string) (v []byte, changed bool, err error) {
 	dirFresh := rs.corrupt == nil && rs.dirRd.Fresh()
 	if !dirFresh {
 		if err := r.refresh(si); err != nil {
-			return nil, false, err
+			return nil, nil, 0, false, err
 		}
 	}
 	i, ok := rs.table[key]
@@ -1354,15 +1391,15 @@ func (r *Reader) GetFresh(key string) (v []byte, changed bool, err error) {
 		if dirFresh {
 			r.fastPath++ // one load, no RMW: the directory probe
 		}
-		return nil, false, ErrKeyNotFound
+		return nil, nil, 0, false, ErrKeyNotFound
 	}
-	h := rs.handles[i]
+	h = rs.handles[i]
 	if h == nil {
 		// First read of this incarnation through this handle: a change
 		// by definition (tombstone processing nils replaced handles).
 		h, err = rs.regs[i].NewReaderHandle()
 		if err != nil {
-			return nil, false, fmt.Errorf("regmap: key %q handle: %w", key, err)
+			return nil, nil, 0, false, fmt.Errorf("regmap: key %q handle: %w", key, err)
 		}
 		rs.handles[i] = h
 		changed = true
@@ -1372,14 +1409,14 @@ func (r *Reader) GetFresh(key string) (v []byte, changed bool, err error) {
 	rmw := h.ReadStats().RMW
 	v, vchanged, err := h.ViewFresh()
 	if err != nil {
-		return nil, false, err
+		return nil, nil, 0, false, err
 	}
 	if vchanged {
 		r.rmw += h.ReadStats().RMW - rmw
 	} else if dirFresh {
 		r.fastPath++ // two loads, no RMW: the fully gated hot path
 	}
-	return v, changed || vchanged, nil
+	return v, h, i*len(r.shards) + si, changed || vchanged, nil
 }
 
 // GetCopy copies key's freshest value into dst and returns its length

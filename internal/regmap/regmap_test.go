@@ -505,3 +505,69 @@ func TestMapFreshProbe(t *testing.T) {
 		t.Error("absent key reports fresh")
 	}
 }
+
+// TestGetToken pins what a Token proves: equal tokens mean the same
+// publication of the same key incarnation, whichever operations moved
+// the per-key handle in between, and a compaction that changed nothing
+// for the key keeps the token.
+func TestGetToken(t *testing.T) {
+	m := newMap(t, Config{Shards: 2, MaxReaders: 1, DynamicValues: true})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	token := func(rd *Reader, key, want string) Token {
+		t.Helper()
+		v, tok, err := rd.GetToken(key)
+		must(err)
+		if string(v) != want {
+			t.Fatalf("GetToken(%q) = %q, want %q", key, v, want)
+		}
+		return tok
+	}
+	must(m.Set("k", []byte("v1")))
+	must(m.Set("other", []byte("o")))
+	rd, err := m.NewReader()
+	must(err)
+	defer rd.Close()
+
+	t1 := token(rd, "k", "v1")
+	if t2 := token(rd, "k", "v1"); t2 != t1 {
+		t.Fatalf("unchanged key: token %+v then %+v", t1, t2)
+	}
+	if o := token(rd, "other", "o"); o.Index() == t1.Index() {
+		t.Fatalf("two live keys share token index %d", o.Index())
+	}
+
+	// A GetFresh that already moved the handle onto v2 leaves the next
+	// GetFresh reporting no change; the token still differs from t1.
+	must(m.Set("k", []byte("v2")))
+	if _, changed, err := rd.GetFresh("k"); err != nil || !changed {
+		t.Fatalf("GetFresh after Set: changed=%v err=%v", changed, err)
+	}
+	if _, changed, err := rd.GetFresh("k"); err != nil || changed {
+		t.Fatalf("second GetFresh: changed=%v err=%v", changed, err)
+	}
+	t3 := token(rd, "k", "v2")
+	if t3 == t1 {
+		t.Fatal("token unchanged across a publication another Get observed first")
+	}
+
+	must(m.Compact())
+	if t4 := token(rd, "k", "v2"); t4 != t3 {
+		t.Fatalf("compaction with no publication to k moved its token: %+v -> %+v", t3, t4)
+	}
+
+	// Re-creation in the recycled slot: same index, new incarnation.
+	must(m.Delete("k"))
+	if _, _, err := rd.GetToken("k"); err != ErrKeyNotFound {
+		t.Fatalf("GetToken after Delete: %v", err)
+	}
+	must(m.Set("k", []byte("v2")))
+	t5 := token(rd, "k", "v2")
+	if t5.Index() != t3.Index() || t5 == t3 {
+		t.Fatalf("re-created key: index %d -> %d, equal tokens %v", t3.Index(), t5.Index(), t5 == t3)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -407,7 +408,7 @@ func (t *MapOf[T]) NewReader() (*MapOfReader[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MapOfReader[T]{r: r, c: t.c}, nil
+	return &MapOfReader[T]{r: r, c: t.c, decodedCap: decodeCacheCap[T]()}, nil
 }
 
 // MapOfReader is a per-goroutine typed read endpoint with the full
@@ -416,17 +417,109 @@ func (t *MapOf[T]) NewReader() (*MapOfReader[T], error) {
 type MapOfReader[T any] struct {
 	r *MapReader
 	c Codec[T]
+	// decoded is Get's direct-mapped cache of earlier decodes, at most
+	// one entry per key: a key's dense token index picks its entry
+	// (modulo the capacity once the array has grown to decodedCap, a
+	// power of two). decodedCap is 0 when T is not copy-safe, and Get
+	// then decodes every time.
+	decoded    []decodedEntry[T]
+	decodedCap int
 }
 
-// Get returns the freshest typed value under key (decoding straight from
-// the register slot, no intermediate copy), or ErrKeyNotFound.
+// decodedEntry is one cached decode: v decoded from the publication tok
+// names.
+type decodedEntry[T any] struct {
+	tok regmap.Token
+	v   T
+}
+
+// Bounds on a typed reader's decode cache: at most this many entries,
+// and at most this many bytes of entry array (fewer entries for large T).
+const (
+	decodeCacheEntries = 4096
+	decodeCacheBytes   = 512 << 10
+)
+
+// decodeCacheCap is the decode-cache capacity for T: a power of two within
+// both bounds, or 0 when copying a T would share mutable memory.
+func decodeCacheCap[T any]() int {
+	if !copySafe(reflect.TypeFor[T]()) {
+		return 0
+	}
+	n := decodeCacheEntries
+	for n > 0 && uintptr(n)*reflect.TypeFor[decodedEntry[T]]().Size() > decodeCacheBytes {
+		n /= 2
+	}
+	return n
+}
+
+// copySafe reports whether a copy of a t value shares no mutable memory
+// with the original: bools, numbers and strings (immutable), and arrays
+// and structs built only from those. Anything holding a pointer, slice,
+// map, chan, func, interface or unsafe pointer is not.
+func copySafe(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return copySafe(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !copySafe(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Get returns the freshest typed value under key, or ErrKeyNotFound,
+// decoding straight from the register slot with no intermediate copy.
+// For a copy-safe T — bools, numbers, strings, and arrays and structs
+// of only those — it decodes once per publication: while the key's
+// register has kept serving this handle the publication an earlier Get
+// decoded, Get returns that decode again (so Decode must be pure; see
+// Codec). Any other T, such as one holding a pointer, slice or map,
+// decodes on every Get. The handle keeps at most one decode per key and
+// at most 4,096 in all, within 512 KiB; Close drops them.
 func (r *MapOfReader[T]) Get(key string) (T, error) {
-	v, err := r.r.Get(key)
+	v, tok, err := r.r.r.GetToken(key)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return r.c.Decode(v)
+	if r.decodedCap == 0 {
+		return r.c.Decode(v)
+	}
+	e := r.entry(tok.Index())
+	if e.tok != tok {
+		t, err := r.c.Decode(v)
+		if err != nil {
+			return t, err
+		}
+		*e = decodedEntry[T]{tok: tok, v: t}
+	}
+	return e.v, nil
+}
+
+// entry returns the decode-cache entry for dense index i. Below the cap
+// the array doubles until it covers i, so an entry's position is its
+// index and old entries keep their places.
+func (r *MapOfReader[T]) entry(i int) *decodedEntry[T] {
+	if n := len(r.decoded); i >= n && n < r.decodedCap {
+		n = max(2*n, 16)
+		for n <= i {
+			n *= 2
+		}
+		grown := make([]decodedEntry[T], min(n, r.decodedCap))
+		copy(grown, r.decoded)
+		r.decoded = grown
+	}
+	return &r.decoded[i&(len(r.decoded)-1)]
 }
 
 // Fresh reports whether the handle's last Get of key is still current
@@ -575,8 +668,11 @@ func (r *MapOfReader[T]) WatchAll(ctx context.Context) iter.Seq2[MapDeltaOf[T], 
 // Reader exposes the underlying byte reader (raw views, stats).
 func (r *MapOfReader[T]) Reader() *MapReader { return r.r }
 
-// Close releases the handle.
-func (r *MapOfReader[T]) Close() error { return r.r.Close() }
+// Close releases the handle and drops its cached decodes.
+func (r *MapOfReader[T]) Close() error {
+	r.decoded = nil
+	return r.r.Close()
+}
 
 // SnapshotOf decodes an atomic Snapshot through c — the generic escape
 // hatch for reading one byte map under several typed views. Most

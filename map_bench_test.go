@@ -175,6 +175,89 @@ func BenchmarkMapGetZipf(b *testing.B) {
 	}
 }
 
+// BenchmarkMapOfGet is the typed read rung: MapOfReader.Get of ~100-B
+// Binary-encoded items, on one hot key of 4,096 and on Zipf(1.1) keys
+// over 4,096 and 40,000, each alone and beside a writer that Sets
+// uniformly chosen keys as fast as it can. decodes/get counts
+// Codec.Decode calls per Get: below 1 by the share of Gets the reader
+// served from earlier decodes. With a writer, allocs/op also counts the
+// writer's allocations (the counter is process-wide).
+func BenchmarkMapOfGet(b *testing.B) {
+	for _, rc := range []struct {
+		name string
+		keys int
+		hot  bool
+	}{{"hot", 4096, true}, {"zipf/keys=4096", 4096, false}, {"zipf/keys=40000", 40000, false}} {
+		cd := newCountCodec(arcreg.Binary[skuItem]())
+		m, err := arcreg.NewMap[skuItem](arcreg.WithShards(8), arcreg.WithReaders(2),
+			arcreg.WithCodec(cd), arcreg.WithDynamicValues())
+		if err != nil {
+			b.Fatal(err)
+		}
+		names := make([]string, rc.keys)
+		items := make([]skuItem, rc.keys)
+		for i := range names {
+			names[i] = workload.KeyName(i)
+			items[i] = newSKU(names[i], 1)
+			if err := m.Set(names[i], items[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		seq := []int{7}
+		if !rc.hot {
+			seq = make([]int, 1<<16)
+			choose := workload.NewKeyChooser(rc.keys, 1.1, 42)
+			for i := range seq {
+				seq[i] = choose.Next()
+			}
+		}
+		for _, writer := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/writer=%t", rc.name, writer), func(b *testing.B) {
+				rd, err := m.NewReader()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer rd.Close()
+				for _, k := range names { // create the per-key handles
+					if _, err := rd.Get(k); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var stop atomic.Bool
+				var wg sync.WaitGroup
+				if writer {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						choose := workload.NewKeyChooser(rc.keys, 0, 7)
+						for ver := uint64(2); !stop.Load(); ver++ {
+							i := choose.Next()
+							it := items[i]
+							it.Version = ver
+							if err := m.Set(names[i], it); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				decodes := cd.decodes.Load()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := rd.Get(names[seq[i%len(seq)]]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				stop.Store(true)
+				wg.Wait()
+				b.ReportMetric(float64(cd.decodes.Load()-decodes)/float64(b.N), "decodes/get")
+			})
+		}
+	}
+}
+
 // BenchmarkMapSet prices an update of an existing key (one ARC write:
 // one copy, one RMW publish).
 func BenchmarkMapSet(b *testing.B) {

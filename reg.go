@@ -519,7 +519,7 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 			mnrd:       rd,
 			tracker:    &r.watchTrack,
 			watchEpoch: mnr.NotifyEpoch,
-			watchGate:  mnr.NotifyGate(),
+			watchGate:  mnr.NotifyGate,
 		}, nil
 	}
 	rd, err := r.reg.NewReader()
@@ -544,7 +544,7 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 	if seq := r.seq; seq != nil {
 		tr.tracker = &r.watchTrack
 		tr.watchEpoch = seq.Epoch
-		tr.watchGate = seq.Gate()
+		tr.watchGate = seq.Gate
 	}
 	return tr, nil
 }
@@ -785,14 +785,16 @@ type TypedReader[T any] struct {
 
 	// Parking hooks for Watch (nil on registers without a publication
 	// sequencer, which fall back to polling): watchEpoch snapshots the
-	// publication epoch and watchGate is the gate publications wake.
-	// Parked Watch iterators do not park on watchGate directly — they
-	// subscribe a leaf of its wakeup tree (Gate.Fan) so 100k watchers
-	// never share one broadcast cohort. tracker is the owning Reg's
+	// publication epoch and watchGate returns the gate publications
+	// wake. A parked Watch calls watchGate when it starts, so only a
+	// waiter installs the sequencer's lazy gate. Parked Watch iterators
+	// do not park on the gate directly — they subscribe a leaf of its
+	// wakeup tree (Gate.Fan) so 100k watchers never share one broadcast
+	// cohort. tracker is the owning Reg's
 	// watcher population; parked Watch iterators attach their ledger to
 	// it for the iteration's lifetime.
 	watchEpoch func() uint64
-	watchGate  *notify.Gate
+	watchGate  func() *notify.Gate
 	tracker    *notify.Tracker
 }
 
@@ -976,7 +978,7 @@ func (r *TypedReader[T]) watchSeq(ctx context.Context, every time.Duration, park
 				r.tracker.Attach(ws)
 				defer r.tracker.Detach(ws)
 			}
-			sub = r.watchGate.Fan(notify.DefaultFanArity, notify.DefaultFanDepth).Subscribe()
+			sub = r.watchGate().Fan(notify.DefaultFanArity, notify.DefaultFanDepth).Subscribe()
 			defer sub.Close()
 		}
 		var timer *time.Timer // lazily created, reused across poll rounds

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"arcreg"
+	"arcreg/internal/notify"
 )
 
 // watchCollect ranges a Watch iterator in a goroutine, forwarding
@@ -89,6 +90,51 @@ func TestWatchDeliversEveryChange(t *testing.T) {
 	ev := nextTick(t, ch)
 	if !errors.Is(ev.err, context.Canceled) {
 		t.Fatalf("terminal event = %+v, want context.Canceled", ev)
+	}
+}
+
+// TestWatchGateInstalledByWatchOnly: a typed register reader leaves
+// the sequencer's lazily allocated gate uninstalled through NewReader,
+// Get and Stats; the first parked Watch installs it and delivers.
+func TestWatchGateInstalledByWatchOnly(t *testing.T) {
+	reg, err := arcreg.New[int](arcreg.WithReaders(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := reg.Register().(interface{ Notifier() *notify.Sequencer }).Notifier()
+	rd, err := reg.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if _, err := rd.Get(); err != nil {
+		t.Fatal(err)
+	}
+	reg.Stats()
+	if seq.Gated() != nil {
+		t.Fatal("NewReader, Get or Stats installed the notify gate")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ch, err := collectWatch(reg, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cancel()
+		for range ch {
+		}
+	}()
+	if ev := nextTick(t, ch); ev.err != nil || ev.v != 0 {
+		t.Fatalf("initial event = %+v, want zero value", ev)
+	}
+	if seq.Gated() == nil {
+		t.Fatal("a parked Watch did not install the notify gate")
+	}
+	if err := reg.Set(1); err != nil {
+		t.Fatal(err)
+	}
+	if ev := nextTick(t, ch); ev.err != nil || ev.v != 1 {
+		t.Fatalf("event after Set = %+v, want 1", ev)
 	}
 }
 
