@@ -1,7 +1,8 @@
 package arcreg_test
 
 // Black-box tests of the public API: everything an importing application
-// can reach must work as documented, across all five constructors.
+// can reach must work as documented, for the byte register Reg.Register
+// exposes under every algorithm New builds.
 
 import (
 	"bytes"
@@ -13,32 +14,43 @@ import (
 	"arcreg"
 )
 
+// byteRegister builds a (1,N) byte register through New: the Raw codec
+// over alg, with the given reader capacity and value bound.
+func byteRegister(t testing.TB, alg arcreg.AlgorithmID, readers, size int, opts ...arcreg.Option) arcreg.Register {
+	t.Helper()
+	reg, err := arcreg.New[[]byte](append([]arcreg.Option{
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithAlgorithm(alg),
+		arcreg.WithReaders(readers),
+		arcreg.WithMaxValueSize(size),
+	}, opts...)...)
+	if err != nil {
+		t.Fatalf("New[%s]: %v", alg, err)
+	}
+	return reg.Register()
+}
+
 type factory struct {
-	name     string
-	make     func(arcreg.Config) (arcreg.Register, error)
-	hasView  bool
-	waitFree bool
+	alg     arcreg.AlgorithmID
+	hasView bool
 }
 
 func factories() []factory {
 	return []factory{
-		{"arc", func(c arcreg.Config) (arcreg.Register, error) { return arcreg.NewARC(c) }, true, true},
-		{"rf", arcreg.NewRF, true, true},
-		{"peterson", arcreg.NewPeterson, false, true},
-		{"lock", arcreg.NewLocked, true, false},
-		{"seqlock", arcreg.NewSeqlock, false, false},
-		{"leftright", arcreg.NewLeftRight, true, false},
+		{arcreg.ARC, true},
+		{arcreg.RF, true},
+		{arcreg.Peterson, false},
+		{arcreg.Lock, true},
+		{arcreg.Seqlock, false},
+		{arcreg.LeftRight, true},
 	}
 }
 
 func TestPublicRoundTripAllAlgorithms(t *testing.T) {
 	for _, f := range factories() {
-		t.Run(f.name, func(t *testing.T) {
-			reg, err := f.make(arcreg.Config{MaxReaders: 4, MaxValueSize: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reg.Name() != f.name {
+		t.Run(f.alg.String(), func(t *testing.T) {
+			reg := byteRegister(t, f.alg, 4, 128)
+			if reg.Name() != f.alg.String() {
 				t.Fatalf("Name() = %q", reg.Name())
 			}
 			rd, err := reg.NewReader()
@@ -67,21 +79,18 @@ func TestPublicRoundTripAllAlgorithms(t *testing.T) {
 
 func TestPublicViewSupport(t *testing.T) {
 	for _, f := range factories() {
-		reg, err := f.make(arcreg.Config{MaxReaders: 2, MaxValueSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
+		reg := byteRegister(t, f.alg, 2, 64)
 		if err := reg.Writer().Write([]byte("zero-copy")); err != nil {
 			t.Fatal(err)
 		}
 		rd, _ := reg.NewReader()
 		viewer, ok := rd.(arcreg.Viewer)
 		if ok != f.hasView {
-			t.Fatalf("%s: View support = %v, want %v", f.name, ok, f.hasView)
+			t.Fatalf("%s: View support = %v, want %v", f.alg, ok, f.hasView)
 		}
 		if ok {
 			if v, err := viewer.View(); err != nil || string(v) != "zero-copy" {
-				t.Fatalf("%s: view = %q, %v", f.name, v, err)
+				t.Fatalf("%s: view = %q, %v", f.alg, v, err)
 			}
 		}
 		rd.Close()
@@ -89,10 +98,7 @@ func TestPublicViewSupport(t *testing.T) {
 }
 
 func TestPublicErrors(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := byteRegister(t, arcreg.ARC, 1, 8)
 	if err := reg.Writer().Write(make([]byte, 9)); !errors.Is(err, arcreg.ErrValueTooLarge) {
 		t.Fatalf("oversized write: %v", err)
 	}
@@ -111,41 +117,8 @@ func TestPublicErrors(t *testing.T) {
 	}
 }
 
-func TestPublicARCOptions(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 2, MaxValueSize: 32},
-		arcreg.WithoutFastPath(), arcreg.WithoutFreeHint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, _ := reg.NewReader()
-	reg.Writer().Write([]byte("x"))
-	for i := 0; i < 10; i++ {
-		if _, err := rd.Read(make([]byte, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := rd.(interface{ ReadStats() arcreg.ReadStats }).ReadStats()
-	if st.FastPath != 0 {
-		t.Fatalf("fast path used despite WithoutFastPath: %d", st.FastPath)
-	}
-
-	static, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 8},
-		arcreg.WithStaticReaders())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := static.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Close()
-	if _, err := static.NewReader(); !errors.Is(err, arcreg.ErrTooManyReaders) {
-		t.Fatalf("static mode allowed a second handle lifetime: %v", err)
-	}
-}
-
 func TestPublicStats(t *testing.T) {
-	reg, _ := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 64})
+	reg := byteRegister(t, arcreg.ARC, 1, 64)
 	rd, _ := reg.NewReader()
 	w := reg.Writer()
 	for i := 0; i < 5; i++ {
@@ -167,61 +140,15 @@ func TestPublicLimitsDocumented(t *testing.T) {
 	if arcreg.MaxRFReaders != 58 {
 		t.Fatalf("MaxRFReaders = %d", arcreg.MaxRFReaders)
 	}
-	if _, err := arcreg.NewRF(arcreg.Config{MaxReaders: 59}); err == nil {
+	if _, err := arcreg.New[[]byte](arcreg.WithAlgorithm(arcreg.RF), arcreg.WithReaders(59)); err == nil {
 		t.Fatal("RF accepted 59 readers")
 	}
-}
-
-func TestPublicMNRegister(t *testing.T) {
-	reg, err := arcreg.NewMN(arcreg.MNConfig{Writers: 2, Readers: 2, MaxValueSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Writers() != 2 || reg.Readers() != 2 || reg.MaxValueSize() != 64 {
-		t.Fatal("MN accessors wrong")
-	}
-	w0, err := reg.NewWriter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := reg.NewWriter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := reg.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w0.Write([]byte("alpha")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := rd.View()
-	if err != nil || string(v) != "alpha" {
-		t.Fatalf("view: %q %v", v, err)
-	}
-	t0 := rd.LastTag()
-	if err := w1.Write([]byte("beta")); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = rd.View()
-	if string(v) != "beta" {
-		t.Fatalf("after w1: %q", v)
-	}
-	if !t0.Less(rd.LastTag()) {
-		t.Fatal("tag did not advance across writers")
-	}
-	w0.Close()
-	w1.Close()
-	rd.Close()
 }
 
 // The public API under real concurrency: hammer ARC through the facade
 // and check handles behave.
 func TestPublicConcurrentSmoke(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 4, MaxValueSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := byteRegister(t, arcreg.ARC, 4, 64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -259,10 +186,7 @@ func TestPublicConcurrentSmoke(t *testing.T) {
 }
 
 func TestPublicFreshness(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := byteRegister(t, arcreg.ARC, 1, 32)
 	rd, _ := reg.NewReader()
 	probe, ok := rd.(arcreg.FreshnessProber)
 	if !ok {
@@ -282,31 +206,34 @@ func TestPublicFreshness(t *testing.T) {
 	}
 
 	// Peterson cannot answer without a read.
-	p, _ := arcreg.NewPeterson(arcreg.Config{MaxReaders: 1, MaxValueSize: 32})
-	prd, _ := p.NewReader()
+	prd, _ := byteRegister(t, arcreg.Peterson, 1, 32).NewReader()
 	if _, ok := prd.(arcreg.FreshnessProber); ok {
 		t.Fatal("Peterson claimed freshness support")
 	}
 }
 
+// TestPublicDynamicBuffers: WithDynamicValues gives New's ARC register
+// the §3.3 exact-size buffers, so a view outlives the handle's later
+// reads — no writer ever touches a retired buffer again. With the
+// pre-allocated slots (three here) later writes would overwrite it.
 func TestPublicDynamicBuffers(t *testing.T) {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 1, MaxValueSize: 1 << 20},
-		arcreg.WithDynamicBuffers())
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := byteRegister(t, arcreg.ARC, 1, 1<<20, arcreg.WithDynamicValues())
 	rd, _ := reg.NewReader()
+	var views [][]byte
 	for i := 0; i < 20; i++ {
-		val := make([]byte, 10+i*1000)
-		for j := range val {
-			val[j] = byte(i)
-		}
+		val := bytes.Repeat([]byte{byte(i)}, 10+i*1000)
 		if err := reg.Writer().Write(val); err != nil {
 			t.Fatal(err)
 		}
 		v, err := rd.(arcreg.Viewer).View()
-		if err != nil || len(v) != len(val) {
+		if err != nil || !bytes.Equal(v, val) {
 			t.Fatalf("view %d bytes, %v; want %d", len(v), err, len(val))
+		}
+		views = append(views, v)
+	}
+	for i, v := range views {
+		if !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 10+i*1000)) {
+			t.Fatalf("view %d changed after later writes", i)
 		}
 	}
 }

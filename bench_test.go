@@ -27,6 +27,8 @@ import (
 	"arcreg"
 	"arcreg/internal/harness"
 	"arcreg/internal/membuf"
+	"arcreg/internal/mnreg"
+	"arcreg/internal/register"
 	"arcreg/internal/workload"
 )
 
@@ -204,10 +206,12 @@ func BenchmarkAblationFreeHint(b *testing.B) {
 
 // --- Per-operation micro-benchmarks -------------------------------------
 
-func mkRegister(b *testing.B, mk func(arcreg.Config) (arcreg.Register, error), size int) (arcreg.Register, arcreg.Reader) {
+// mkRegister builds the algorithm's byte register directly, without the
+// facade, so the per-op rungs measure the register alone.
+func mkRegister(b *testing.B, alg harness.Algorithm, size int) (arcreg.Register, arcreg.Reader) {
 	b.Helper()
 	seed := make2(size)
-	reg, err := mk(arcreg.Config{MaxReaders: 4, MaxValueSize: size, Initial: seed})
+	reg, err := harness.NewRegister(alg, register.Config{MaxReaders: 4, MaxValueSize: size, Initial: seed})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,8 +228,8 @@ func make2(size int) []byte {
 	return buf
 }
 
-func benchReadUncontended(b *testing.B, mk func(arcreg.Config) (arcreg.Register, error), size int) {
-	_, rd := mkRegister(b, mk, size)
+func benchReadUncontended(b *testing.B, alg harness.Algorithm, size int) {
+	_, rd := mkRegister(b, alg, size)
 	dst := make([]byte, size)
 	b.SetBytes(int64(size))
 	b.ResetTimer()
@@ -236,8 +240,8 @@ func benchReadUncontended(b *testing.B, mk func(arcreg.Config) (arcreg.Register,
 	}
 }
 
-func benchViewUncontended(b *testing.B, mk func(arcreg.Config) (arcreg.Register, error), size int) {
-	_, rd := mkRegister(b, mk, size)
+func benchViewUncontended(b *testing.B, alg harness.Algorithm, size int) {
+	_, rd := mkRegister(b, alg, size)
 	v, ok := rd.(arcreg.Viewer)
 	if !ok {
 		b.Skip("algorithm has no zero-copy view")
@@ -251,8 +255,8 @@ func benchViewUncontended(b *testing.B, mk func(arcreg.Config) (arcreg.Register,
 	}
 }
 
-func benchWriteUncontended(b *testing.B, mk func(arcreg.Config) (arcreg.Register, error), size int) {
-	reg, rd := mkRegister(b, mk, size)
+func benchWriteUncontended(b *testing.B, alg harness.Algorithm, size int) {
+	reg, rd := mkRegister(b, alg, size)
 	defer rd.Close()
 	val := make2(size)
 	w := reg.Writer()
@@ -266,22 +270,22 @@ func benchWriteUncontended(b *testing.B, mk func(arcreg.Config) (arcreg.Register
 }
 
 func BenchmarkReadARC_4KB(b *testing.B) {
-	benchReadUncontended(b, func(c arcreg.Config) (arcreg.Register, error) { return arcreg.NewARC(c) }, 4<<10)
+	benchReadUncontended(b, harness.AlgARC, 4<<10)
 }
 
-func BenchmarkReadRF_4KB(b *testing.B)       { benchReadUncontended(b, arcreg.NewRF, 4<<10) }
-func BenchmarkReadPeterson_4KB(b *testing.B) { benchReadUncontended(b, arcreg.NewPeterson, 4<<10) }
-func BenchmarkReadLock_4KB(b *testing.B)     { benchReadUncontended(b, arcreg.NewLocked, 4<<10) }
+func BenchmarkReadRF_4KB(b *testing.B)       { benchReadUncontended(b, harness.AlgRF, 4<<10) }
+func BenchmarkReadPeterson_4KB(b *testing.B) { benchReadUncontended(b, harness.AlgPeterson, 4<<10) }
+func BenchmarkReadLock_4KB(b *testing.B)     { benchReadUncontended(b, harness.AlgLock, 4<<10) }
 
 // BenchmarkViewARC is the paper's headline read path: zero copies, zero
 // RMW on unchanged content — compare its ns/op with BenchmarkViewRF's,
 // which pays a FetchAndOr every time.
 func BenchmarkViewARC(b *testing.B) {
-	benchViewUncontended(b, func(c arcreg.Config) (arcreg.Register, error) { return arcreg.NewARC(c) }, 4<<10)
+	benchViewUncontended(b, harness.AlgARC, 4<<10)
 }
 
-func BenchmarkViewRF(b *testing.B)   { benchViewUncontended(b, arcreg.NewRF, 4<<10) }
-func BenchmarkViewLock(b *testing.B) { benchViewUncontended(b, arcreg.NewLocked, 4<<10) }
+func BenchmarkViewRF(b *testing.B)   { benchViewUncontended(b, harness.AlgRF, 4<<10) }
+func BenchmarkViewLock(b *testing.B) { benchViewUncontended(b, harness.AlgLock, 4<<10) }
 
 // --- facade overhead ---------------------------------------------------
 
@@ -344,21 +348,21 @@ func BenchmarkFacadeFresh(b *testing.B) {
 }
 
 func BenchmarkWriteARC_4KB(b *testing.B) {
-	benchWriteUncontended(b, func(c arcreg.Config) (arcreg.Register, error) { return arcreg.NewARC(c) }, 4<<10)
+	benchWriteUncontended(b, harness.AlgARC, 4<<10)
 }
 
-func BenchmarkWriteRF_4KB(b *testing.B)       { benchWriteUncontended(b, arcreg.NewRF, 4<<10) }
-func BenchmarkWritePeterson_4KB(b *testing.B) { benchWriteUncontended(b, arcreg.NewPeterson, 4<<10) }
-func BenchmarkWriteLock_4KB(b *testing.B)     { benchWriteUncontended(b, arcreg.NewLocked, 4<<10) }
+func BenchmarkWriteRF_4KB(b *testing.B)       { benchWriteUncontended(b, harness.AlgRF, 4<<10) }
+func BenchmarkWritePeterson_4KB(b *testing.B) { benchWriteUncontended(b, harness.AlgPeterson, 4<<10) }
+func BenchmarkWriteLock_4KB(b *testing.B)     { benchWriteUncontended(b, harness.AlgLock, 4<<10) }
 
 // Size sensitivity of writes (the memcopy is the dominant cost; the paper
 // leans on this for the 32KB/128KB panels).
 func BenchmarkWriteARC_128KB(b *testing.B) {
-	benchWriteUncontended(b, func(c arcreg.Config) (arcreg.Register, error) { return arcreg.NewARC(c) }, 128<<10)
+	benchWriteUncontended(b, harness.AlgARC, 128<<10)
 }
 
 func BenchmarkWritePeterson_128KB(b *testing.B) {
-	benchWriteUncontended(b, arcreg.NewPeterson, 128<<10)
+	benchWriteUncontended(b, harness.AlgPeterson, 128<<10)
 }
 
 // --- (M,N) extension -----------------------------------------------------
@@ -370,11 +374,10 @@ func BenchmarkWritePeterson_128KB(b *testing.B) {
 // per-component fresh gate it is M loads (zero RMW, zero tag decoding
 // either way); the full ablation performs M ARC reads per scan. The
 // mn-rmw/read metric comes from the composite ReadStats.
-func benchMNSteadyRead(b *testing.B, cfg arcreg.MNConfig) {
+func benchMNSteadyRead(b *testing.B, opts mnreg.Options) {
 	b.Helper()
 	const m = 4
-	cfg.Writers, cfg.Readers, cfg.MaxValueSize = m, 2, 1024
-	reg, err := arcreg.NewMN(cfg)
+	reg, err := mnreg.New(mnreg.Config{Writers: m, Readers: 2, MaxValueSize: 1024}, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -414,28 +417,28 @@ func benchMNSteadyRead(b *testing.B, cfg arcreg.MNConfig) {
 // the epoch gate validates. Compare with BenchmarkMNReadNoFreshGate, the
 // always-View ablation — the acceptance bar for the gates is ≥2x ns/op
 // at M=4.
-func BenchmarkMNRead(b *testing.B) { benchMNSteadyRead(b, arcreg.MNConfig{}) }
+func BenchmarkMNRead(b *testing.B) { benchMNSteadyRead(b, mnreg.Options{}) }
 
 // BenchmarkMNReadFreshGate names the gated variant explicitly so the
 // ablation pair reads side by side in
 // `go test -bench 'BenchmarkMNRead(No)?FreshGate'` output.
-func BenchmarkMNReadFreshGate(b *testing.B) { benchMNSteadyRead(b, arcreg.MNConfig{}) }
+func BenchmarkMNReadFreshGate(b *testing.B) { benchMNSteadyRead(b, mnreg.Options{}) }
 
 // BenchmarkMNReadNoEpochGate isolates the adaptive epoch gate: the
 // per-component fresh gate stays on, so a steady scan is M probe loads
 // instead of one epoch load.
 func BenchmarkMNReadNoEpochGate(b *testing.B) {
-	benchMNSteadyRead(b, arcreg.MNConfig{DisableEpochGate: true})
+	benchMNSteadyRead(b, mnreg.Options{DisableEpochGate: true})
 }
 
 // BenchmarkMNReadNoFreshGate is the DisableFreshGate ablation: every scan
 // re-Views and re-decodes all M components.
 func BenchmarkMNReadNoFreshGate(b *testing.B) {
-	benchMNSteadyRead(b, arcreg.MNConfig{DisableFreshGate: true})
+	benchMNSteadyRead(b, mnreg.Options{DisableFreshGate: true})
 }
 
 func BenchmarkMNWrite(b *testing.B) {
-	reg, err := arcreg.NewMN(arcreg.MNConfig{Writers: 4, Readers: 2, MaxValueSize: 1024})
+	reg, err := mnreg.New(mnreg.Config{Writers: 4, Readers: 2, MaxValueSize: 1024}, mnreg.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -469,7 +472,7 @@ func benchContendedReads(b *testing.B, alg harness.Algorithm, size int) {
 	if maxReaders < 4 {
 		maxReaders = 4
 	}
-	reg, err := harness.NewRegister(alg, arcreg.Config{MaxReaders: maxReaders, MaxValueSize: size, Initial: make2(size)})
+	reg, err := harness.NewRegister(alg, register.Config{MaxReaders: maxReaders, MaxValueSize: size, Initial: make2(size)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,13 +519,13 @@ func BenchmarkContendedReadLeftRight(b *testing.B) {
 	benchContendedReads(b, harness.AlgLeftRight, 4<<10)
 }
 
-func BenchmarkReadSeqlock_4KB(b *testing.B)   { benchReadUncontended(b, arcreg.NewSeqlock, 4<<10) }
-func BenchmarkReadLeftRight_4KB(b *testing.B) { benchReadUncontended(b, arcreg.NewLeftRight, 4<<10) }
-func BenchmarkViewLeftRight(b *testing.B)     { benchViewUncontended(b, arcreg.NewLeftRight, 4<<10) }
+func BenchmarkReadSeqlock_4KB(b *testing.B)   { benchReadUncontended(b, harness.AlgSeqlock, 4<<10) }
+func BenchmarkReadLeftRight_4KB(b *testing.B) { benchReadUncontended(b, harness.AlgLeftRight, 4<<10) }
+func BenchmarkViewLeftRight(b *testing.B)     { benchViewUncontended(b, harness.AlgLeftRight, 4<<10) }
 
-func BenchmarkWriteSeqlock_4KB(b *testing.B) { benchWriteUncontended(b, arcreg.NewSeqlock, 4<<10) }
+func BenchmarkWriteSeqlock_4KB(b *testing.B) { benchWriteUncontended(b, harness.AlgSeqlock, 4<<10) }
 func BenchmarkWriteLeftRight_4KB(b *testing.B) {
-	benchWriteUncontended(b, arcreg.NewLeftRight, 4<<10)
+	benchWriteUncontended(b, harness.AlgLeftRight, 4<<10)
 }
 
 // BenchmarkExtensions mirrors the "extensions" figure: ARC vs seqlock vs

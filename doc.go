@@ -170,19 +170,19 @@
 //
 // # Byte-level access
 //
-// Typed access is New (registers) and NewMap (the keyed store). The
-// untyped constructors remain for code that works in raw bytes:
-// NewARC, NewRF, NewPeterson, NewLocked, NewSeqlock, NewLeftRight
-// return Register (one Writer, per-goroutine Readers), NewMN the (M,N)
-// composite, NewByteMap the keyed store. All of them share or adapt to
-// the Register/Reader/Writer interfaces, so they are interchangeable in
-// application code and in the bundled benchmark harness (cmd/arcbench)
-// that regenerates the paper's figures. A byte Reader exposes its
-// optional capabilities by assertion: rd.(Viewer) for zero-copy views,
-// rd.(FreshnessProber) for the freshness probe. Reg.Register/Reg.MN
-// expose the byte register underneath a typed facade;
+// Code that works in raw bytes uses the same constructors: New over the
+// Raw codec builds every register (WithAlgorithm and WithWriters pick
+// the construction), and NewByteMap is the byte-level keyed store.
 // TypedReader.ViewBytes/ReadBytes and TypedWriter.SetBytes bypass the
-// codec per call.
+// codec per call. TypedReader.Reader and TypedWriter.Writer expose the
+// byte handles underneath, for either shape, and a byte Reader exposes
+// its optional capabilities by assertion: rd.(Viewer) for zero-copy
+// views, rd.(FreshnessProber) for the freshness probe, and on the (M,N)
+// shape interface{ LastTag() MNTag } for the version tag. Reg.Register
+// exposes the (1,N) byte register itself. A byte user who relied on the
+// old constructors' one-zero-byte initial value passes
+// WithInitialBytes([]byte{0}); New otherwise seeds the register with
+// the codec's encoding of T's zero value (empty under Raw).
 //
 // # The (M,N) fresh-gated collect
 //
@@ -196,13 +196,14 @@
 // component entirely: its tag is their own last publish. A steady-state
 // read therefore costs M atomic loads with zero RMW instructions and
 // zero tag decoding; measured at M=4 this is ~2.7x faster than the
-// always-scan collect (MNConfig.DisableFreshGate re-enables the old
-// path for ablation).
+// always-scan collect (cmd/arcbench's mn-nogate algorithm and
+// BenchmarkMNReadNoFreshGate run the old path for ablation).
 //
-// The RMW economy is observable: MNReader.ReadStats aggregates
-// component RMW per composite read (the mn-rmw/read metric reported by
-// BenchmarkRMWCount and cmd/arcbench -figure rmw), and MNWriter
-// .WriteStats folds the collect cost into the publish-side counters.
+// The RMW economy is observable: an (M,N) TypedReader.ReadStats
+// aggregates component RMW per composite read (the mn-rmw/read metric
+// reported by BenchmarkRMWCount and cmd/arcbench -figure rmw), and
+// TypedWriter.WriteStats folds the collect cost into the publish-side
+// counters.
 // See DESIGN.md for the design notes and measured numbers.
 //
 // # The sharded snapshot map

@@ -229,33 +229,10 @@ func ExampleMapOfReader_Snapshot() {
 	// Output: live keys: [a c]
 }
 
-// Byte-level access: the raw register constructors remain for code
-// that works in bytes (and for the benchmark harness).
-func ExampleNewARC() {
-	reg, err := arcreg.NewARC(arcreg.Config{MaxReaders: 2, MaxValueSize: 64})
-	if err != nil {
-		panic(err)
-	}
-	if err := reg.Writer().Write([]byte("hello, wait-free world")); err != nil {
-		panic(err)
-	}
-	rd, err := reg.NewReader()
-	if err != nil {
-		panic(err)
-	}
-	defer rd.Close()
-	buf := make([]byte, 64)
-	n, err := rd.Read(buf)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(string(buf[:n]))
-	// Output: hello, wait-free world
-}
-
-// The Raw codec is the typed facade's zero-copy path: Get returns a
-// direct view of the register slot (valid until the handle's next
-// operation, never to be modified).
+// Byte-level access is New over the Raw codec, the facade's zero-copy
+// path: Get returns a direct view of the register slot (valid until the
+// handle's next operation, never to be modified). WithAlgorithm and
+// WithWriters pick any register New builds.
 func ExampleRaw() {
 	reg, _ := arcreg.New[[]byte](
 		arcreg.WithCodec(arcreg.Raw()),

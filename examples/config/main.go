@@ -5,11 +5,15 @@
 // scenario of the paper's title at application level: one writer, many
 // readers, multi-word values.
 //
+// Every worker checks what the register promises: a config whose fields
+// disagree with its generation would be a torn multi-word read, and a
+// generation that goes backwards would be a new-old inversion. Either
+// exits through log.Fatal.
+//
 //	go run ./examples/config
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"sync"
@@ -27,13 +31,31 @@ type Config struct {
 	FeatureFlags []string      `json:"feature_flags"`
 }
 
+// generation builds the configuration the manager publishes at gen:
+// every field is derived from the generation, so a worker can tell a
+// whole config from one stitched together from two.
+func generation(gen int) Config {
+	return Config{
+		Generation:   gen,
+		RateLimit:    100 + gen,
+		Timeout:      time.Second + time.Duration(gen)*time.Millisecond,
+		FeatureFlags: []string{"wait-free-reads", fmt.Sprintf("gen-%d", gen)},
+	}
+}
+
+// whole reports whether every field of cfg belongs to its generation.
+func whole(cfg Config) bool {
+	want := generation(cfg.Generation)
+	return cfg.RateLimit == want.RateLimit && cfg.Timeout == want.Timeout &&
+		len(cfg.FeatureFlags) == 2 && cfg.FeatureFlags[1] == want.FeatureFlags[1]
+}
+
 func main() {
-	initial, _ := json.Marshal(Config{Generation: 0, RateLimit: 100, Timeout: time.Second})
-	reg, err := arcreg.NewARC(arcreg.Config{
-		MaxReaders:   8,
-		MaxValueSize: 4096,
-		Initial:      initial,
-	})
+	const workers, reloads = 8, 50
+	reg, err := arcreg.New[Config](
+		arcreg.WithReaders(workers),
+		arcreg.WithInitial(generation(0)),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,8 +68,8 @@ func main() {
 		latestGen atomic.Int64
 	)
 
-	// Workers: parse the freshest config before serving each "request".
-	for i := 0; i < 8; i++ {
+	// Workers: decode the freshest config before serving each "request".
+	for i := 0; i < workers; i++ {
 		rd, err := reg.NewReader()
 		if err != nil {
 			log.Fatal(err)
@@ -56,16 +78,19 @@ func main() {
 		go func(id int) {
 			defer wg.Done()
 			defer rd.Close()
-			buf := make([]byte, 4096)
+			lastGen := 0
 			for !stop.Load() {
-				n, err := rd.Read(buf)
+				cfg, err := rd.Get()
 				if err != nil {
 					log.Fatalf("worker %d: %v", id, err)
 				}
-				var cfg Config
-				if err := json.Unmarshal(buf[:n], &cfg); err != nil {
-					log.Fatalf("worker %d: config corrupt: %v", id, err)
+				if !whole(cfg) {
+					log.Fatalf("worker %d: torn config: %+v", id, cfg)
 				}
+				if cfg.Generation < lastGen {
+					log.Fatalf("worker %d: generation went backwards: %d after %d", id, cfg.Generation, lastGen)
+				}
+				lastGen = cfg.Generation
 				// "Serve" a request under cfg.
 				requests.Add(1)
 				if int64(cfg.Generation) < latestGen.Load() {
@@ -76,16 +101,8 @@ func main() {
 	}
 
 	// The config manager: reload 50 times, 10ms apart.
-	w := reg.Writer()
-	for gen := 1; gen <= 50; gen++ {
-		cfg := Config{
-			Generation:   gen,
-			RateLimit:    100 + gen,
-			Timeout:      time.Second + time.Duration(gen)*time.Millisecond,
-			FeatureFlags: []string{"wait-free-reads", fmt.Sprintf("gen-%d", gen)},
-		}
-		blob, _ := json.Marshal(cfg)
-		if err := w.Write(blob); err != nil {
+	for gen := 1; gen <= reloads; gen++ {
+		if err := reg.Set(generation(gen)); err != nil {
 			log.Fatal(err)
 		}
 		latestGen.Store(int64(gen))
@@ -94,8 +111,8 @@ func main() {
 
 	stop.Store(true)
 	wg.Wait()
-	fmt.Printf("served %d requests across 50 config reloads\n", requests.Load())
+	fmt.Printf("served %d requests across %d config reloads\n", requests.Load(), reloads)
 	fmt.Printf("%d requests overlapped a reload and used the previous generation (allowed by atomicity)\n",
 		staleness.Load())
-	fmt.Println("no request ever blocked on a reload; no reload ever waited for requests")
+	fmt.Println("no request saw a torn or backwards config; no request blocked on a reload, no reload waited for requests")
 }

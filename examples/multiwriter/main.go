@@ -4,6 +4,11 @@
 // paper's introduction motivates as the reason optimized (1,N) registers
 // matter.
 //
+// Every consumer checks what the register promises: a reading whose
+// value field disagrees with its sensor and sample would be a torn
+// multi-word read, and a tag that goes backwards would break the total
+// order. Either exits through log.Fatal.
+//
 //	go run ./examples/multiwriter
 package main
 
@@ -28,11 +33,12 @@ const (
 const readingSize = 24
 
 func main() {
-	reg, err := arcreg.NewMN(arcreg.MNConfig{
-		Writers:      sensors,
-		Readers:      consumers,
-		MaxValueSize: readingSize,
-	})
+	reg, err := arcreg.New[[]byte](
+		arcreg.WithCodec(arcreg.Raw()),
+		arcreg.WithWriters(sensors),
+		arcreg.WithReaders(consumers),
+		arcreg.WithMaxValueSize(readingSize),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,6 +56,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The (M,N) byte handle reports the tag of the value it last
+		// returned.
+		tagged := rd.Reader().(interface{ LastTag() arcreg.MNTag })
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
@@ -57,20 +66,23 @@ func main() {
 			var last arcreg.MNTag
 			var lastSensor, lastSample uint64
 			for !stop.Load() {
-				v, err := rd.View()
+				v, err := rd.ViewBytes()
 				if err != nil {
 					log.Fatalf("consumer %d: %v", id, err)
 				}
 				if len(v) == 0 {
 					continue // genesis value
 				}
-				tag := rd.LastTag()
+				tag := tagged.LastTag()
 				if tag.Less(last) {
 					log.Fatalf("consumer %d: tag regressed: %v after %v", id, tag, last)
 				}
 				last = tag
 				lastSensor = binary.LittleEndian.Uint64(v[0:8])
 				lastSample = binary.LittleEndian.Uint64(v[8:16])
+				if val := binary.LittleEndian.Uint64(v[16:24]); val != lastSample*(lastSensor+1) {
+					log.Fatalf("consumer %d: torn reading: sensor %d sample %d value %d", id, lastSensor, lastSample, val)
+				}
 				reads.Add(1)
 			}
 			fmt.Printf("consumer %d: %v was the last tag (sensor %d, sample %d)\n",
@@ -85,7 +97,7 @@ func main() {
 			log.Fatal(err)
 		}
 		wg.Add(1)
-		go func(sensor int, w arcreg.MNWriter) {
+		go func(sensor int, w *arcreg.TypedWriter[[]byte]) {
 			defer wg.Done()
 			defer w.Close()
 			buf := make([]byte, readingSize)
@@ -93,7 +105,7 @@ func main() {
 				binary.LittleEndian.PutUint64(buf[0:8], uint64(sensor))
 				binary.LittleEndian.PutUint64(buf[8:16], i)
 				binary.LittleEndian.PutUint64(buf[16:24], i*uint64(sensor+1))
-				if err := w.Write(buf); err != nil {
+				if err := w.SetBytes(buf); err != nil {
 					log.Fatalf("sensor %d: %v", sensor, err)
 				}
 				published.Add(1)

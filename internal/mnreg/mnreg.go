@@ -247,12 +247,14 @@ func New(cfg Config, opts Options) (*Register, error) {
 }
 
 // Caps implements register.CapabilityReporter for the composite: the
-// freshness probe and zero-copy views survive the (M,N) composition, and
-// every operation stays wait-free (O(M) component operations each).
+// freshness probe, the combined probe-and-fetch and zero-copy views
+// survive the (M,N) composition, and every operation stays wait-free
+// (O(M) component operations each).
 func (r *Register) Caps() register.Caps {
 	return register.Caps{
 		ZeroCopyView:  true,
 		FreshProbe:    true,
+		FreshView:     true,
 		ReadStats:     true,
 		WriteStats:    true,
 		WaitFreeRead:  true,
@@ -670,6 +672,7 @@ var (
 	_ register.Reader          = (*Reader)(nil)
 	_ register.Viewer          = (*Reader)(nil)
 	_ register.FreshnessProber = (*Reader)(nil)
+	_ register.FreshViewer     = (*Reader)(nil)
 	_ register.StatReader      = (*Reader)(nil)
 	_ register.StatWriter      = (*Writer)(nil)
 	_ register.Writer          = (*Writer)(nil)
@@ -754,6 +757,25 @@ func (rd *Reader) Fresh() bool {
 		}
 	}
 	return true
+}
+
+// ViewFresh implements register.FreshViewer at the composite level: the
+// freshest value plus whether it is a different publication from the
+// one the handle last returned. Fresh answers first, so a quiescent
+// re-read costs one probe and is not counted in ReadStats. Because that
+// probe is conservative, a re-read it sends through the collect then
+// confirms the change by tag: a publish that lost the argmax reports
+// unchanged. A handle that never read reports changed.
+func (rd *Reader) ViewFresh() (view []byte, changed bool, err error) {
+	s := rd.scan
+	if rd.Fresh() {
+		return s.views[s.best][tagSize:], false, nil
+	}
+	first, prev := s.best == noBest, rd.lastTag
+	if view, err = rd.View(); err != nil {
+		return nil, false, err
+	}
+	return view, first || rd.lastTag != prev, nil
 }
 
 // ReadStats implements register.StatReader at the composite level: Ops

@@ -230,6 +230,72 @@ func TestReadCopy(t *testing.T) {
 	}
 }
 
+// TestViewFresh pins the composite probe-and-fetch: the first read
+// reports changed, a quiescent re-read reports unchanged without
+// counting a read, every writer's publish reports changed, a publish
+// that loses the tag argmax reports unchanged, and a closed handle
+// errors.
+func TestViewFresh(t *testing.T) {
+	r := newReg(t, 2, 1, 32)
+	w0, _ := r.NewWriter()
+	w1, _ := r.NewWriter()
+	rd, _ := r.NewReader()
+
+	v, changed, err := rd.ViewFresh()
+	if err != nil || !changed || len(v) != 0 {
+		t.Fatalf("first ViewFresh = %q, %v, %v; want the empty genesis value, changed", v, changed, err)
+	}
+	ops := rd.ReadStats().Ops
+	for i := 0; i < 3; i++ {
+		if v, changed, err = rd.ViewFresh(); err != nil || changed || len(v) != 0 {
+			t.Fatalf("quiescent ViewFresh = %q, %v, %v; want unchanged genesis", v, changed, err)
+		}
+	}
+	if got := rd.ReadStats().Ops; got != ops {
+		t.Fatalf("quiescent re-reads counted as reads: Ops %d -> %d", ops, got)
+	}
+
+	// w1 first, then w0 twice: component 1 ends at tag (1,1), the
+	// winner at (3,0).
+	for i, w := range []*Writer{w1, w0, w0} {
+		val := []byte(fmt.Sprintf("w%d-%d", w.ID(), i))
+		if err := w.Write(val); err != nil {
+			t.Fatal(err)
+		}
+		if v, changed, err = rd.ViewFresh(); err != nil || !changed || !bytes.Equal(v, val) {
+			t.Fatalf("after w%d: ViewFresh = %q, %v, %v; want %q, changed", w.ID(), v, changed, err, val)
+		}
+		if v, changed, _ = rd.ViewFresh(); changed || !bytes.Equal(v, val) {
+			t.Fatalf("re-read after w%d: %q, changed=%v; want %q, unchanged", w.ID(), v, changed, val)
+		}
+	}
+
+	// A writer whose tag collect overlapped the winner's publish can
+	// publish a tag that loses the argmax: (2,1) into component 1, with
+	// the writers' epoch bracket. The conservative probe fails, the
+	// collect runs, and the tag shows no new value.
+	lost := make([]byte, tagSize+4)
+	putTag(lost, Tag{Seq: 2, Writer: 1})
+	copy(lost[tagSize:], "lost")
+	r.pubStarted.Add(1)
+	if err := r.comps[1].Write(lost); err != nil {
+		t.Fatal(err)
+	}
+	r.pubDone.Add(1)
+	ops = rd.ReadStats().Ops
+	if v, changed, err = rd.ViewFresh(); err != nil || changed || string(v) != "w0-2" {
+		t.Fatalf("after a losing publish: ViewFresh = %q, %v, %v; want %q, unchanged", v, changed, err, "w0-2")
+	}
+	if got := rd.ReadStats().Ops; got != ops+1 {
+		t.Fatalf("losing publish: Ops %d -> %d, want the probe to fail into one collect", ops, got)
+	}
+
+	rd.Close()
+	if _, _, err := rd.ViewFresh(); !errors.Is(err, register.ErrReaderClosed) {
+		t.Fatalf("ViewFresh after Close: %v", err)
+	}
+}
+
 // Concurrent torture: M writers and N readers; every read must verify
 // (untorn), and per-reader tags must be monotone — the composite analogue
 // of the (1,N) atomicity tests.

@@ -89,8 +89,8 @@ type Map struct {
 }
 
 // NewByteMap constructs a byte-level Map. Most callers want the typed
-// NewMap instead; NewByteMap is the raw-bytes path, parallel to NewARC
-// and NewMN.
+// NewMap instead; NewByteMap is the raw-bytes path, like
+// New[[]byte](WithCodec(Raw())) for a single register.
 func NewByteMap(cfg MapConfig) (*Map, error) {
 	m, err := regmap.New(regmap.Config{
 		Shards:          cfg.Shards,
@@ -315,8 +315,8 @@ type MapOf[T any] struct {
 //	)
 //
 // Register-only options (WithAlgorithm, WithWriters, WithInitial,
-// WithARC, …) are rejected: the map is built from ARC registers and is
-// single-writer per shard by construction.
+// WithInitialBytes) are rejected: the map is built from ARC registers
+// and is single-writer per shard by construction.
 func NewMap[T any](opts ...Option) (*MapOf[T], error) {
 	cfg := config{alg: ARC, writers: 1}
 	for _, opt := range opts {
@@ -329,10 +329,6 @@ func NewMap[T any](opts ...Option) (*MapOf[T], error) {
 		return nil, fmt.Errorf("arcreg: NewMap(WithWriters(%d)): the map is single-writer per shard; use WithShards and partition keys by ShardOf", cfg.writers)
 	case cfg.hasInitial || cfg.initialRaw != nil:
 		return nil, fmt.Errorf("arcreg: WithInitial/WithInitialBytes do not apply to NewMap (a key's first Set is its initial value)")
-	case len(cfg.arcOpts) > 0:
-		return nil, fmt.Errorf("arcreg: WithARC does not apply to NewMap")
-	case cfg.noFreshGate || cfg.noEpochGate:
-		return nil, fmt.Errorf("arcreg: WithoutFreshGate/WithoutEpochGate apply to the (M,N) composition, not NewMap")
 	}
 	cd := JSON[T]()
 	if cfg.codec != nil {
@@ -536,7 +532,19 @@ func (r *MapOfReader[T]) Len() (int, error) { return r.r.Len() }
 // decoded — the typed counterpart of MapReader.Snapshot (same
 // linearization guarantee and cost model).
 func (r *MapOfReader[T]) Snapshot() (map[string]T, error) {
-	return SnapshotOf[T](r.r, r.c)
+	raw, err := r.r.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]T, len(raw))
+	for k, v := range raw {
+		t, err := r.c.Decode(v)
+		if err != nil {
+			return nil, fmt.Errorf("arcreg: decode %q: %w", k, err)
+		}
+		out[k] = t
+	}
+	return out, nil
 }
 
 // ReadStats reports the handle's counters (see MapReader.ReadStats).
@@ -672,24 +680,4 @@ func (r *MapOfReader[T]) Reader() *MapReader { return r.r }
 func (r *MapOfReader[T]) Close() error {
 	r.decoded = nil
 	return r.r.Close()
-}
-
-// SnapshotOf decodes an atomic Snapshot through c — the generic escape
-// hatch for reading one byte map under several typed views. Most
-// callers use MapOfReader.Snapshot, which supplies the store's own
-// codec.
-func SnapshotOf[T any](r *MapReader, c Codec[T]) (map[string]T, error) {
-	raw, err := r.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]T, len(raw))
-	for k, v := range raw {
-		t, err := c.Decode(v)
-		if err != nil {
-			return nil, fmt.Errorf("arcreg: decode %q: %w", k, err)
-		}
-		out[k] = t
-	}
-	return out, nil
 }

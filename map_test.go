@@ -372,10 +372,8 @@ func TestNewMapOptions(t *testing.T) {
 	if tm.Len() != 1 {
 		t.Fatalf("typed Len after Delete = %d", tm.Len())
 	}
-	// SnapshotOf re-decodes the byte snapshot under a second view.
-	raw, err := arcreg.SnapshotOf[endpoint](rd.Reader(), arcreg.JSON[endpoint]())
-	if err != nil || len(raw) != 1 || raw["svc/a"].Host != "10.0.0.1" {
-		t.Fatalf("SnapshotOf = %+v, %v", raw, err)
+	if snap, err = rd.Snapshot(); err != nil || len(snap) != 1 || snap["svc/a"].Host != "10.0.0.1" {
+		t.Fatalf("typed Snapshot after Delete = %+v, %v", snap, err)
 	}
 
 	// Register-only options are rejected with a pointer at the right API.
@@ -383,8 +381,6 @@ func TestNewMapOptions(t *testing.T) {
 		"algorithm": {arcreg.WithAlgorithm(arcreg.RF)},
 		"writers":   {arcreg.WithWriters(2)},
 		"initial":   {arcreg.WithInitial(endpoint{})},
-		"arc":       {arcreg.WithARC(arcreg.WithDynamicBuffers())},
-		"freshgate": {arcreg.WithoutFreshGate()},
 		"bad-codec": {arcreg.WithCodec(arcreg.String())},
 	} {
 		if _, err := arcreg.NewMap[endpoint](opts[0]); err == nil {
@@ -395,8 +391,13 @@ func TestNewMapOptions(t *testing.T) {
 	if _, err := arcreg.New[endpoint](arcreg.WithShards(4)); err == nil {
 		t.Error("New accepted WithShards")
 	}
-	if _, err := arcreg.New[endpoint](arcreg.WithDynamicValues()); err == nil {
-		t.Error("New accepted WithDynamicValues")
+	// WithDynamicValues is shared: New takes it for the (1,N) ARC
+	// register and rejects it for the (M,N) shape.
+	if _, err := arcreg.New[endpoint](arcreg.WithDynamicValues()); err != nil {
+		t.Errorf("New rejected WithDynamicValues on the (1,N) ARC register: %v", err)
+	}
+	if _, err := arcreg.New[endpoint](arcreg.WithDynamicValues(), arcreg.WithWriters(2)); err == nil {
+		t.Error("New accepted WithDynamicValues with WithWriters(2)")
 	}
 }
 

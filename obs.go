@@ -22,9 +22,9 @@ import (
 )
 
 // Stats is one node of the observability tree: a name, flat counters,
-// optional latency histograms, and child nodes. Reg.Stats, Map.Stats
-// and MNRegister.Stats return the root of their component's tree;
-// Get, Child and WriteText navigate it, JSON renders it for export.
+// optional latency histograms, and child nodes. Reg.Stats and Map.Stats
+// return the root of their component's tree; Get, Child and WriteText
+// navigate it, JSON renders it for export.
 type Stats = obs.Snapshot
 
 // Stat is one named counter in a Stats node.
@@ -39,7 +39,7 @@ type HistStat = obs.HistStat
 type Histogram = metrics.Histogram
 
 // StatsSource is anything that produces a Stats tree on demand —
-// Reg[T], Map, MapOf[T] and MNRegister all implement it, as does
+// Reg[T], Map and MapOf[T] all implement it, as does
 // StatsRegistry for composing several of them.
 type StatsSource = obs.Source
 

@@ -5,15 +5,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"arcreg/internal/arc"
 	"arcreg/internal/codec"
 	"arcreg/internal/leftright"
 	"arcreg/internal/lockreg"
+	"arcreg/internal/mnreg"
 	"arcreg/internal/notify"
 	"arcreg/internal/peterson"
 	"arcreg/internal/register"
@@ -89,14 +92,11 @@ type config struct {
 	hasInitial    bool
 	initialRaw    []byte // from WithInitialBytes
 	codec         any    // Codec[T], from WithCodec
-	arcOpts       []ARCOption
-	noFreshGate   bool
-	noEpochGate   bool
-	shards        int  // NewMap only
-	dynamicValues bool // NewMap only
-	trace         bool // NewMap only
-	traceRings    int  // NewMap only
-	traceLanes    int  // NewMap only
+	shards        int    // NewMap only
+	dynamicValues bool   // NewMap and the (1,N) ARC register
+	trace         bool   // NewMap only
+	traceRings    int    // NewMap only
+	traceLanes    int    // NewMap only
 }
 
 // Option configures New. Options that carry a typed payload
@@ -157,11 +157,14 @@ func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }
 }
 
-// WithDynamicValues selects the §3.3 dynamic-buffer variant for the
-// keyed store's per-key registers: every Set allocates an exact-size
-// buffer instead of pre-allocating MaxReaders+2 MaxValueSize buffers
-// per key — the right choice for maps holding many keys with small
-// values. Valid only for NewMap.
+// WithDynamicValues selects the paper's §3.3 dynamic-buffer variant:
+// every Set allocates an exact-size buffer instead of pre-allocating
+// MaxReaders+2 MaxValueSize buffers, so memory scales with the values
+// actually stored, at the cost of one allocation per write. NewMap
+// applies it to every per-key register — the right choice for maps
+// holding many keys with small values. New applies it to the (1,N) ARC
+// register and rejects it for other algorithms and for WithWriters(m >
+// 1).
 func WithDynamicValues() Option {
 	return func(c *config) { c.dynamicValues = true }
 }
@@ -195,27 +198,6 @@ func WithTraceLanes(n int) Option {
 	return func(c *config) { c.trace = true; c.traceLanes = n }
 }
 
-// WithARC applies ARC tuning/ablation options (WithoutFastPath,
-// WithoutFreeHint, WithStaticReaders, WithDynamicBuffers) to the
-// underlying ARC register. Valid only for the (1,N) ARC algorithm.
-func WithARC(opts ...ARCOption) Option {
-	return func(c *config) { c.arcOpts = append(c.arcOpts, opts...) }
-}
-
-// WithoutFreshGate disables the (M,N) freshness-gated collect, forcing
-// every scan to fully re-read all M components. Ablation benchmarks
-// only; requires WithWriters(m > 1).
-func WithoutFreshGate() Option {
-	return func(c *config) { c.noFreshGate = true }
-}
-
-// WithoutEpochGate keeps the (M,N) per-component freshness probes but
-// disables the adaptive epoch gate (the one-load all-fresh scan).
-// Ablation and equivalence testing only; requires WithWriters(m > 1).
-func WithoutEpochGate() Option {
-	return func(c *config) { c.noEpochGate = true }
-}
-
 // Reg is a typed multi-word atomic register: the unified handle New
 // returns for every algorithm and for both the (1,N) and (M,N) shapes.
 // One goroutine per writer handle Sets, up to Readers goroutines Get
@@ -228,17 +210,24 @@ func WithoutEpochGate() Option {
 // threads' progress.
 type Reg[T any] struct {
 	c   Codec[T]
-	reg Register    // (1,N) shape; nil when mn is set
-	mn  *MNRegister // (M,N) shape; nil when reg is set
+	reg Register // the (1,N) byte register; nil for the (M,N) shape
 	alg AlgorithmID
 
-	caps Caps
+	caps                           Caps
+	writers, readers, maxValueSize int
 
-	// seq is the (1,N) register's publication sequencer when it has one
-	// (Caps.Watchable); nil shapes fall back to polling in Watch and
-	// Changed. The (M,N) shape parks through mn's composite gate
-	// instead.
-	seq *notify.Sequencer
+	// The shape's byte-level handle constructors and Stats source,
+	// resolved once by New.
+	newWriter func() (Writer, error)
+	newReader func() (Reader, error)
+	stats     func() Stats
+
+	// epoch snapshots the publication epoch and gate returns the gate
+	// publications wake: ARC's sequencer or the (M,N) composite's. Both
+	// are nil without a sequencer (Caps.Watchable false); Watch and
+	// Changed then fall back to polling.
+	epoch func() uint64
+	gate  func() *notify.Gate
 
 	// watchTrack aggregates the backpressure ledgers of this register's
 	// live watchers (parked Watch iterators attach on start, detach on
@@ -318,55 +307,68 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 	if cfg.writers > 1 && cfg.alg != ARC {
 		return nil, fmt.Errorf("arcreg: WithWriters(%d) requires the ARC algorithm (the (M,N) composition is built from ARC components), got %s", cfg.writers, cfg.alg)
 	}
-	if (cfg.noFreshGate || cfg.noEpochGate) && cfg.writers <= 1 {
-		return nil, errors.New("arcreg: WithoutFreshGate/WithoutEpochGate apply to the (M,N) composition; add WithWriters(m > 1)")
+	if cfg.dynamicValues && (cfg.alg != ARC || cfg.writers > 1) {
+		return nil, errors.New("arcreg: WithDynamicValues applies to NewMap and to the (1,N) ARC register only")
 	}
-	if len(cfg.arcOpts) > 0 && (cfg.alg != ARC || cfg.writers > 1) {
-		return nil, errors.New("arcreg: WithARC applies to the (1,N) ARC algorithm only")
-	}
-	if cfg.shards != 0 || cfg.dynamicValues {
-		return nil, errors.New("arcreg: WithShards/WithDynamicValues apply to NewMap, not New")
+	if cfg.shards != 0 {
+		return nil, errors.New("arcreg: WithShards applies to NewMap, not New")
 	}
 	if cfg.trace {
 		return nil, errors.New("arcreg: WithTrace/WithTraceRings/WithTraceLanes apply to NewMap, not New")
 	}
 
-	r := &Reg[T]{c: cd, alg: cfg.alg}
+	r := &Reg[T]{c: cd, alg: cfg.alg, writers: cfg.writers}
 	if cfg.writers > 1 {
-		mn, err := NewMN(MNConfig{
-			Writers:          cfg.writers,
-			Readers:          cfg.readers,
-			MaxValueSize:     cfg.maxValueSize,
-			Initial:          initial,
-			DisableFreshGate: cfg.noFreshGate,
-			DisableEpochGate: cfg.noEpochGate,
-		})
+		mn, err := mnreg.New(mnreg.Config{
+			Writers:      cfg.writers,
+			Readers:      cfg.readers,
+			MaxValueSize: cfg.maxValueSize,
+			Initial:      initial,
+		}, mnreg.Options{})
 		if err != nil {
 			return nil, err
 		}
-		r.mn = mn
 		r.caps = mn.Caps()
+		r.readers, r.maxValueSize = mn.Readers(), mn.MaxValueSize()
+		// Wrapped so that a failed allocation returns a nil interface,
+		// never one holding a nil pointer.
+		r.newWriter = func() (Writer, error) {
+			w, err := mn.NewWriter()
+			if err != nil {
+				return nil, err
+			}
+			return w, nil
+		}
+		r.newReader = func() (Reader, error) {
+			rd, err := mn.NewReader()
+			if err != nil {
+				return nil, err
+			}
+			return rd, nil
+		}
+		r.stats = mn.Stats
+		r.epoch, r.gate = mn.NotifyEpoch, mn.NotifyGate
 		return r, nil
 	}
 
-	rcfg := Config{MaxReaders: cfg.readers, MaxValueSize: cfg.maxValueSize, Initial: initial}
+	rcfg := register.Config{MaxReaders: cfg.readers, MaxValueSize: cfg.maxValueSize, Initial: initial}
 	var (
 		reg Register
 		err error
 	)
 	switch cfg.alg {
 	case ARC:
-		reg, err = NewARC(rcfg, cfg.arcOpts...)
+		reg, err = arc.New(rcfg, arc.Options{DynamicBuffers: cfg.dynamicValues})
 	case RF:
-		reg, err = NewRF(rcfg)
+		reg, err = rf.New(rcfg)
 	case Peterson:
-		reg, err = NewPeterson(rcfg)
+		reg, err = peterson.New(rcfg)
 	case Lock:
-		reg, err = NewLocked(rcfg)
+		reg, err = lockreg.New(rcfg)
 	case Seqlock:
-		reg, err = NewSeqlock(rcfg)
+		reg, err = seqlock.New(rcfg)
 	case LeftRight:
-		reg, err = NewLeftRight(rcfg)
+		reg, err = leftright.New(rcfg)
 	default:
 		return nil, fmt.Errorf("arcreg: unknown algorithm %s", cfg.alg)
 	}
@@ -375,11 +377,24 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 	}
 	r.reg = reg
 	r.caps = register.CapsOf(reg)
-	// Cache the publication sequencer and keep Caps.Watchable honest: a
-	// register that reports Watchable but exposes no sequencer is
-	// demoted to the poll fallback.
+	r.readers, r.maxValueSize = reg.MaxReaders(), reg.MaxValueSize()
+	// Every (1,N) register's Writer is the register itself: one
+	// endpoint, one goroutine writing at a time.
+	r.newWriter = func() (Writer, error) { return reg.Writer(), nil }
+	r.newReader = reg.NewReader
+	if src, ok := reg.(StatsSource); ok {
+		r.stats = src.Stats
+	} else {
+		// Algorithms without live cells (RF, Peterson, the lock
+		// baselines) still report a root so the watcher aggregate has
+		// somewhere to hang.
+		r.stats = func() Stats { return Stats{Name: "register"} }
+	}
+	// Keep Caps.Watchable honest: a register that reports Watchable but
+	// exposes no sequencer is demoted to the poll fallback.
 	if sp, ok := reg.(sequencerProvider); ok {
-		r.seq = sp.Notifier()
+		seq := sp.Notifier()
+		r.epoch, r.gate = seq.Epoch, seq.Gate
 	} else {
 		r.caps.Watchable = false
 	}
@@ -434,33 +449,14 @@ func (r *Reg[T]) Codec() Codec[T] { return r.c }
 // or nil for the (M,N) shape.
 func (r *Reg[T]) Register() Register { return r.reg }
 
-// MN exposes the underlying (M,N) byte register, or nil for the (1,N)
-// shape.
-func (r *Reg[T]) MN() *MNRegister { return r.mn }
-
 // Writers reports M (1 for the single-writer shape).
-func (r *Reg[T]) Writers() int {
-	if r.mn != nil {
-		return r.mn.Writers()
-	}
-	return 1
-}
+func (r *Reg[T]) Writers() int { return r.writers }
 
 // Readers reports N, the reader-handle capacity.
-func (r *Reg[T]) Readers() int {
-	if r.mn != nil {
-		return r.mn.Readers()
-	}
-	return r.reg.MaxReaders()
-}
+func (r *Reg[T]) Readers() int { return r.readers }
 
 // MaxValueSize reports the encoded-value bound in bytes.
-func (r *Reg[T]) MaxValueSize() int {
-	if r.mn != nil {
-		return r.mn.MaxValueSize()
-	}
-	return r.reg.MaxValueSize()
-}
+func (r *Reg[T]) MaxValueSize() int { return r.maxValueSize }
 
 // Set publishes a new value through the register's default writer
 // handle (allocated on first use; for the (M,N) shape it occupies one
@@ -488,63 +484,34 @@ func (r *Reg[T]) Set(v T) error {
 // the (1,N) contract still allows only one goroutine writing at a time.
 // For the (M,N) shape each call claims one of the M writer identities.
 func (r *Reg[T]) NewWriter() (*TypedWriter[T], error) {
-	if r.mn != nil {
-		w, err := r.mn.NewWriter()
-		if err != nil {
-			return nil, err
-		}
-		return &TypedWriter[T]{c: r.c, mnw: w}, nil
+	w, err := r.newWriter()
+	if err != nil {
+		return nil, err
 	}
-	w := r.reg.Writer()
 	tw := &TypedWriter[T]{c: r.c, w: w}
-	if sw, ok := w.(register.StatWriter); ok {
-		tw.statw = sw
-	} else if sw, ok := r.reg.(register.StatWriter); ok {
-		tw.statw = sw
-	}
+	tw.statw, _ = w.(register.StatWriter)
 	return tw, nil
 }
 
 // NewReader allocates a typed reader handle (one per goroutine, counted
 // against the register's Readers capacity).
 func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
-	if r.mn != nil {
-		rd, err := r.mn.NewReader()
-		if err != nil {
-			return nil, err
-		}
-		mnr := r.mn.reg
-		return &TypedReader[T]{
-			c:          r.c,
-			mnrd:       rd,
-			tracker:    &r.watchTrack,
-			watchEpoch: mnr.NotifyEpoch,
-			watchGate:  mnr.NotifyGate,
-		}, nil
-	}
-	rd, err := r.reg.NewReader()
+	rd, err := r.newReader()
 	if err != nil {
 		return nil, err
 	}
-	tr := &TypedReader[T]{c: r.c, rd: rd, maxSize: r.reg.MaxValueSize()}
+	tr := &TypedReader[T]{c: r.c, rd: rd, maxSize: r.maxValueSize}
 	if v, ok := rd.(Viewer); ok {
 		tr.viewer = v // decode straight from the slot, no copy
 	} else {
-		tr.buf = make([]byte, r.reg.MaxValueSize())
+		tr.buf = make([]byte, r.maxValueSize)
 	}
-	if p, ok := rd.(FreshnessProber); ok {
-		tr.prober = p
-	}
-	if fv, ok := rd.(register.FreshViewer); ok {
-		tr.fviewer = fv
-	}
-	if sr, ok := rd.(register.StatReader); ok {
-		tr.statr = sr
-	}
-	if seq := r.seq; seq != nil {
+	tr.prober, _ = rd.(FreshnessProber)
+	tr.fviewer, _ = rd.(register.FreshViewer)
+	tr.statr, _ = rd.(register.StatReader)
+	if r.epoch != nil {
 		tr.tracker = &r.watchTrack
-		tr.watchEpoch = seq.Epoch
-		tr.watchGate = seq.Gate
+		tr.watchEpoch, tr.watchGate = r.epoch, r.gate
 	}
 	return tr, nil
 }
@@ -583,61 +550,53 @@ func (r *Reg[T]) Changed(ctx context.Context) <-chan struct{} {
 	// publication, so the subscribe/close lifecycle would cost more
 	// than the one broadcast it avoids. Sustained watchers (Watch /
 	// WatchAll iterators) are the ones that ride the wakeup tree.
-	switch {
-	case r.mn != nil:
-		mnr := r.mn.reg
-		seen := mnr.NotifyEpoch()
+	if r.epoch != nil {
+		seen := r.epoch()
 		go func() {
 			defer close(out)
-			_, _ = mnr.WaitPublish(ctx, seen)
+			_, _ = notify.WaitEpoch(ctx, r.epoch, seen, nil, r.gate())
 		}()
-	case r.seq != nil:
-		seen := r.seq.Epoch()
+		return out
+	}
+	rd, err := r.NewReader()
+	if err != nil {
+		// Degrade to a throttled spurious change: the caller
+		// re-reads, and the delay keeps a capacity-exhausted caller
+		// from hot-spinning on immediately-closed channels.
 		go func() {
 			defer close(out)
-			_, _ = r.seq.Wait(ctx, seen)
-		}()
-	default:
-		rd, err := r.NewReader()
-		if err != nil {
-			// Degrade to a throttled spurious change: the caller
-			// re-reads, and the delay keeps a capacity-exhausted caller
-			// from hot-spinning on immediately-closed channels.
-			go func() {
-				defer close(out)
-				select {
-				case <-ctx.Done():
-				case <-time.After(watchPollInterval):
-				}
-			}()
-			return out
-		}
-		// Establish the baseline synchronously: a Set landing right
-		// after Changed returns must flip the first poll, matching the
-		// watchable paths' epoch-snapshot-before-return ordering.
-		if _, _, err := rd.poll(true); err != nil {
-			rd.Close()
-			close(out)
-			return out
-		}
-		go func() {
-			defer close(out)
-			defer rd.Close()
-			timer := time.NewTimer(watchPollInterval)
-			defer timer.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-timer.C:
-				}
-				if _, changed, err := rd.poll(false); changed || err != nil {
-					return
-				}
-				timer.Reset(watchPollInterval)
+			select {
+			case <-ctx.Done():
+			case <-time.After(watchPollInterval):
 			}
 		}()
+		return out
 	}
+	// Establish the baseline synchronously: a Set landing right
+	// after Changed returns must flip the first poll, matching the
+	// watchable paths' epoch-snapshot-before-return ordering.
+	if _, _, err := rd.poll(true); err != nil {
+		rd.Close()
+		close(out)
+		return out
+	}
+	go func() {
+		defer close(out)
+		defer rd.Close()
+		timer := time.NewTimer(watchPollInterval)
+		defer timer.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-timer.C:
+			}
+			if _, changed, err := rd.poll(false); changed || err != nil {
+				return
+			}
+			timer.Reset(watchPollInterval)
+		}
+	}()
 	return out
 }
 
@@ -677,20 +636,7 @@ func (r *Reg[T]) Get() (T, error) {
 // TypedWriter.WriteStats; their Snapshot converters produce nodes in
 // the same shape when a caller wants to graft them in.
 func (r *Reg[T]) Stats() Stats {
-	var sn Stats
-	switch {
-	case r.mn != nil:
-		sn = r.mn.Stats()
-	case r.reg != nil:
-		if src, ok := r.reg.(StatsSource); ok {
-			sn = src.Stats()
-		} else {
-			// Algorithms without live cells (RF, Peterson, the lock
-			// baselines) still report a root so the watcher aggregate
-			// has somewhere to hang.
-			sn = Stats{Name: "register"}
-		}
-	}
+	sn := r.stats()
 	sn.Children = append(sn.Children, r.watchTrack.Stats())
 	return sn
 }
@@ -700,9 +646,8 @@ func (r *Reg[T]) Stats() Stats {
 // handle.
 type TypedWriter[T any] struct {
 	c     Codec[T]
-	w     Writer // (1,N)
+	w     Writer
 	statw register.StatWriter
-	mnw   MNWriter // (M,N)
 }
 
 // Set encodes and publishes a new value. In the (M,N) shape the write
@@ -712,24 +657,16 @@ func (w *TypedWriter[T]) Set(v T) error {
 	if err != nil {
 		return fmt.Errorf("arcreg: encode: %w", err)
 	}
-	if w.mnw != nil {
-		return w.mnw.Write(blob)
-	}
 	return w.w.Write(blob)
 }
 
 // SetBytes publishes an already-encoded value, bypassing the codec.
-func (w *TypedWriter[T]) SetBytes(p []byte) error {
-	if w.mnw != nil {
-		return w.mnw.Write(p)
-	}
-	return w.w.Write(p)
-}
+func (w *TypedWriter[T]) SetBytes(p []byte) error { return w.w.Write(p) }
 
 // ID reports the writer identity in [0, M); 0 for the (1,N) shape.
 func (w *TypedWriter[T]) ID() int {
-	if w.mnw != nil {
-		return w.mnw.ID()
+	if id, ok := w.w.(interface{ ID() int }); ok {
+		return id.ID()
 	}
 	return 0
 }
@@ -737,27 +674,21 @@ func (w *TypedWriter[T]) ID() int {
 // WriteStats reports the writer's counters, or the zero value when the
 // register does not expose them (see Caps.WriteStats).
 func (w *TypedWriter[T]) WriteStats() WriteStats {
-	if w.mnw != nil {
-		return w.mnw.WriteStats()
-	}
 	if w.statw != nil {
 		return w.statw.WriteStats()
 	}
 	return WriteStats{}
 }
 
-// Writer exposes the underlying (1,N) byte endpoint, or nil for (M,N).
+// Writer exposes the underlying byte endpoint: the (1,N) register's
+// single writer, or this handle's (M,N) writer identity.
 func (w *TypedWriter[T]) Writer() Writer { return w.w }
-
-// MNWriter exposes the underlying (M,N) byte endpoint, or nil for
-// (1,N).
-func (w *TypedWriter[T]) MNWriter() MNWriter { return w.mnw }
 
 // Close releases an (M,N) writer identity for reuse; it is a no-op for
 // the (1,N) single writer.
 func (w *TypedWriter[T]) Close() error {
-	if w.mnw != nil {
-		return w.mnw.Close()
+	if c, ok := w.w.(io.Closer); ok {
+		return c.Close()
 	}
 	return nil
 }
@@ -769,13 +700,12 @@ func (w *TypedWriter[T]) Close() error {
 // conservatively (see Caps) instead of requiring type assertions.
 type TypedReader[T any] struct {
 	c       Codec[T]
-	rd      Reader // (1,N)
+	rd      Reader
 	viewer  Viewer
 	prober  FreshnessProber
 	fviewer register.FreshViewer
 	statr   register.StatReader
-	mnrd    MNReader // (M,N)
-	buf     []byte   // copy-read scratch when the register cannot view
+	buf     []byte // copy-read scratch when the register cannot view
 	maxSize int
 
 	// Poll state for Values' byte-compare fallback on probe-less
@@ -802,13 +732,6 @@ type TypedReader[T any] struct {
 // slot when the algorithm supports zero-copy views.
 func (r *TypedReader[T]) Get() (T, error) {
 	var zero T
-	if r.mnrd != nil {
-		v, err := r.mnrd.View()
-		if err != nil {
-			return zero, err
-		}
-		return r.c.Decode(v)
-	}
 	if r.viewer != nil {
 		v, err := r.viewer.View()
 		if err != nil {
@@ -828,9 +751,6 @@ func (r *TypedReader[T]) Get() (T, error) {
 // The view is valid until this handle's next operation and must not be
 // modified.
 func (r *TypedReader[T]) ViewBytes() ([]byte, error) {
-	if r.mnrd != nil {
-		return r.mnrd.View()
-	}
 	if r.viewer != nil {
 		return r.viewer.View()
 	}
@@ -840,12 +760,7 @@ func (r *TypedReader[T]) ViewBytes() ([]byte, error) {
 // ReadBytes copies the freshest encoded value into dst, bypassing the
 // codec (ErrBufferTooSmall with the required length if dst cannot hold
 // it).
-func (r *TypedReader[T]) ReadBytes(dst []byte) (int, error) {
-	if r.mnrd != nil {
-		return r.mnrd.Read(dst)
-	}
-	return r.rd.Read(dst)
-}
+func (r *TypedReader[T]) ReadBytes(dst []byte) (int, error) { return r.rd.Read(dst) }
 
 // Fresh reports whether the handle's last read still returns the
 // register's current value — for ARC a single atomic load with no RMW
@@ -853,9 +768,6 @@ func (r *TypedReader[T]) ReadBytes(dst []byte) (int, error) {
 // false) conservatively report false, so callers re-read. A handle that
 // has never read reports false.
 func (r *TypedReader[T]) Fresh() bool {
-	if r.mnrd != nil {
-		return r.mnrd.Fresh()
-	}
 	if r.prober != nil {
 		return r.prober.Fresh()
 	}
@@ -865,29 +777,20 @@ func (r *TypedReader[T]) Fresh() bool {
 // ReadStats reports the handle's counters, or the zero value when the
 // register does not expose them (see Caps.ReadStats).
 func (r *TypedReader[T]) ReadStats() ReadStats {
-	if r.mnrd != nil {
-		return r.mnrd.ReadStats()
-	}
 	if r.statr != nil {
 		return r.statr.ReadStats()
 	}
 	return ReadStats{}
 }
 
-// Reader exposes the underlying (1,N) byte handle, or nil for (M,N).
+// Reader exposes the underlying byte handle. An (M,N) handle also
+// reports the tag of the value it last returned:
+//
+//	tag := rd.Reader().(interface{ LastTag() arcreg.MNTag }).LastTag()
 func (r *TypedReader[T]) Reader() Reader { return r.rd }
 
-// MNReader exposes the underlying (M,N) byte handle (tags, raw views),
-// or nil for (1,N).
-func (r *TypedReader[T]) MNReader() MNReader { return r.mnrd }
-
 // Close releases the handle.
-func (r *TypedReader[T]) Close() error {
-	if r.mnrd != nil {
-		return r.mnrd.Close()
-	}
-	return r.rd.Close()
-}
+func (r *TypedReader[T]) Close() error { return r.rd.Close() }
 
 // watchPollInterval paces the poll fallback of Watch and Changed on
 // registers without a publication sequencer (Caps.Watchable false).
@@ -1055,30 +958,13 @@ func (r *TypedReader[T]) poll(first bool) (v T, changed bool, err error) {
 	var zero T
 	switch {
 	case r.fviewer != nil:
-		// Combined probe-and-fetch (ARC): one call answers both.
+		// Combined probe-and-fetch (ARC, (M,N)): one call answers both.
 		view, viewChanged, err := r.fviewer.ViewFresh()
 		if err != nil {
 			return zero, false, err
 		}
 		if !viewChanged && !first {
 			return zero, false, nil
-		}
-		v, err := r.c.Decode(view)
-		return v, true, err
-	case r.mnrd != nil:
-		// Probe, then fetch — but the composite probe is conservative (a
-		// publish that loses the tag argmax reports stale), so confirm an
-		// actual change by tag before yielding.
-		if !first && r.mnrd.Fresh() {
-			return zero, false, nil
-		}
-		prev := r.mnrd.LastTag()
-		view, err := r.mnrd.View()
-		if err != nil {
-			return zero, false, err
-		}
-		if !first && r.mnrd.LastTag() == prev {
-			return zero, false, nil // conservative-stale probe: no decode
 		}
 		v, err := r.c.Decode(view)
 		return v, true, err

@@ -179,8 +179,23 @@ func TestFacadeEveryAlgorithm(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rd.Close()
-			if err := reg.Set(map[string]int{"a": 1, "b": 2}); err != nil {
+			// A (1,N) writer handle is identity 0 and its Close is a no-op
+			// that may repeat: no (1,N) register's writer has an ID or a
+			// Close for the handle to forward to.
+			w, err := reg.NewWriter()
+			if err != nil {
 				t.Fatal(err)
+			}
+			if id := w.ID(); id != 0 {
+				t.Errorf("writer ID() = %d, want 0", id)
+			}
+			for i := 1; i <= 2; i++ {
+				if err := w.Close(); err != nil {
+					t.Fatalf("writer Close #%d: %v", i, err)
+				}
+			}
+			if err := w.Set(map[string]int{"a": 1, "b": 2}); err != nil {
+				t.Fatalf("Set after Close: %v", err)
 			}
 			v, err := rd.Get()
 			if err != nil {
@@ -213,11 +228,12 @@ func TestFacadeMN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.MN() == nil || reg.Register() != nil {
+	if reg.Register() != nil {
 		t.Fatal("MN shape not selected")
 	}
-	if reg.Writers() != 3 {
-		t.Errorf("Writers() = %d", reg.Writers())
+	if reg.Writers() != 3 || reg.Readers() != 2 || reg.MaxValueSize() != 64 {
+		t.Errorf("Writers, Readers, MaxValueSize = %d, %d, %d; want 3, 2, 64",
+			reg.Writers(), reg.Readers(), reg.MaxValueSize())
 	}
 	if !reg.Caps().FreshProbe || !reg.Caps().ZeroCopyView {
 		t.Errorf("MN caps incomplete: %+v", reg.Caps())
@@ -267,8 +283,9 @@ func TestFacadeMN(t *testing.T) {
 	if v, _ = rd.Get(); v != "again" {
 		t.Errorf("Get after republish = %q", v)
 	}
-	if rd.MNReader() == nil || rd.MNReader().LastTag().Seq == 0 {
-		t.Error("MNReader tag access lost")
+	tagged, ok := rd.Reader().(interface{ LastTag() arcreg.MNTag })
+	if !ok || tagged.LastTag().Seq == 0 {
+		t.Error("MN tag access through Reader() lost")
 	}
 
 	// Close releases the identity for reuse.
@@ -292,11 +309,11 @@ func TestFacadeOptionValidation(t *testing.T) {
 		{"writers-need-arc", "requires the ARC algorithm", []arcreg.Option{
 			arcreg.WithAlgorithm(arcreg.RF), arcreg.WithWriters(2)}},
 		{"zero-writers", "must be positive", []arcreg.Option{arcreg.WithWriters(-1)}},
-		{"arc-opts-on-rf", "ARC algorithm only", []arcreg.Option{
-			arcreg.WithAlgorithm(arcreg.RF), arcreg.WithARC(arcreg.WithoutFastPath())}},
-		{"arc-opts-on-mn", "ARC algorithm only", []arcreg.Option{
-			arcreg.WithWriters(2), arcreg.WithARC(arcreg.WithoutFastPath())}},
-		{"gate-ablation-needs-mn", "WithWriters", []arcreg.Option{arcreg.WithoutFreshGate()}},
+		// WithDynamicValues is the one ARC-only option New takes.
+		{"arc-opts-on-rf", "(1,N) ARC register only", []arcreg.Option{
+			arcreg.WithAlgorithm(arcreg.RF), arcreg.WithDynamicValues()}},
+		{"arc-opts-on-mn", "(1,N) ARC register only", []arcreg.Option{
+			arcreg.WithWriters(2), arcreg.WithDynamicValues()}},
 		{"initial-conflict", "mutually exclusive", []arcreg.Option{
 			arcreg.WithInitial(1), arcreg.WithInitialBytes([]byte("1"))}},
 		{"codec-type-mismatch", "not a Codec", []arcreg.Option{arcreg.WithCodec(arcreg.String())}},
@@ -766,7 +783,8 @@ func TestTypedMNRoundtrip(t *testing.T) {
 		defer w.Close()
 		writers = append(writers, w)
 	}
-	last := rd.MNReader().LastTag()
+	tagged := rd.Reader().(interface{ LastTag() arcreg.MNTag })
+	last := tagged.LastTag()
 	for round := 1; round <= 5; round++ {
 		for _, w := range writers {
 			if err := w.Set(state{Writer: w.ID(), Round: round}); err != nil {
@@ -779,7 +797,7 @@ func TestTypedMNRoundtrip(t *testing.T) {
 			if got.Writer != w.ID() || got.Round != round {
 				t.Fatalf("got %+v after writer %d round %d", got, w.ID(), round)
 			}
-			tag := rd.MNReader().LastTag()
+			tag := tagged.LastTag()
 			if tag.Less(last) {
 				t.Fatalf("tag regressed: %v after %v", tag, last)
 			}

@@ -9,7 +9,9 @@ package arcreg_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -220,6 +222,87 @@ func TestWatchMN(t *testing.T) {
 		if ev := nextTick(t, ch); ev.err != nil || ev.v != i {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
+	}
+}
+
+// TestWatchMNDecodesOncePerYield: over (M,N), Watch and Values decode
+// exactly once per yielded value and never yield one publication twice
+// in a row, while two writers publish concurrently. A publish that loses
+// the tag argmax fails the composite's conservative freshness probe;
+// the tag-confirmed ViewFresh reports it unchanged, so it costs neither
+// a decode nor a repeated yield.
+func TestWatchMNDecodesOncePerYield(t *testing.T) {
+	for _, mode := range []string{"watch", "values"} {
+		t.Run(mode, func(t *testing.T) {
+			cd := newCountCodec(arcreg.String())
+			reg, err := arcreg.New[string](arcreg.WithCodec[string](cd),
+				arcreg.WithWriters(2), arcreg.WithReaders(1), arcreg.WithMaxValueSize(32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var writers [2]*arcreg.TypedWriter[string]
+			for i := range writers {
+				if writers[i], err = reg.NewWriter(); err != nil {
+					t.Fatal(err)
+				}
+				defer writers[i].Close()
+			}
+			rd, err := reg.NewReader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			seq := rd.Watch(ctx)
+			if mode == "values" {
+				seq = rd.Values(20 * time.Microsecond)
+			}
+
+			// Both writers publish distinct values at once; when both are
+			// done, "end" outbids every tag, so it must be yielded.
+			published := make(chan struct{})
+			go func() {
+				defer close(published)
+				var wg sync.WaitGroup
+				for _, w := range writers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < 300; i++ {
+							if err := w.Set(fmt.Sprintf("w%d-%d", w.ID(), i)); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				if err := writers[0].Set("end"); err != nil {
+					t.Error(err)
+				}
+			}()
+
+			var yields int64
+			prev := ""
+			for v, err := range seq {
+				if err != nil {
+					t.Fatalf("after %d yields: %v", yields, err)
+				}
+				if yields > 0 && v == prev {
+					t.Fatalf("yielded %q twice in a row", v)
+				}
+				yields++
+				prev = v
+				if v == "end" {
+					break
+				}
+			}
+			<-published
+			if got := cd.decodes.Load(); got != yields {
+				t.Fatalf("%d decodes for %d yields", got, yields)
+			}
+		})
 	}
 }
 
