@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("arcbench", flag.ContinueOnError)
 	var (
 		figure    = fs.String("figure", "", "figure to regenerate: fig1|fig2|fig3|processing|ablation|extensions|mn|map|rmw|latency|watch|serve|all")
-		alg       = fs.String("alg", "arc", "algorithm for single runs: arc|rf|peterson|lock|seqlock|leftright|mn|mn-nogate|map|arc-nofastpath|arc-nohint")
+		alg       = fs.String("alg", "arc", "algorithm for single runs: "+harness.AlgorithmNames())
 		threads   = fs.String("threads", "", "comma-separated thread counts (overrides the figure's sweep)")
 		sizes     = fs.String("sizes", "", "comma-separated register sizes in bytes (overrides the sweep)")
 		size      = fs.Int("size", 4096, "register size for single runs")

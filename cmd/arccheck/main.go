@@ -18,9 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
+	"arcreg/internal/algs"
 	"arcreg/internal/harness"
 	"arcreg/internal/history"
 	"arcreg/internal/membuf"
@@ -35,7 +37,7 @@ func main() {
 
 func run() int {
 	var (
-		alg     = flag.String("alg", "arc", "algorithm: arc|rf|peterson|lock|seqlock|leftright|arc-nofastpath|arc-nohint")
+		alg     = flag.String("alg", "arc", "algorithm: "+strings.Join(algs.Names(), "|"))
 		threads = flag.Int("threads", 4, "total workers: 1 writer + threads-1 readers")
 		size    = flag.Int("size", 1024, "value size in bytes")
 		writes  = flag.Int("writes", 50_000, "writes performed by the writer")

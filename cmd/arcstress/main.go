@@ -62,6 +62,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"arcreg/internal/algs"
 	"arcreg/internal/harness"
 	"arcreg/internal/membuf"
 	"arcreg/internal/register"
@@ -96,7 +97,7 @@ func (s *shared) fail(format string, args ...any) {
 
 func run() int {
 	var (
-		alg      = flag.String("alg", "arc", "algorithm: arc|rf|peterson|lock|seqlock|leftright|arc-nofastpath|arc-nohint")
+		alg      = flag.String("alg", "arc", "algorithm: "+strings.Join(algs.Names(), "|"))
 		scenario = flag.String("scenario", "mixed", "comma-separated list of stall|churn|steal|mixed|dirchurn|corrupt-repair|compact-under-watch|watchstorm|gatetree|servechaos|tracestorm")
 		threads  = flag.Int("threads", 6, "reader workers (plus 1 writer)")
 		size     = flag.Int("size", 512, "value size in bytes")

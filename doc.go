@@ -49,9 +49,9 @@
 //	)
 //
 // The handles are capability-complete — Get, ViewBytes, Fresh,
-// ReadStats/WriteStats, and the Watch/Values change iterators are
-// methods, with Reg.Caps reporting at construction time what the
-// chosen algorithm supports (no type assertions):
+// ReadStats/WriteStats, and the Watch change iterator are methods, with
+// Reg.Caps reporting at construction time what the chosen algorithm
+// supports (no type assertions):
 //
 //	for v, err := range rd.Watch(ctx) {
 //		if err != nil { break } // ctx.Err() or a read/decode error
@@ -78,6 +78,8 @@
 // latency is microseconds, an idle watcher consumes nothing, and the
 // writer's publish path stays zero-RMW and allocation-free while no
 // watcher is parked (BenchmarkSetWithWatcherIdle vs BenchmarkSet).
+// Every algorithm carries the sequencer, so Watch and Changed take the
+// same path on all of them.
 // Delivery is at-least-once per publication with latest-value
 // conflation: the register holds one value, so a slow consumer simply
 // observes fewer, newer values and can never build a backlog or block
@@ -100,10 +102,9 @@
 //	    // snapshot-delta stream; every event derives from one atomic
 //	    // Snapshot
 //
-// Caps.Watchable reports whether the construction carries a sequencer
-// (ARC, the (M,N) composition, the map); the other algorithms serve
-// Watch and Changed through a millisecond poll fallback. Values(every)
-// remains as the explicit polling shim over the same engine.
+// A consumer that wants fixed-interval pacing sleeps in the Watch loop
+// body: each step then yields the freshest value, and no publication is
+// yielded twice in a row.
 //
 // # Capabilities
 //
@@ -113,7 +114,7 @@
 // field is a promise, a false one is advisory. Per algorithm:
 //
 //   - ARC: the full set — ZeroCopyView, FreshProbe, FreshView,
-//     ReadStats, WriteStats, WaitFreeRead, WaitFreeWrite, Watchable.
+//     ReadStats, WriteStats, WaitFreeRead, WaitFreeWrite.
 //   - RF: ZeroCopyView, FreshProbe, stats and wait-freedom on both
 //     sides — everything but the combined FreshView probe-and-fetch
 //     (and every read costs one RMW, which Caps does not model; see
@@ -122,19 +123,23 @@
 //     (up to three times) and cannot probe freshness.
 //   - Lock: ZeroCopyView (a view pins the read lock) and stats, but
 //     neither side is wait-free: WaitFreeRead/WaitFreeWrite are false.
+//     Get therefore decodes a copy: a view held by an idle handle
+//     would block the writer.
 //   - Seqlock: WaitFreeWrite but not WaitFreeRead (reads retry while a
 //     write overlaps); no views (reads copy under the seqcount).
 //   - LeftRight: ZeroCopyView and WaitFreeRead, but writes block on
-//     readers (WaitFreeWrite false).
-//   - The (M,N) composite and the Map inherit ARC's full set
-//     (including Watchable); the map-level Fresh probe spans the
-//     directory and the key register.
+//     readers (WaitFreeWrite false), so Get decodes a copy as on Lock.
+//   - The (M,N) composite and the Map inherit ARC's full set; the
+//     map-level Fresh probe spans the directory and the key register.
 //
-// Handles degrade conservatively where a capability is absent: Fresh
-// reports false (forcing a re-read), stats report zero, ViewBytes
-// returns ErrNoView, Watch and Changed fall back to polling. The harness summary tables (cmd/arcbench -figure
-// rmw/latency) print the WaitFree capabilities per row, so measured
-// numbers and progress guarantees read side by side.
+// Every construction is watchable: each carries a publication
+// sequencer, so Caps has no field for it. Handles degrade
+// conservatively where a capability is absent: Fresh reports false
+// (forcing a re-read), stats report zero, ViewBytes returns ErrNoView,
+// and Watch compares copies where it cannot probe. The harness summary
+// tables (cmd/arcbench -figure rmw/latency) print the WaitFree
+// capabilities per row, so measured numbers and progress guarantees
+// read side by side.
 //
 // # Codecs
 //
@@ -230,6 +235,7 @@
 // steady state, re-collecting only shards observed to move (DESIGN.md
 // §7 has the linearization argument). Typed access mirrors the
 // single-register API: NewMap[T] shares New's option set and returns
-// capability-complete handles (Get, Fresh, Keys, Snapshot, a per-key
-// Values poll iterator); the same Codec[T] layer plugs in throughout.
+// capability-complete handles (Get, Fresh, Keys, Snapshot, and the
+// per-key Watch and whole-map WatchAll iterators); the same Codec[T]
+// layer plugs in throughout.
 package arcreg

@@ -98,44 +98,12 @@ func ExampleTypedReader_Fresh() {
 	// after write: false
 }
 
-// Values polls for changes: each idle poll is one freshness probe (on
-// ARC one atomic load, zero RMW, zero decoding); every observed change
-// is yielded exactly once.
-func ExampleTypedReader_Values() {
-	reg, _ := arcreg.New[int](arcreg.WithReaders(1))
-	rd, _ := reg.NewReader()
-	defer rd.Close()
-
-	go func() {
-		for i := 1; i <= 3; i++ {
-			reg.Set(i * 10)
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	var seen []int
-	for v, err := range rd.Values(100 * time.Microsecond) {
-		if err != nil {
-			panic(err)
-		}
-		seen = append(seen, v)
-		if v == 30 {
-			break
-		}
-	}
-	// Polling observes the freshest value, so intermediate publications
-	// may be skipped — but changes arrive in order and the last write
-	// is always seen.
-	fmt.Println("last:", seen[len(seen)-1], "ordered:", sort.IntsAreSorted(seen))
-	// Output: last: 30 ordered: true
-}
-
-// Watch is the event-driven counterpart of Values: the watcher parks
-// on the register's publication sequencer between changes (no polling,
-// no idle cost, microsecond wakeups) and the writer's publish path
-// stays RMW- and allocation-free while nobody is parked. Delivery is
-// at-least-once with latest-value conflation: a slow watcher sees
-// fewer, newer values and never blocks the writer.
+// Watch delivers changes event-driven: the watcher parks on the
+// register's publication sequencer between changes (no polling, no idle
+// cost, microsecond wakeups) and the writer's publish path stays RMW-
+// and allocation-free while nobody is parked. Delivery is at-least-once
+// with latest-value conflation: a slow watcher sees fewer, newer values
+// and never blocks the writer.
 func ExampleTypedReader_Watch() {
 	reg, _ := arcreg.New[int](arcreg.WithReaders(1))
 	rd, _ := reg.NewReader()
@@ -159,6 +127,37 @@ func ExampleTypedReader_Watch() {
 		if v == 30 {
 			break
 		}
+	}
+	fmt.Println("last:", seen[len(seen)-1], "ordered:", sort.IntsAreSorted(seen))
+	// Output: last: 30 ordered: true
+}
+
+// A consumer that paces itself sleeps in Watch's loop body: each step
+// then yields the freshest value, so the publications made while it
+// slept conflate into one, and none is yielded twice in a row. This is
+// the fixed-interval polling loop, minus the polls between changes.
+func ExampleTypedReader_Watch_paced() {
+	reg, _ := arcreg.New[int](arcreg.WithReaders(1))
+	rd, _ := reg.NewReader()
+	defer rd.Close()
+
+	go func() {
+		for i := 1; i <= 3; i++ {
+			reg.Set(i * 10)
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+
+	var seen []int
+	for v, err := range rd.Watch(context.Background()) {
+		if err != nil {
+			panic(err)
+		}
+		seen = append(seen, v)
+		if v == 30 {
+			break
+		}
+		time.Sleep(time.Millisecond) // the consumer's own pace
 	}
 	fmt.Println("last:", seen[len(seen)-1], "ordered:", sort.IntsAreSorted(seen))
 	// Output: last: 30 ordered: true

@@ -1,14 +1,17 @@
 // A small keyed store over the wait-free snapshot map: one writer
 // goroutine runs the full key lifecycle — create, update, delete,
 // re-create — while readers Get hot keys (two atomic loads when nothing
-// changed), poll a single key for changes with Values, and take atomic
-// multi-key Snapshots that are guaranteed to be a point-in-time view of
-// the whole store, never a torn mixture of before- and after-states.
+// changed), watch a single key for changes, and take atomic multi-key
+// Snapshots that are guaranteed to be a point-in-time view of the whole
+// store, never a torn mixture of before- and after-states. It exits
+// through log.Fatal if the watcher sees no value or an epoch go
+// backwards, or if a snapshot is torn.
 //
 //	go run ./examples/kvstore
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -41,30 +44,52 @@ func main() {
 		stop atomic.Bool
 	)
 
-	// Reader 1: polls one key with Values — each idle poll is a
-	// freshness probe (one to two atomic loads, no RMW, no decoding);
-	// deletion of the key ends the iteration with ErrKeyNotFound.
+	// Seed the pair (shadow first, see the auditor) so the watcher's
+	// first step finds a value.
+	if err := store.Set("session/alice-shadow", Session{User: "alice", Node: "n2"}); err != nil {
+		log.Fatal(err)
+	}
+	if err := store.Set("session/alice", Session{User: "alice", Node: "n1"}); err != nil {
+		log.Fatal(err)
+	}
+
+	// Reader 1: watches one key — parked between changes, woken by the
+	// key's publications and lifecycle only. It stops at the first
+	// deletion it observes; the writer's final deletion guarantees one.
 	watcher, err := store.NewReader()
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	watching := make(chan struct{}) // closed once the seed is observed
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer watcher.Close()
-		changes := 0
-		for s, err := range watcher.Values("session/alice", time.Millisecond) {
+		changes, last := 0, -1
+		for s, err := range watcher.Watch(ctx, "session/alice") {
+			if errors.Is(err, arcreg.ErrKeyNotFound) {
+				break
+			}
 			if err != nil {
-				if errors.Is(err, arcreg.ErrKeyNotFound) {
-					fmt.Printf("watcher: session/alice deleted after %d observed changes\n", changes)
-					return
-				}
 				log.Fatal(err)
 			}
+			if s.Epoch < last {
+				log.Fatalf("watcher: epoch went backwards %d → %d", last, s.Epoch)
+			}
+			if changes == 0 {
+				close(watching)
+			}
 			changes++
-			_ = s
+			last = s.Epoch
 		}
+		if changes == 0 {
+			log.Fatal("watcher: observed no value before the deletion")
+		}
+		fmt.Printf("watcher: session/alice deleted after %d observed changes (last epoch %d)\n", changes, last)
 	}()
+	<-watching
 
 	// Reader 2: takes periodic snapshots. The invariants checked below
 	// only hold because Snapshot is atomic across keys and shards: the

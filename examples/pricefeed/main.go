@@ -43,10 +43,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !feed.Caps().Watchable {
-		log.Fatal("pricefeed: map is not watchable")
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 

@@ -237,7 +237,6 @@ func (r *Register) Caps() register.Caps {
 		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
-		Watchable:     true,
 	}
 }
 

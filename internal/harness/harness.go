@@ -18,23 +18,19 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"arcreg/internal/affinity"
-	"arcreg/internal/arc"
+	"arcreg/internal/algs"
 	"arcreg/internal/history"
-	"arcreg/internal/leftright"
-	"arcreg/internal/lockreg"
 	"arcreg/internal/membuf"
 	"arcreg/internal/metrics"
 	"arcreg/internal/mnreg"
-	"arcreg/internal/peterson"
 	"arcreg/internal/register"
 	"arcreg/internal/regmap"
-	"arcreg/internal/rf"
-	"arcreg/internal/seqlock"
 	"arcreg/internal/steal"
 	"arcreg/internal/word"
 	"arcreg/internal/workload"
@@ -43,8 +39,11 @@ import (
 // Algorithm names a register implementation (or an ARC ablation variant).
 type Algorithm string
 
-// The benchmarkable algorithms. The two arc-no* variants are ablations of
-// the paper's optimizations, used by the ablation experiment only.
+// The benchmarkable algorithms: the (1,N) constructions of internal/algs
+// (whose table also holds their reader bounds and constructors), then
+// the (M,N) composites and the map, which are built here. The two
+// arc-no* variants are ablations of the paper's optimizations, used by
+// the ablation experiment only.
 const (
 	AlgARC       Algorithm = "arc"
 	AlgARCNoFast Algorithm = "arc-nofastpath"
@@ -74,36 +73,32 @@ func Algorithms() []Algorithm {
 	return []Algorithm{AlgARC, AlgRF, AlgPeterson, AlgLock}
 }
 
+// AlgorithmNames lists every name ParseAlgorithm accepts, in table
+// order, joined by "|".
+func AlgorithmNames() string {
+	return strings.Join(append(algs.Names(), string(AlgMN), string(AlgMNNoGate), string(AlgMap)), "|")
+}
+
 // ParseAlgorithm converts a CLI string.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch Algorithm(s) {
-	case AlgARC, AlgARCNoFast, AlgARCNoHint, AlgRF, AlgPeterson, AlgLock,
-		AlgSeqlock, AlgLeftRight, AlgMN, AlgMNNoGate, AlgMap:
-		return Algorithm(s), nil
+	a := Algorithm(s)
+	if _, ok := algs.Lookup(s); ok || a.IsMN() || a == AlgMap {
+		return a, nil
 	}
-	return "", fmt.Errorf("harness: unknown algorithm %q", s)
+	return "", fmt.Errorf("harness: unknown algorithm %q (want %s)", s, AlgorithmNames())
 }
 
 // IsMN reports whether the algorithm is an (M,N) composite variant.
 func (a Algorithm) IsMN() bool { return a == AlgMN || a == AlgMNNoGate }
 
 // MaxReaders reports the algorithm's architectural reader bound: 58 for
-// RF, 2³²−2 for the ARC variants, administrative limits for the rest.
+// RF, 2³²−2 for the ARC variants and everything built from ARC,
+// administrative limits for the rest.
 func (a Algorithm) MaxReaders() int {
-	switch a {
-	case AlgRF:
-		return rf.MaxReaders
-	case AlgPeterson:
-		return peterson.MaxReaders
-	case AlgLock:
-		return lockreg.MaxReaders
-	case AlgSeqlock:
-		return seqlock.MaxReaders
-	case AlgLeftRight:
-		return leftright.MaxReaders
-	default:
-		return int(word.ARCMaxReaders)
+	if e, ok := algs.Lookup(string(a)); ok {
+		return e.MaxReaders
 	}
+	return int(word.ARCMaxReaders)
 }
 
 // Caps reports the named algorithm's capability set (register.Caps).
@@ -143,29 +138,15 @@ func (a Algorithm) WaitFreeLabel() string {
 	return "-"
 }
 
-// NewRegister constructs the named register.
+// NewRegister constructs the named (1,N) register.
 func NewRegister(alg Algorithm, cfg register.Config) (register.Register, error) {
-	switch alg {
-	case AlgARC:
-		return arc.New(cfg, arc.Options{})
-	case AlgARCNoFast:
-		return arc.New(cfg, arc.Options{DisableFastPath: true})
-	case AlgARCNoHint:
-		return arc.New(cfg, arc.Options{DisableFreeHint: true})
-	case AlgRF:
-		return rf.New(cfg)
-	case AlgPeterson:
-		return peterson.New(cfg)
-	case AlgLock:
-		return lockreg.New(cfg)
-	case AlgSeqlock:
-		return seqlock.New(cfg)
-	case AlgLeftRight:
-		return leftright.New(cfg)
-	case AlgMap:
+	if alg == AlgMap {
 		return regmap.NewSingleKeyRegister(cfg)
 	}
-	return nil, fmt.Errorf("harness: unknown algorithm %q", alg)
+	if e, ok := algs.Lookup(string(alg)); ok {
+		return e.New(cfg, false)
+	}
+	return nil, fmt.Errorf("harness: no (1,N) register named %q", alg)
 }
 
 // RunConfig describes one measured deployment — one cell of a figure.

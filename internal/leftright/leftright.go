@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"arcreg/internal/membuf"
+	"arcreg/internal/notify"
 	"arcreg/internal/pad"
 	"arcreg/internal/register"
 )
@@ -55,6 +56,10 @@ type Register struct {
 	maxReaders   int
 	maxValueSize int
 	wstats       register.WriteStats
+	// notify announces each publication to parked watchers: one store
+	// plus one load of the (usually nil) gate pointer per Write, no RMW
+	// and no allocation while nobody is parked.
+	notify notify.Sequencer
 
 	mu          sync.Mutex
 	liveReaders int
@@ -140,8 +145,14 @@ func (r *Register) Write(p []byte) error {
 
 	r.sizes[lr] = copy(r.inst[lr], p)
 	r.wstats.Ops++
+	r.notify.Publish()
 	return nil
 }
+
+// Notifier returns the register's publication sequencer: its epoch
+// advances once per Write, after the new value is visible, and
+// watchers park on its gate.
+func (r *Register) Notifier() *notify.Sequencer { return &r.notify }
 
 // drain spins until indicator vi is empty (arrivals == departures).
 func (r *Register) drain(vi uint64) {

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"arcreg/internal/membuf"
+	"arcreg/internal/notify"
 	"arcreg/internal/register"
 	"arcreg/internal/spin"
 )
@@ -41,6 +42,10 @@ type Register struct {
 	maxValueSize int
 
 	wstats register.WriteStats
+	// notify announces each publication to parked watchers: one store
+	// plus one load of the (usually nil) gate pointer per Write, no RMW
+	// and no allocation while nobody is parked.
+	notify notify.Sequencer
 
 	mu          sync.Mutex
 	liveReaders int
@@ -111,8 +116,14 @@ func (r *Register) Write(p []byte) error {
 	r.wstats.LockSpins += spins
 	r.wstats.RMW += 2 // acquire CAS + release CAS (uncontended floor)
 	r.wstats.Ops++
+	r.notify.Publish()
 	return nil
 }
+
+// Notifier returns the register's publication sequencer: its epoch
+// advances once per Write, after the new value is visible, and
+// watchers park on its gate.
+func (r *Register) Notifier() *notify.Sequencer { return &r.notify }
 
 // Reader is a per-goroutine read endpoint.
 type Reader struct {

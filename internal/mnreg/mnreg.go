@@ -259,7 +259,6 @@ func (r *Register) Caps() register.Caps {
 		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
-		Watchable:     true,
 	}
 }
 

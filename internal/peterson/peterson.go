@@ -64,6 +64,7 @@ import (
 	"sync"
 
 	"arcreg/internal/membuf"
+	"arcreg/internal/notify"
 	"arcreg/internal/pad"
 	"arcreg/internal/register"
 )
@@ -93,6 +94,10 @@ type Register struct {
 	// Writer-local state.
 	seq    uint64 // last published version
 	wstats register.WriteStats
+	// notify announces each publication to parked watchers: one store
+	// plus one load of the (usually nil) gate pointer per Write, no RMW
+	// and no allocation while nobody is parked.
+	notify notify.Sequencer
 
 	mu      sync.Mutex
 	freeIDs []int
@@ -194,8 +199,14 @@ func (r *Register) Write(p []byte) error {
 		r.wstats.ScanSteps++
 	}
 	r.wstats.Ops++
+	r.notify.Publish()
 	return nil
 }
+
+// Notifier returns the register's publication sequencer: its epoch
+// advances once per Write, after the new value is visible, and
+// watchers park on its gate.
+func (r *Register) Notifier() *notify.Sequencer { return &r.notify }
 
 // Reader is a per-goroutine read endpoint.
 type Reader struct {

@@ -287,13 +287,6 @@ type Caps struct {
 	// Left-Right writes).
 	WaitFreeRead  bool
 	WaitFreeWrite bool
-	// Watchable: the register carries a publication sequencer
-	// (internal/notify), so watchers park on publications instead of
-	// polling — the facade's Watch/Changed surfaces are event-driven.
-	// Registers without it (every non-ARC baseline) degrade to the poll
-	// fallback. The sequencer costs the writer zero RMW instructions
-	// and zero allocations while no watcher is parked.
-	Watchable bool
 }
 
 // CapabilityReporter is implemented by registers that publish their

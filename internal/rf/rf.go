@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"arcreg/internal/membuf"
+	"arcreg/internal/notify"
 	"arcreg/internal/pad"
 	"arcreg/internal/register"
 	"arcreg/internal/word"
@@ -59,6 +60,10 @@ type Register struct {
 	trace  []uint32 // trace[i]: buffer reader i may still be reading
 	inUse  []bool   // scratch for the free-buffer scan
 	wstats register.WriteStats
+	// notify announces each publication to parked watchers: one store
+	// plus one load of the (usually nil) gate pointer per Write, no RMW
+	// and no allocation while nobody is parked.
+	notify notify.Sequencer
 
 	// Reader-id allocation.
 	mu      sync.Mutex
@@ -161,8 +166,14 @@ func (r *Register) Write(p []byte) error {
 	}
 	r.curIdx = idx
 	r.wstats.Ops++
+	r.notify.Publish()
 	return nil
 }
+
+// Notifier returns the register's publication sequencer: its epoch
+// advances once per Write, after the new value is visible, and
+// watchers park on its gate.
+func (r *Register) Notifier() *notify.Sequencer { return &r.notify }
 
 // findFreeBuffer returns a buffer that is neither published nor traced —
 // the O(N) scan that dominates RF's write cost.

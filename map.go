@@ -7,7 +7,6 @@ import (
 	"iter"
 	"reflect"
 	"runtime"
-	"time"
 
 	"arcreg/internal/regmap"
 )
@@ -57,12 +56,6 @@ type MapConfig struct {
 	// per-domain event rings threading publish→deliver spans, with zero
 	// RMW and zero allocation added to the instrumented hot paths.
 	Trace bool
-	// TraceRingEvents is the per-ring event capacity when Trace is set
-	// (default 1024, rounded up to a power of two).
-	TraceRingEvents int
-	// TraceLanes bounds the traced watch-session pool when Trace is set
-	// (default 64); sessions beyond it run untraced.
-	TraceLanes int
 }
 
 // MapReadStats counts a MapReader's work: Ops (Gets), FastPath (Gets
@@ -93,13 +86,11 @@ type Map struct {
 // New[[]byte](WithCodec(Raw())) for a single register.
 func NewByteMap(cfg MapConfig) (*Map, error) {
 	m, err := regmap.New(regmap.Config{
-		Shards:          cfg.Shards,
-		MaxReaders:      cfg.MaxReaders,
-		MaxValueSize:    cfg.MaxValueSize,
-		DynamicValues:   cfg.DynamicValues,
-		Trace:           cfg.Trace,
-		TraceRingEvents: cfg.TraceRingEvents,
-		TraceLanes:      cfg.TraceLanes,
+		Shards:        cfg.Shards,
+		MaxReaders:    cfg.MaxReaders,
+		MaxValueSize:  cfg.MaxValueSize,
+		DynamicValues: cfg.DynamicValues,
+		Trace:         cfg.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -151,7 +142,6 @@ func (m *Map) Caps() Caps {
 		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
-		Watchable:     true,
 	}
 }
 
@@ -341,13 +331,11 @@ func NewMap[T any](opts ...Option) (*MapOf[T], error) {
 		cfg.readers = runtime.GOMAXPROCS(0)
 	}
 	m, err := NewByteMap(MapConfig{
-		Shards:          cfg.shards,
-		MaxReaders:      cfg.readers,
-		MaxValueSize:    cfg.maxValueSize,
-		DynamicValues:   cfg.dynamicValues,
-		Trace:           cfg.trace,
-		TraceRingEvents: cfg.traceRings,
-		TraceLanes:      cfg.traceLanes,
+		Shards:        cfg.shards,
+		MaxReaders:    cfg.readers,
+		MaxValueSize:  cfg.maxValueSize,
+		DynamicValues: cfg.dynamicValues,
+		Trace:         cfg.trace,
 	})
 	if err != nil {
 		return nil, err
@@ -409,7 +397,8 @@ func (t *MapOf[T]) NewReader() (*MapOfReader[T], error) {
 
 // MapOfReader is a per-goroutine typed read endpoint with the full
 // capability surface of the byte reader: decoding reads, freshness
-// probes, enumeration, the atomic snapshot, and a Values poll iterator.
+// probes, enumeration, the atomic snapshot, and the Watch and WatchAll
+// change iterators.
 type MapOfReader[T any] struct {
 	r *MapReader
 	c Codec[T]
@@ -549,50 +538,6 @@ func (r *MapOfReader[T]) Snapshot() (map[string]T, error) {
 
 // ReadStats reports the handle's counters (see MapReader.ReadStats).
 func (r *MapOfReader[T]) ReadStats() MapReadStats { return r.r.ReadStats() }
-
-// Values returns a poll iterator over one key's publications: it yields
-// the value current when iteration starts, then every change it
-// observes, sleeping `every` between polls (0 yields the scheduler
-// instead). Between changes a poll is the map's freshness probe — one
-// to two atomic loads, no RMW, no decoding. Like all reads, polling
-// observes the freshest value: rapid successive Sets may be observed as
-// one change. If the key is deleted (or never existed), the iterator
-// yields (zero, ErrKeyNotFound) and stops; resume by ranging again
-// after the key reappears.
-//
-// Values owns the handle while it runs: do not touch the MapOfReader
-// from other goroutines (handles are single-goroutine, like every
-// reader in this package).
-func (r *MapOfReader[T]) Values(key string, every time.Duration) iter.Seq2[T, error] {
-	return func(yield func(T, error) bool) {
-		first := true
-		for {
-			// The Fresh probe gates the re-read; GetFresh's change report
-			// gates the decode and the yield, so directory churn on other
-			// keys of the shard cannot fabricate duplicate observations.
-			if first || !r.r.Fresh(key) {
-				raw, changed, err := r.r.GetFresh(key)
-				if err != nil {
-					var zero T
-					yield(zero, err)
-					return
-				}
-				if first || changed {
-					v, err := r.c.Decode(raw)
-					if !yield(v, err) || err != nil {
-						return
-					}
-					first = false
-				}
-			}
-			if every > 0 {
-				time.Sleep(every)
-			} else {
-				runtime.Gosched()
-			}
-		}
-	}
-}
 
 // Watch returns an iterator over one key's publications, decoded: the
 // typed counterpart of MapReader.Watch. It yields the value current

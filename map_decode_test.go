@@ -9,6 +9,7 @@ package arcreg_test
 // is of the old one.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -154,10 +155,11 @@ func TestMapOfDecodeCacheSideChannels(t *testing.T) {
 			return err
 		}},
 		{"values-step", func(rd *arcreg.MapOfReader[verItem]) error {
-			for _, err := range rd.Values("k", 0) {
+			// One step of the key's Watch stream: its first yield.
+			for _, err := range rd.Watch(context.Background(), "k") {
 				return err
 			}
-			return errors.New("Values yielded nothing")
+			return errors.New("Watch yielded nothing")
 		}},
 		{"snapshot", func(rd *arcreg.MapOfReader[verItem]) error {
 			_, err := rd.Snapshot()

@@ -2,9 +2,11 @@ package arcreg_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"arcreg"
 	"arcreg/internal/regmap"
@@ -401,61 +403,11 @@ func TestNewMapOptions(t *testing.T) {
 	}
 }
 
-// TestMapValuesPoll covers the per-key poll iterator: initial value,
-// observed changes in order, and termination on deletion.
-func TestMapValuesPoll(t *testing.T) {
-	tm, err := arcreg.NewMap[int](arcreg.WithReaders(2), arcreg.WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.Set("counter", 1); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := tm.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-
-	var seen []int
-	var pollErr error
-	next := 2
-	for v, err := range rd.Values("counter", 0) {
-		if err != nil {
-			pollErr = err
-			break
-		}
-		seen = append(seen, v)
-		if next <= 3 {
-			if err := tm.Set("counter", next); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		} else {
-			if err := tm.Delete("counter"); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !errors.Is(pollErr, arcreg.ErrKeyNotFound) {
-		t.Fatalf("poll ended with %v, want ErrKeyNotFound", pollErr)
-	}
-	want := []int{1, 2, 3}
-	if len(seen) != len(want) {
-		t.Fatalf("observed %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("observed %v, want %v", seen, want)
-		}
-	}
-}
-
-// TestMapValuesNoSpuriousYields pins the Values contract under
-// directory churn: creating, updating and deleting other keys on the
-// watched key's shard must not fabricate duplicate observations — the
-// iterator yields only real changes of its own key (GetFresh's change
-// report, not the shard-wide Fresh probe, gates the yield).
+// TestMapValuesNoSpuriousYields pins the typed per-key Watch contract
+// under directory churn: creating, updating and deleting other keys on
+// the watched key's shard wakes the watcher (it parks on the shard's
+// directory gate too) but must not fabricate duplicate observations —
+// the stream yields only real changes of its own key.
 func TestMapValuesNoSpuriousYields(t *testing.T) {
 	tm, err := arcreg.NewMap[int](arcreg.WithShards(1), arcreg.WithReaders(2))
 	if err != nil {
@@ -496,9 +448,11 @@ func TestMapValuesNoSpuriousYields(t *testing.T) {
 		}
 	}()
 
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var seen []int
 	var pollErr error
-	for v, err := range rd.Values("watched", 0) {
+	for v, err := range rd.Watch(ctx, "watched") {
 		if err != nil {
 			pollErr = err
 			break
@@ -512,7 +466,7 @@ func TestMapValuesNoSpuriousYields(t *testing.T) {
 		}
 	}
 	if !errors.Is(pollErr, arcreg.ErrKeyNotFound) {
-		t.Fatalf("poll ended with %v, want ErrKeyNotFound", pollErr)
+		t.Fatalf("watch ended with %v, want ErrKeyNotFound", pollErr)
 	}
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Fatalf("observed %v, want [1 2] — directory churn fabricated yields", seen)

@@ -208,3 +208,41 @@ func TestGuardNoWaiterPublishZeroAlloc(t *testing.T) {
 		t.Errorf("watcher ledger shows %d live watchers, want 0", got)
 	}
 }
+
+// TestGuardBaselineSetNoWatcher pins the sequencer's cost on the five
+// baselines: with no watcher a Set allocates nothing and leaves the
+// lazily allocated notify gate uninstalled.
+func TestGuardBaselineSetNoWatcher(t *testing.T) {
+	for _, alg := range facadeAlgs[1:] {
+		t.Run(alg.String(), func(t *testing.T) {
+			reg, err := arcreg.New[[]byte](
+				arcreg.WithAlgorithm(alg),
+				arcreg.WithCodec(arcreg.Raw()),
+				arcreg.WithReaders(2),
+				arcreg.WithMaxValueSize(1024),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := reg.NewWriter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			val := make([]byte, 1024)
+			if avg := testing.AllocsPerRun(2000, func() {
+				if err := w.Set(val); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("no-watcher Set allocates %.1f objects/op, want 0", avg)
+			}
+			seq := notifier(reg)
+			if seq.Gated() != nil {
+				t.Error("a Set with no watcher installed the notify gate")
+			}
+			if got := seq.Epoch(); got != 2001 {
+				t.Errorf("epoch = %d after 2001 Sets, want 2001", got)
+			}
+		})
+	}
+}

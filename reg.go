@@ -10,24 +10,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"arcreg/internal/arc"
+	"arcreg/internal/algs"
 	"arcreg/internal/codec"
-	"arcreg/internal/leftright"
-	"arcreg/internal/lockreg"
 	"arcreg/internal/mnreg"
 	"arcreg/internal/notify"
-	"arcreg/internal/peterson"
 	"arcreg/internal/register"
-	"arcreg/internal/rf"
-	"arcreg/internal/seqlock"
 )
 
 // AlgorithmID names one of the register constructions New can build.
 type AlgorithmID int
 
 // The register constructions, in the order the paper discusses them.
+// internal/algs' table lists them in the same order, with each one's
+// name, reader bound and constructor.
 const (
 	// ARC is Anonymous Readers Counting — the paper's algorithm and the
 	// default: wait-free constant-time reads (zero RMW when unchanged),
@@ -54,22 +50,13 @@ const (
 
 // String returns the harness/paper name of the algorithm.
 func (a AlgorithmID) String() string {
-	switch a {
-	case ARC:
-		return "arc"
-	case RF:
-		return "rf"
-	case Peterson:
-		return "peterson"
-	case Lock:
-		return "lock"
-	case Seqlock:
-		return "seqlock"
-	case LeftRight:
-		return "leftright"
+	if a.valid() {
+		return algs.Table[a].Name
 	}
 	return fmt.Sprintf("algorithm(%d)", int(a))
 }
+
+func (a AlgorithmID) valid() bool { return a >= 0 && int(a) < algs.Facade }
 
 // Caps declares which optional capabilities a register's handles
 // implement. New resolves it once at construction (see Reg.Caps), so
@@ -95,8 +82,6 @@ type config struct {
 	shards        int    // NewMap only
 	dynamicValues bool   // NewMap and the (1,N) ARC register
 	trace         bool   // NewMap only
-	traceRings    int    // NewMap only
-	traceLanes    int    // NewMap only
 }
 
 // Option configures New. Options that carry a typed payload
@@ -118,7 +103,9 @@ func WithWriters(m int) Option {
 }
 
 // WithReaders sets N, the number of concurrently live reader handles
-// (default GOMAXPROCS).
+// (default GOMAXPROCS, clamped to the algorithm's reader bound so
+// WithAlgorithm(RF) works out of the box on machines with more than 58
+// CPUs).
 func WithReaders(n int) Option {
 	return func(c *config) { c.readers = n }
 }
@@ -178,24 +165,10 @@ func WithDynamicValues() Option {
 // allocations to the hot paths it instruments — guard tests pin the
 // traced and untraced Get/Set instruction traces bit-identical — at
 // the cost of one clock read per publication and ~32 KiB of ring per
-// domain. Valid only for NewMap.
+// domain: 1,024 events per ring, and up to 64 concurrently traced watch
+// sessions (later sessions run untraced). Valid only for NewMap.
 func WithTrace() Option {
 	return func(c *config) { c.trace = true }
-}
-
-// WithTraceRings sets the flight recorder's per-ring event capacity
-// (default 1024, rounded up to a power of two) — the visible history
-// window per domain. Implies WithTrace. Valid only for NewMap.
-func WithTraceRings(events int) Option {
-	return func(c *config) { c.trace = true; c.traceRings = events }
-}
-
-// WithTraceLanes bounds the flight recorder's watcher-lane pool: the
-// maximum number of concurrently traced watch sessions (default 64).
-// Sessions beyond the bound run untraced rather than growing the pool.
-// Implies WithTrace. Valid only for NewMap.
-func WithTraceLanes(n int) Option {
-	return func(c *config) { c.trace = true; c.traceLanes = n }
 }
 
 // Reg is a typed multi-word atomic register: the unified handle New
@@ -223,9 +196,8 @@ type Reg[T any] struct {
 	stats     func() Stats
 
 	// epoch snapshots the publication epoch and gate returns the gate
-	// publications wake: ARC's sequencer or the (M,N) composite's. Both
-	// are nil without a sequencer (Caps.Watchable false); Watch and
-	// Changed then fall back to polling.
+	// publications wake: the (1,N) register's sequencer or the (M,N)
+	// composite's. Watch and Changed park on them.
 	epoch func() uint64
 	gate  func() *notify.Gate
 
@@ -261,8 +233,12 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if !cfg.alg.valid() {
+		return nil, fmt.Errorf("arcreg: unknown algorithm %s", cfg.alg)
+	}
+	alg := algs.Table[cfg.alg]
 	if cfg.readers == 0 {
-		cfg.readers = defaultReaders(cfg.alg)
+		cfg.readers = min(runtime.GOMAXPROCS(0), alg.MaxReaders)
 	}
 
 	// Resolve the codec.
@@ -314,7 +290,7 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 		return nil, errors.New("arcreg: WithShards applies to NewMap, not New")
 	}
 	if cfg.trace {
-		return nil, errors.New("arcreg: WithTrace/WithTraceRings/WithTraceLanes apply to NewMap, not New")
+		return nil, errors.New("arcreg: WithTrace applies to NewMap, not New")
 	}
 
 	r := &Reg[T]{c: cd, alg: cfg.alg, writers: cfg.writers}
@@ -351,87 +327,27 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 		return r, nil
 	}
 
-	rcfg := register.Config{MaxReaders: cfg.readers, MaxValueSize: cfg.maxValueSize, Initial: initial}
-	var (
-		reg Register
-		err error
-	)
-	switch cfg.alg {
-	case ARC:
-		reg, err = arc.New(rcfg, arc.Options{DynamicBuffers: cfg.dynamicValues})
-	case RF:
-		reg, err = rf.New(rcfg)
-	case Peterson:
-		reg, err = peterson.New(rcfg)
-	case Lock:
-		reg, err = lockreg.New(rcfg)
-	case Seqlock:
-		reg, err = seqlock.New(rcfg)
-	case LeftRight:
-		reg, err = leftright.New(rcfg)
-	default:
-		return nil, fmt.Errorf("arcreg: unknown algorithm %s", cfg.alg)
-	}
+	reg, err := alg.New(register.Config{MaxReaders: cfg.readers, MaxValueSize: cfg.maxValueSize, Initial: initial}, cfg.dynamicValues)
 	if err != nil {
 		return nil, err
 	}
 	r.reg = reg
-	r.caps = register.CapsOf(reg)
+	r.caps = reg.Caps()
 	r.readers, r.maxValueSize = reg.MaxReaders(), reg.MaxValueSize()
 	// Every (1,N) register's Writer is the register itself: one
 	// endpoint, one goroutine writing at a time.
 	r.newWriter = func() (Writer, error) { return reg.Writer(), nil }
 	r.newReader = reg.NewReader
+	seq := reg.Notifier()
+	r.epoch, r.gate = seq.Epoch, seq.Gate
 	if src, ok := reg.(StatsSource); ok {
 		r.stats = src.Stats
 	} else {
-		// Algorithms without live cells (RF, Peterson, the lock
-		// baselines) still report a root so the watcher aggregate has
-		// somewhere to hang.
-		r.stats = func() Stats { return Stats{Name: "register"} }
-	}
-	// Keep Caps.Watchable honest: a register that reports Watchable but
-	// exposes no sequencer is demoted to the poll fallback.
-	if sp, ok := reg.(sequencerProvider); ok {
-		seq := sp.Notifier()
-		r.epoch, r.gate = seq.Epoch, seq.Gate
-	} else {
-		r.caps.Watchable = false
+		// The baselines keep no live cells of their own: their root is
+		// the sequencer's node.
+		r.stats = func() Stats { return Stats{Name: "register", Children: []Stats{seq.Stats()}} }
 	}
 	return r, nil
-}
-
-// sequencerProvider is how watchable (1,N) registers expose their
-// publication sequencer (internal/arc implements it).
-type sequencerProvider interface {
-	Notifier() *notify.Sequencer
-}
-
-// defaultReaders is the WithReaders default: GOMAXPROCS (one handle per
-// goroutine), clamped to the algorithm's architectural reader bound so
-// New[T](WithAlgorithm(RF)) does not fail out of the box on machines
-// with more than 58 CPUs.
-func defaultReaders(alg AlgorithmID) int {
-	n := runtime.GOMAXPROCS(0)
-	var limit int
-	switch alg {
-	case RF:
-		limit = rf.MaxReaders
-	case Peterson:
-		limit = peterson.MaxReaders
-	case Lock:
-		limit = lockreg.MaxReaders
-	case Seqlock:
-		limit = seqlock.MaxReaders
-	case LeftRight:
-		limit = leftright.MaxReaders
-	default:
-		limit = MaxARCReaders
-	}
-	if n > limit {
-		n = limit
-	}
-	return n
 }
 
 // Algorithm reports which construction backs the register.
@@ -500,29 +416,28 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &TypedReader[T]{c: r.c, rd: rd, maxSize: r.maxValueSize}
-	if v, ok := rd.(Viewer); ok {
-		tr.viewer = v // decode straight from the slot, no copy
-	} else {
+	tr := &TypedReader[T]{c: r.c, rd: rd, reg: r}
+	tr.viewer, _ = rd.(Viewer)
+	// Get decodes straight from the slot only where a live view cannot
+	// hold the writer back: on the lock and Left-Right registers a view
+	// pins the read lock or reader indicator until the handle's next
+	// operation, so a reader that Gets once and idles would wedge every
+	// later Set. Those copy through Read, which releases before returning.
+	if tr.viewer == nil || !r.caps.WaitFreeWrite {
 		tr.buf = make([]byte, r.maxValueSize)
 	}
 	tr.prober, _ = rd.(FreshnessProber)
 	tr.fviewer, _ = rd.(register.FreshViewer)
 	tr.statr, _ = rd.(register.StatReader)
-	if r.epoch != nil {
-		tr.tracker = &r.watchTrack
-		tr.watchEpoch, tr.watchGate = r.epoch, r.gate
-	}
 	return tr, nil
 }
 
 // Changed returns a channel that is closed when the register publishes
 // a value after the call — the select-friendly change signal — or when
 // ctx is done (re-check ctx to tell the cases apart). Each call arms a
-// fresh one-shot signal that holds a waiting goroutine (and, on
-// non-watchable registers, a reader handle) until it fires or ctx is
-// cancelled — so re-arm only after the channel fires, keeping at most
-// one signal live per subscriber:
+// fresh one-shot signal that holds a waiting goroutine until it fires
+// or ctx is cancelled — so re-arm only after the channel fires, keeping
+// at most one signal live per subscriber:
 //
 //	ch := reg.Changed(ctx)
 //	for {
@@ -536,13 +451,10 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 //		}
 //	}
 //
-// On watchable registers (Caps.Watchable: ARC and the (M,N)
-// composition) the signal is event-driven — the waiting goroutine
-// parks on the publication sequencer and costs the writer nothing
-// while parked. Other algorithms fall back to a polling goroutine with
-// its own reader handle; if that handle cannot be allocated (reader
-// capacity exhausted) the channel closes immediately, which a caller
-// experiences as a spurious change.
+// The signal is event-driven on every algorithm: the waiting goroutine
+// parks on the publication sequencer, takes no reader handle, and costs
+// the writer nothing while parked. The epoch is snapshotted before
+// Changed returns, so a Set made right after the call fires it.
 func (r *Reg[T]) Changed(ctx context.Context) <-chan struct{} {
 	out := make(chan struct{})
 	// One-shot waits park directly on the source gate rather than
@@ -550,52 +462,10 @@ func (r *Reg[T]) Changed(ctx context.Context) <-chan struct{} {
 	// publication, so the subscribe/close lifecycle would cost more
 	// than the one broadcast it avoids. Sustained watchers (Watch /
 	// WatchAll iterators) are the ones that ride the wakeup tree.
-	if r.epoch != nil {
-		seen := r.epoch()
-		go func() {
-			defer close(out)
-			_, _ = notify.WaitEpoch(ctx, r.epoch, seen, nil, r.gate())
-		}()
-		return out
-	}
-	rd, err := r.NewReader()
-	if err != nil {
-		// Degrade to a throttled spurious change: the caller
-		// re-reads, and the delay keeps a capacity-exhausted caller
-		// from hot-spinning on immediately-closed channels.
-		go func() {
-			defer close(out)
-			select {
-			case <-ctx.Done():
-			case <-time.After(watchPollInterval):
-			}
-		}()
-		return out
-	}
-	// Establish the baseline synchronously: a Set landing right
-	// after Changed returns must flip the first poll, matching the
-	// watchable paths' epoch-snapshot-before-return ordering.
-	if _, _, err := rd.poll(true); err != nil {
-		rd.Close()
-		close(out)
-		return out
-	}
+	seen := r.epoch()
 	go func() {
 		defer close(out)
-		defer rd.Close()
-		timer := time.NewTimer(watchPollInterval)
-		defer timer.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-timer.C:
-			}
-			if _, changed, err := rd.poll(false); changed || err != nil {
-				return
-			}
-			timer.Reset(watchPollInterval)
-		}
+		_, _ = notify.WaitEpoch(ctx, r.epoch, seen, nil, r.gate())
 	}()
 	return out
 }
@@ -696,7 +566,7 @@ func (w *TypedWriter[T]) Close() error {
 // TypedReader is a per-goroutine typed read endpoint with the full
 // capability surface: decoding reads (Get), zero-copy byte views
 // (ViewBytes), freshness probing (Fresh), stats (ReadStats) and change
-// polling (Values). Capabilities the underlying register lacks degrade
+// delivery (Watch). Capabilities the underlying register lacks degrade
 // conservatively (see Caps) instead of requiring type assertions.
 type TypedReader[T any] struct {
 	c       Codec[T]
@@ -705,34 +575,24 @@ type TypedReader[T any] struct {
 	prober  FreshnessProber
 	fviewer register.FreshViewer
 	statr   register.StatReader
-	buf     []byte // copy-read scratch when the register cannot view
-	maxSize int
-
-	// Poll state for Values' byte-compare fallback on probe-less
-	// registers.
+	// buf is Get's copy-read scratch, allocated where Get must not
+	// decode from a view (see NewReader); nil means Get views.
+	buf []byte
+	// pollLast is the last value Watch yielded on registers with neither
+	// a freshness probe nor a combined probe-and-fetch, which compare
+	// copies instead.
 	pollLast []byte
-	pollBuf  []byte
-
-	// Parking hooks for Watch (nil on registers without a publication
-	// sequencer, which fall back to polling): watchEpoch snapshots the
-	// publication epoch and watchGate returns the gate publications
-	// wake. A parked Watch calls watchGate when it starts, so only a
-	// waiter installs the sequencer's lazy gate. Parked Watch iterators
-	// do not park on the gate directly — they subscribe a leaf of its
-	// wakeup tree (Gate.Fan) so 100k watchers never share one broadcast
-	// cohort. tracker is the owning Reg's
-	// watcher population; parked Watch iterators attach their ledger to
-	// it for the iteration's lifetime.
-	watchEpoch func() uint64
-	watchGate  func() *notify.Gate
-	tracker    *notify.Tracker
+	// reg is the owning register: Watch parks on its sequencer and
+	// attaches its ledger to reg's watcher population.
+	reg *Reg[T]
 }
 
 // Get returns the freshest value, decoding straight from the register
-// slot when the algorithm supports zero-copy views.
+// slot when the algorithm supports zero-copy views and the writer is
+// wait-free (Caps.WaitFreeWrite); otherwise it decodes a copy.
 func (r *TypedReader[T]) Get() (T, error) {
 	var zero T
-	if r.viewer != nil {
+	if r.buf == nil {
 		v, err := r.viewer.View()
 		if err != nil {
 			return zero, err
@@ -749,7 +609,8 @@ func (r *TypedReader[T]) Get() (T, error) {
 // ViewBytes returns a zero-copy view of the freshest encoded value, or
 // ErrNoView when the algorithm cannot expose one (Caps.ZeroCopyView).
 // The view is valid until this handle's next operation and must not be
-// modified.
+// modified. On registers whose writer is not wait-free (Lock,
+// LeftRight) a live view holds the writer back until then.
 func (r *TypedReader[T]) ViewBytes() ([]byte, error) {
 	if r.viewer != nil {
 		return r.viewer.View()
@@ -792,10 +653,6 @@ func (r *TypedReader[T]) Reader() Reader { return r.rd }
 // Close releases the handle.
 func (r *TypedReader[T]) Close() error { return r.rd.Close() }
 
-// watchPollInterval paces the poll fallback of Watch and Changed on
-// registers without a publication sequencer (Caps.Watchable false).
-const watchPollInterval = time.Millisecond
-
 // Watch returns an iterator over the register's publications: it
 // yields the value current when iteration starts, then every change it
 // observes, parking between changes instead of polling. Delivery is
@@ -805,11 +662,11 @@ const watchPollInterval = time.Millisecond
 // publishes and moves on; the watcher re-reads the freshest value when
 // it returns).
 //
-// On watchable registers (Caps.Watchable: ARC and the (M,N)
-// composition) an idle watcher costs nothing and wakes via the
-// publication sequencer; the writer's publish path stays RMW- and
-// allocation-free while the watcher is busy processing. Algorithms
-// without a sequencer degrade to polling every millisecond.
+// Every algorithm carries a publication sequencer: an idle watcher
+// costs nothing and wakes when the writer publishes, and the writer's
+// publish path stays RMW- and allocation-free while the watcher is busy
+// processing. A consumer that wants to pace itself sleeps in the loop
+// body; the next step yields the freshest value.
 //
 // The iterator ends when the consumer breaks, when ctx is done (the
 // final yield carries ctx's error), or when a read/decode error is
@@ -824,73 +681,22 @@ const watchPollInterval = time.Millisecond
 // from other goroutines (handles are single-goroutine, like every
 // reader in this package).
 func (r *TypedReader[T]) Watch(ctx context.Context) iter.Seq2[T, error] {
-	return r.watchSeq(ctx, watchPollInterval, true)
-}
-
-// Values returns a poll iterator over the register's publications: it
-// yields the value current when iteration starts, then every change it
-// observes, sleeping `every` between polls (0 yields the scheduler
-// instead of sleeping). Between changes a poll costs one freshness
-// probe — for ARC one atomic load, no RMW, no decoding; probe-less
-// algorithms (Caps.FreshProbe false) fall back to a copy-and-compare
-// poll. Like all reads, polling observes the freshest value: rapid
-// successive Sets may be observed as one change.
-//
-// Values is the polling compatibility shim over the Watch engine —
-// same yield semantics, fixed-interval pacing instead of parking, no
-// context. New code that wants change delivery should use Watch: it
-// reacts immediately, costs nothing while idle, and cancels cleanly.
-//
-// The iterator stops when the loop breaks or a read/decode error is
-// yielded:
-//
-//	for v, err := range rd.Values(time.Millisecond) {
-//		if err != nil { ... break or log ... }
-//		apply(v)
-//	}
-//
-// Values owns the handle while it runs: do not touch the TypedReader
-// from other goroutines (handles are single-goroutine, like every
-// reader in this package).
-func (r *TypedReader[T]) Values(every time.Duration) iter.Seq2[T, error] {
-	return r.watchSeq(context.Background(), every, false)
-}
-
-// watchSeq is the one change-delivery engine under Watch and Values:
-// read, yield on change, then either park on the publication sequencer
-// (park, on watchable registers) or pace by sleeping `every`.
-func (r *TypedReader[T]) watchSeq(ctx context.Context, every time.Duration, park bool) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		var zero T
-		first := true
-		parked := park && r.watchEpoch != nil && r.watchGate != nil
 		// The watcher's backpressure ledger, framed by the register's
-		// publication epoch. Attached to the Reg's tracker for the
-		// iteration's lifetime (lifecycle edges only, never per-event);
-		// polling iterators have no epoch frame and record nothing.
-		var ws *notify.WatchStats
-		// Parked iterators subscribe a leaf of the gate's wakeup tree
-		// for the iteration's lifetime: wakeup cohorts stay bounded at
-		// watchers/leaves however many Watch sessions are live, and the
-		// publisher never pays a close that scales with them. Both are
-		// lifecycle edges, like the tracker attach.
-		var sub *notify.Sub
-		if parked {
-			ws = &notify.WatchStats{}
-			if r.tracker != nil {
-				r.tracker.Attach(ws)
-				defer r.tracker.Detach(ws)
-			}
-			sub = r.watchGate().Fan(notify.DefaultFanArity, notify.DefaultFanDepth).Subscribe()
-			defer sub.Close()
-		}
-		var timer *time.Timer // lazily created, reused across poll rounds
-		defer func() {
-			if timer != nil {
-				timer.Stop()
-			}
-		}()
-		for {
+		// publication epoch and attached to the Reg's tracker for the
+		// iteration's lifetime (lifecycle edges only, never per-event).
+		ws := &notify.WatchStats{}
+		r.reg.watchTrack.Attach(ws)
+		defer r.reg.watchTrack.Detach(ws)
+		// Subscribe a leaf of the gate's wakeup tree for the iteration's
+		// lifetime: wakeup cohorts stay bounded at watchers/leaves however
+		// many Watch sessions are live, and the publisher never pays a
+		// close that scales with them. Starting a Watch is what installs
+		// the sequencer's lazy gate.
+		sub := r.reg.gate().Fan(notify.DefaultFanArity, notify.DefaultFanDepth).Subscribe()
+		defer sub.Close()
+		for first := true; ; first = false {
 			if err := ctx.Err(); err != nil {
 				yield(zero, err)
 				return
@@ -899,61 +705,34 @@ func (r *TypedReader[T]) watchSeq(ctx context.Context, every time.Duration, park
 			// racing the read either lands in it or moves the epoch past
 			// the snapshot and makes the wait return immediately —
 			// at-least-once, never a lost change.
-			var seen uint64
-			if parked {
-				seen = r.watchEpoch()
-				ws.NoteSeen(seen)
-			}
+			seen := r.reg.epoch()
+			ws.NoteSeen(seen)
 			v, changed, err := r.poll(first)
 			if err != nil {
 				yield(zero, err)
 				return
 			}
-			if changed || first {
+			if changed {
 				if !yield(v, nil) {
 					return
 				}
-				if parked {
-					ws.NoteDelivered(seen)
-				}
-			} else if parked {
+				ws.NoteDelivered(seen)
+			} else {
 				// The poll proved we are current as of seen: advance the
 				// observed frame without counting a delivery.
 				ws.NoteObserved(seen)
 			}
-			first = false
-			switch {
-			case parked:
-				if _, err := notify.WaitEpoch(ctx, r.watchEpoch, seen, ws, sub.Gate()); err != nil {
-					yield(zero, err)
-					return
-				}
-			case every > 0:
-				if ctx.Done() == nil {
-					time.Sleep(every)
-				} else {
-					if timer == nil {
-						timer = time.NewTimer(every)
-					} else {
-						timer.Reset(every)
-					}
-					select {
-					case <-timer.C:
-					case <-ctx.Done():
-						// go ≥ 1.23 timer semantics: Stop without
-						// draining; Reset is safe regardless.
-						timer.Stop()
-					}
-				}
-			default:
-				runtime.Gosched()
+			if _, err := notify.WaitEpoch(ctx, r.reg.epoch, seen, ws, sub.Gate()); err != nil {
+				yield(zero, err)
+				return
 			}
 		}
 	}
 }
 
-// poll performs one Values step: report whether a new publication is
-// visible and decode it if so.
+// poll performs one Watch step: report whether a publication other
+// than the last one yielded is visible, and decode it if so. The first
+// step always reports a change.
 func (r *TypedReader[T]) poll(first bool) (v T, changed bool, err error) {
 	var zero T
 	switch {
@@ -969,29 +748,24 @@ func (r *TypedReader[T]) poll(first bool) (v T, changed bool, err error) {
 		v, err := r.c.Decode(view)
 		return v, true, err
 	case r.prober != nil:
-		// Probe, then fetch only on change (ARC/RF probes are exact).
+		// Probe, then fetch only on change (RF's probe is exact).
 		if !first && r.prober.Fresh() {
 			return zero, false, nil
 		}
 		v, err := r.Get()
 		return v, err == nil, err
 	default:
-		// Copy-and-compare fallback for probe-less registers. Always a
-		// copying Read: a zero-copy view would stay pinned across the
-		// inter-poll sleep, and on the lock and Left-Right registers a
-		// pinned view blocks the writer.
-		if r.pollBuf == nil {
-			if r.buf != nil {
-				r.pollBuf = r.buf // no-viewer handles already own a scratch
-			} else {
-				r.pollBuf = make([]byte, r.maxSize)
-			}
-		}
-		n, err := r.rd.Read(r.pollBuf)
+		// Copy-and-compare for probe-less registers (Peterson, seqlock,
+		// lock, Left-Right), into the buf NewReader gave each of them
+		// (none both views and has a wait-free writer). Always a copying
+		// Read: a zero-copy view would stay pinned while the watcher
+		// parks, and on the lock and Left-Right registers a pinned view
+		// blocks the writer.
+		n, err := r.rd.Read(r.buf)
 		if err != nil {
 			return zero, false, err
 		}
-		cur := r.pollBuf[:n]
+		cur := r.buf[:n]
 		if !first && bytes.Equal(cur, r.pollLast) {
 			return zero, false, nil
 		}

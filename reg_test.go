@@ -1,7 +1,7 @@
 package arcreg_test
 
 // Tests for the generics-first facade: New's option handling, the
-// capability-complete handles, the Values poll iterator — and the full
+// capability-complete handles, the values Watch delivers — and the full
 // regtest conformance battery run THROUGH the typed handles (New +
 // Raw codec + TypedWriter/TypedReader adapted back to the byte
 // contract), so the facade plumbing is held to exactly the same
@@ -9,6 +9,7 @@ package arcreg_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -358,21 +359,29 @@ func TestFacadeInitial(t *testing.T) {
 	}
 }
 
-// TestFacadeValues exercises the poll iterator on the probe path (ARC),
-// the copy-and-compare fallback (Peterson, seqlock), and the composite
-// probe (MN): it must yield the initial value, observe the final write,
-// and never yield a duplicate of an unchanged publication.
+// watchShapes is every register shape Watch serves: the six (1,N)
+// algorithms and the (M,N) composition.
+var watchShapes = []struct {
+	name string
+	opts []arcreg.Option
+}{
+	{"arc", nil},
+	{"rf", []arcreg.Option{arcreg.WithAlgorithm(arcreg.RF)}},
+	{"peterson", []arcreg.Option{arcreg.WithAlgorithm(arcreg.Peterson)}},
+	{"lock", []arcreg.Option{arcreg.WithAlgorithm(arcreg.Lock)}},
+	{"seqlock", []arcreg.Option{arcreg.WithAlgorithm(arcreg.Seqlock)}},
+	{"leftright", []arcreg.Option{arcreg.WithAlgorithm(arcreg.LeftRight)}},
+	{"mn", []arcreg.Option{arcreg.WithWriters(2)}},
+}
+
+// TestFacadeValues pins the values Watch delivers on every shape, over
+// each post-wake change check — the combined probe-and-fetch (ARC,
+// (M,N)), the probe (RF) and copy-and-compare (Peterson, seqlock, lock,
+// Left-Right): it must yield the initial value, then values that never
+// go backwards, never the same publication twice in a row, ending at
+// the final write.
 func TestFacadeValues(t *testing.T) {
-	shapes := []struct {
-		name string
-		opts []arcreg.Option
-	}{
-		{"arc", nil},
-		{"peterson", []arcreg.Option{arcreg.WithAlgorithm(arcreg.Peterson)}},
-		{"seqlock", []arcreg.Option{arcreg.WithAlgorithm(arcreg.Seqlock)}},
-		{"mn", []arcreg.Option{arcreg.WithWriters(2)}},
-	}
-	for _, shape := range shapes {
+	for _, shape := range watchShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			const final = 20
 			opts := append([]arcreg.Option{arcreg.WithReaders(2)}, shape.opts...)
@@ -386,10 +395,13 @@ func TestFacadeValues(t *testing.T) {
 			}
 			defer rd.Close()
 
+			start := make(chan struct{})
+			publish := sync.OnceFunc(func() { close(start) })
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-start
 				for i := 1; i <= final; i++ {
 					if err := reg.Set(i); err != nil {
 						t.Errorf("Set(%d): %v", i, err)
@@ -399,35 +411,39 @@ func TestFacadeValues(t *testing.T) {
 				}
 			}()
 
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
 			var got []int
-			deadline := time.Now().Add(10 * time.Second)
-			for v, err := range rd.Values(10 * time.Microsecond) {
+			for v, err := range rd.Watch(ctx) {
 				if err != nil {
-					t.Fatalf("Values: %v", err)
+					t.Errorf("Watch after %v: %v", got, err)
+					break
 				}
 				got = append(got, v)
-				if v == final || time.Now().After(deadline) {
+				publish() // the initial value is in
+				if v == final {
 					break
 				}
 			}
+			publish()
 			wg.Wait()
-			if len(got) == 0 || got[len(got)-1] != final {
-				t.Fatalf("Values ended at %v, want trailing %d", got, final)
+			if len(got) == 0 || got[0] != 0 || got[len(got)-1] != final {
+				t.Fatalf("Watch yielded %v, want 0 first and %d last", got, final)
 			}
 			for i := 1; i < len(got); i++ {
 				if got[i] < got[i-1] {
-					t.Fatalf("Values regressed: %v", got)
+					t.Fatalf("Watch regressed: %v", got)
 				}
 				if got[i] == got[i-1] {
-					t.Fatalf("Values yielded unchanged publication twice: %v", got)
+					t.Fatalf("Watch yielded unchanged publication twice: %v", got)
 				}
 			}
 		})
 	}
 }
 
-// TestFacadeValuesStopsOnBreak: breaking the range loop terminates the
-// iterator promptly (the yield false path).
+// TestFacadeValuesStopsOnBreak: breaking the range loop over Watch
+// terminates the iterator promptly (the yield false path).
 func TestFacadeValuesStopsOnBreak(t *testing.T) {
 	reg, err := arcreg.New[int](arcreg.WithReaders(1))
 	if err != nil {
@@ -439,7 +455,7 @@ func TestFacadeValuesStopsOnBreak(t *testing.T) {
 	}
 	defer rd.Close()
 	n := 0
-	for range rd.Values(0) {
+	for range rd.Watch(context.Background()) {
 		n++
 		break
 	}
@@ -534,10 +550,27 @@ func TestFacadeSetRecoversAfterWriterRelease(t *testing.T) {
 	}
 }
 
-// TestFacadeValuesDoesNotPinViews: Values' fallback poll must not hold
-// a zero-copy view across its inter-poll sleep — on the lock and
-// Left-Right registers a pinned view blocks the writer for the whole
-// poll interval.
+// setWithin runs reg.Set(v) and fails the test if it has not returned
+// within d — a pinned view on the lock and Left-Right registers blocks
+// the writer with no time limit, so the Set runs in its own goroutine.
+func setWithin(t *testing.T, reg *arcreg.Reg[int], v int, d time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- reg.Set(v) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Set(%d) still blocked after %v: a reader handle pins a view", v, d)
+	}
+}
+
+// TestFacadeValuesDoesNotPinViews: on the lock and Left-Right registers
+// a Watch parked between changes must hold no view — a pinned read lock
+// or reader indicator would block the writer for as long as the watcher
+// stays parked.
 func TestFacadeValuesDoesNotPinViews(t *testing.T) {
 	for _, alg := range []arcreg.AlgorithmID{arcreg.Lock, arcreg.LeftRight} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -552,28 +585,56 @@ func TestFacadeValuesDoesNotPinViews(t *testing.T) {
 			}
 			defer rd.Close()
 
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			first := make(chan struct{})
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				for v, err := range rd.Values(400 * time.Millisecond) {
+				for v, err := range rd.Watch(ctx) {
 					if err != nil {
-						t.Errorf("Values: %v", err)
+						t.Errorf("Watch: %v", err)
 						return
+					}
+					if v == 0 {
+						close(first)
 					}
 					if v == 7 {
 						return
 					}
 				}
 			}()
-			time.Sleep(20 * time.Millisecond) // iterator is now mid-sleep
-			start := time.Now()
-			if err := reg.Set(7); err != nil {
+			<-first
+			time.Sleep(20 * time.Millisecond) // the watcher is now parked
+			setWithin(t, reg, 7, time.Second)
+			<-done
+		})
+	}
+}
+
+// TestFacadeGetThenSet: a reader that Gets once and then idles must not
+// hold the writer back on any algorithm. On the lock and Left-Right
+// registers a Get decoded from a view would keep the read lock or
+// reader indicator until the handle's next operation.
+func TestFacadeGetThenSet(t *testing.T) {
+	for _, alg := range facadeAlgs {
+		t.Run(alg.String(), func(t *testing.T) {
+			reg, err := arcreg.New[int](arcreg.WithAlgorithm(alg), arcreg.WithReaders(1))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if d := time.Since(start); d > 200*time.Millisecond {
-				t.Errorf("Set blocked %v behind the poll interval — view pinned across the sleep", d)
+			rd, err := reg.NewReader()
+			if err != nil {
+				t.Fatal(err)
 			}
-			<-done
+			defer rd.Close()
+			if _, err := rd.Get(); err != nil {
+				t.Fatal(err)
+			}
+			setWithin(t, reg, 1, time.Second)
+			if v, err := rd.Get(); err != nil || v != 1 {
+				t.Fatalf("Get after Set = %d, %v; want 1", v, err)
+			}
 		})
 	}
 }

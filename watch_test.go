@@ -1,10 +1,11 @@
 package arcreg_test
 
 // Facade-level tests for the watch subsystem: event-driven Watch and
-// Changed across the (1,N), (M,N) and map shapes, the poll fallback on
-// non-watchable algorithms, goroutine hygiene after cancellation, and
-// the benchmark pair asserting that an idle watcher costs the writer
-// nothing (BenchmarkSet vs BenchmarkSetWithWatcherIdle).
+// Changed across the (1,N) algorithms, the (M,N) and map shapes — one
+// delivery path, the publication sequencer every register carries —
+// goroutine hygiene after cancellation, and the benchmark pair
+// asserting that an idle watcher costs the writer nothing (BenchmarkSet
+// vs BenchmarkSetWithWatcherIdle).
 
 import (
 	"context"
@@ -64,9 +65,6 @@ func TestWatchDeliversEveryChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reg.Caps().Watchable {
-		t.Fatal("ARC register must be watchable")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ch, err := collectWatch(reg, ctx)
 	if err != nil {
@@ -95,48 +93,62 @@ func TestWatchDeliversEveryChange(t *testing.T) {
 	}
 }
 
-// TestWatchGateInstalledByWatchOnly: a typed register reader leaves
-// the sequencer's lazily allocated gate uninstalled through NewReader,
-// Get and Stats; the first parked Watch installs it and delivers.
+// notifier returns the publication sequencer under a (1,N) register.
+func notifier[T any](reg *arcreg.Reg[T]) *notify.Sequencer {
+	return reg.Register().(interface{ Notifier() *notify.Sequencer }).Notifier()
+}
+
+// TestWatchGateInstalledByWatchOnly: on every algorithm a typed
+// register reader leaves the sequencer's lazily allocated gate
+// uninstalled through NewReader, Get and Stats; the first parked Watch
+// installs it, delivers, and ends on cancellation with ctx's error.
 func TestWatchGateInstalledByWatchOnly(t *testing.T) {
-	reg, err := arcreg.New[int](arcreg.WithReaders(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := reg.Register().(interface{ Notifier() *notify.Sequencer }).Notifier()
-	rd, err := reg.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	if _, err := rd.Get(); err != nil {
-		t.Fatal(err)
-	}
-	reg.Stats()
-	if seq.Gated() != nil {
-		t.Fatal("NewReader, Get or Stats installed the notify gate")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := collectWatch(reg, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cancel()
-		for range ch {
-		}
-	}()
-	if ev := nextTick(t, ch); ev.err != nil || ev.v != 0 {
-		t.Fatalf("initial event = %+v, want zero value", ev)
-	}
-	if seq.Gated() == nil {
-		t.Fatal("a parked Watch did not install the notify gate")
-	}
-	if err := reg.Set(1); err != nil {
-		t.Fatal(err)
-	}
-	if ev := nextTick(t, ch); ev.err != nil || ev.v != 1 {
-		t.Fatalf("event after Set = %+v, want 1", ev)
+	for _, alg := range facadeAlgs {
+		t.Run(alg.String(), func(t *testing.T) {
+			reg, err := arcreg.New[int](arcreg.WithAlgorithm(alg), arcreg.WithReaders(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := notifier(reg)
+			rd, err := reg.NewReader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			if _, err := rd.Get(); err != nil {
+				t.Fatal(err)
+			}
+			reg.Stats()
+			if seq.Gated() != nil {
+				t.Fatal("NewReader, Get or Stats installed the notify gate")
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			ch, err := collectWatch(reg, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				cancel()
+				for range ch {
+				}
+			}()
+			if ev := nextTick(t, ch); ev.err != nil || ev.v != 0 {
+				t.Fatalf("initial event = %+v, want zero value", ev)
+			}
+			if seq.Gated() == nil {
+				t.Fatal("a parked Watch did not install the notify gate")
+			}
+			if err := reg.Set(1); err != nil {
+				t.Fatal(err)
+			}
+			if ev := nextTick(t, ch); ev.err != nil || ev.v != 1 {
+				t.Fatalf("event after Set = %+v, want 1", ev)
+			}
+			cancel()
+			if ev := nextTick(t, ch); !errors.Is(ev.err, context.Canceled) {
+				t.Fatalf("terminal event = %+v, want context.Canceled", ev)
+			}
+		})
 	}
 }
 
@@ -190,9 +202,6 @@ func TestWatchMN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reg.Caps().Watchable {
-		t.Fatal("(M,N) register must be watchable")
-	}
 	w1, err := reg.NewWriter()
 	if err != nil {
 		t.Fatal(err)
@@ -225,12 +234,14 @@ func TestWatchMN(t *testing.T) {
 	}
 }
 
-// TestWatchMNDecodesOncePerYield: over (M,N), Watch and Values decode
-// exactly once per yielded value and never yield one publication twice
-// in a row, while two writers publish concurrently. A publish that loses
-// the tag argmax fails the composite's conservative freshness probe;
-// the tag-confirmed ViewFresh reports it unchanged, so it costs neither
-// a decode nor a repeated yield.
+// TestWatchMNDecodesOncePerYield: over (M,N), Watch decodes exactly
+// once per yielded value and never yields one publication twice in a
+// row, while two writers publish concurrently — both for a consumer
+// that keeps up and for one that paces itself with a sleep in the loop
+// body ("values"). A publish that loses the tag argmax fails the
+// composite's conservative freshness probe; the tag-confirmed ViewFresh
+// reports it unchanged, so it costs neither a decode nor a repeated
+// yield.
 func TestWatchMNDecodesOncePerYield(t *testing.T) {
 	for _, mode := range []string{"watch", "values"} {
 		t.Run(mode, func(t *testing.T) {
@@ -254,10 +265,6 @@ func TestWatchMNDecodesOncePerYield(t *testing.T) {
 			defer rd.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
-			seq := rd.Watch(ctx)
-			if mode == "values" {
-				seq = rd.Values(20 * time.Microsecond)
-			}
 
 			// Both writers publish distinct values at once; when both are
 			// done, "end" outbids every tag, so it must be yielded.
@@ -285,7 +292,7 @@ func TestWatchMNDecodesOncePerYield(t *testing.T) {
 
 			var yields int64
 			prev := ""
-			for v, err := range seq {
+			for v, err := range rd.Watch(ctx) {
 				if err != nil {
 					t.Fatalf("after %d yields: %v", yields, err)
 				}
@@ -297,47 +304,15 @@ func TestWatchMNDecodesOncePerYield(t *testing.T) {
 				if v == "end" {
 					break
 				}
+				if mode == "values" {
+					time.Sleep(20 * time.Microsecond)
+				}
 			}
 			<-published
 			if got := cd.decodes.Load(); got != yields {
 				t.Fatalf("%d decodes for %d yields", got, yields)
 			}
 		})
-	}
-}
-
-// TestWatchPollFallback: a non-watchable algorithm (the lock register)
-// still delivers changes through Watch, via the poll fallback, and
-// honors cancellation.
-func TestWatchPollFallback(t *testing.T) {
-	reg, err := arcreg.New[int](arcreg.WithAlgorithm(arcreg.Lock), arcreg.WithReaders(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Caps().Watchable {
-		t.Fatal("lock register must not report Watchable")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := collectWatch(reg, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cancel()
-		for range ch {
-		}
-	}()
-	nextTick(t, ch) // initial zero
-	if err := reg.Set(7); err != nil {
-		t.Fatal(err)
-	}
-	if ev := nextTick(t, ch); ev.err != nil || ev.v != 7 {
-		t.Fatalf("fallback event = %+v, want 7", ev)
-	}
-	cancel()
-	ev := nextTick(t, ch)
-	if !errors.Is(ev.err, context.Canceled) {
-		t.Fatalf("terminal event = %+v, want context.Canceled", ev)
 	}
 }
 
@@ -374,33 +349,45 @@ func TestChangedSignal(t *testing.T) {
 	}
 }
 
-// TestChangedPollFallback: Changed on a non-watchable register signals
-// through the poll fallback — including a Set that lands immediately
-// after the call returns (the baseline is established synchronously,
-// so no pre-goroutine publication can be absorbed silently).
-func TestChangedPollFallback(t *testing.T) {
-	reg, err := arcreg.New[int](arcreg.WithAlgorithm(arcreg.Lock), arcreg.WithReaders(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 1; i <= 3; i++ {
-		ch := reg.Changed(ctx)
-		if err := reg.Set(i); err != nil { // immediately after the call
-			t.Fatal(err)
-		}
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("round %d: fallback Changed never fired", i)
-		}
-	}
-	cancel()
-	select {
-	case <-reg.Changed(ctx): // cancelled ctx: must still close
-	case <-time.After(10 * time.Second):
-		t.Fatal("fallback Changed did not close on cancelled context")
+// TestChangedEveryAlgorithm: on every shape Changed fires on a Set
+// made right after it returns (the epoch is snapshotted before the
+// return), closes on a cancelled context, and needs no reader handle:
+// the only reader slot stays held throughout.
+func TestChangedEveryAlgorithm(t *testing.T) {
+	for _, shape := range watchShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			reg, err := arcreg.New[int](append([]arcreg.Option{arcreg.WithReaders(1)}, shape.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := reg.NewReader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			for i := 1; i <= 3; i++ {
+				ch := reg.Changed(ctx)
+				if err := reg.Set(i); err != nil { // immediately after the call
+					t.Fatal(err)
+				}
+				select {
+				case <-ch:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("round %d: Changed never fired", i)
+				}
+				if v, err := rd.Get(); err != nil || v != i {
+					t.Fatalf("round %d: Get = %d, %v", i, v, err)
+				}
+			}
+			cancel()
+			select {
+			case <-reg.Changed(ctx): // cancelled ctx: must still close
+			case <-time.After(10 * time.Second):
+				t.Fatal("Changed did not close on a cancelled context")
+			}
+		})
 	}
 }
 
@@ -438,38 +425,6 @@ func TestWatchGoroutineHygiene(t *testing.T) {
 				before, n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestWatchableCapsPerAlgorithm pins which constructions promise the
-// event-driven watch path.
-func TestWatchableCapsPerAlgorithm(t *testing.T) {
-	cases := []struct {
-		alg  arcreg.AlgorithmID
-		want bool
-	}{
-		{arcreg.ARC, true},
-		{arcreg.RF, false},
-		{arcreg.Peterson, false},
-		{arcreg.Lock, false},
-		{arcreg.Seqlock, false},
-		{arcreg.LeftRight, false},
-	}
-	for _, tc := range cases {
-		reg, err := arcreg.New[int](arcreg.WithAlgorithm(tc.alg), arcreg.WithReaders(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reg.Caps().Watchable; got != tc.want {
-			t.Errorf("%s: Caps.Watchable = %v, want %v", tc.alg, got, tc.want)
-		}
-	}
-	m, err := arcreg.NewMap[int]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Caps().Watchable {
-		t.Error("map: Caps.Watchable = false, want true")
 	}
 }
 
