@@ -113,11 +113,14 @@ type Options struct {
 	// each buffer made up by the amount of bytes fitting the size of the
 	// register value … could be employed." Each write allocates an
 	// exact-size buffer instead of copying into the pre-allocated
-	// MaxValueSize one, so memory scales with the live values rather than
-	// with (N+2)·MaxValueSize. Old buffers are reclaimed by the garbage
-	// collector, which also makes stale views safe indefinitely (they
-	// alias buffers no writer will ever touch again). The price is one
-	// allocation per write.
+	// MaxValueSize one, and W3 releases the retired slot's buffer when
+	// no reader acquired the slot while it was current. A register so
+	// keeps at most the current buffer, those of slots readers hold, and
+	// those of freed slots not yet reused, rather than one per slot.
+	// Replaced and released buffers are reclaimed by the garbage
+	// collector once no view holds them, which also makes stale views
+	// safe indefinitely (they alias buffers no writer will ever touch
+	// again). The price is one allocation per write.
 	DynamicBuffers bool
 }
 
@@ -326,8 +329,9 @@ func (r *Register) write(p []byte, stamp int64, owned bool) error {
 	s := &r.slots[idx]
 	if r.opts.DynamicBuffers {
 		// §3.3 variant: an exact-size buffer per write. The previous
-		// buffer is unreferenced by the protocol once the slot was freed;
-		// the GC reclaims it when the last stale view drops it.
+		// buffer (if W3 did not already drop it) is unreferenced by the
+		// protocol once the slot was freed; the GC reclaims it when the
+		// last stale view drops it.
 		if owned {
 			s.content = p[:len(p):len(p)]
 		} else {
@@ -343,10 +347,20 @@ func (r *Register) write(p []byte, stamp int64, owned bool) error {
 	// slot's index and its final presence count.
 	old := r.current.Swap(word.PublishWord(idx))
 	r.wstats.RMW++
-	oldSlot := word.CurrentIndex(old)
+	oldSlot, readers := word.CurrentIndex(old), word.CurrentCounter(old)
 	// W3: freeze the presence count into the retired slot. From here the
 	// slot is free exactly when its readers have all released it.
-	r.slots[oldSlot].rStart.Store(uint64(word.CurrentCounter(old)))
+	r.slots[oldSlot].rStart.Store(uint64(readers))
+	if readers == 0 && r.opts.DynamicBuffers {
+		// §3.3 buffer release: nobody acquired the retired slot during
+		// its publication, and only a reader holding a slot loads its
+		// content (the R2 fast path and R5), so no reader can reach this
+		// buffer again. The swap's count is the one to trust: a count
+		// loaded before it would miss an R4 landing just ahead of the
+		// swap (internal/model's drop-stale-count mutant). Views taken
+		// earlier keep the buffer alive for the GC on their own.
+		r.slots[oldSlot].content = nil
+	}
 	r.lastSlot = idx
 	r.wstats.Ops++
 	// Flight recorder: one StagePublish event per traced write, after

@@ -100,6 +100,60 @@ func TestDynamicStaleViewImmortal(t *testing.T) {
 	}
 }
 
+// liveBuffers counts the register's slots that still hold a value buffer.
+func liveBuffers(r *Register) int {
+	n := 0
+	for i := range r.slots {
+		if r.slots[i].content != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// W3 releases a retired slot's buffer when no reader acquired the slot,
+// so buffers live only where a reader can reach them: written with no
+// reads, a register keeps the current buffer alone; with one reader
+// parked on a retired slot, that slot's buffer too. Keeping each slot's
+// last buffer until reuse would hold all N+2.
+func TestDynamicBufferRetention(t *testing.T) {
+	const readers, writes = 4, 20
+	r := newDyn(t, readers, 64)
+	write := func(i uint64) {
+		t.Helper()
+		buf := make([]byte, 64)
+		membuf.Encode(buf, i)
+		if err := r.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(1); i <= writes; i++ {
+		write(i)
+	}
+	if n := liveBuffers(r); n != 1 {
+		t.Fatalf("after %d unread writes %d of %d slots hold a buffer, want 1", writes, n, r.SlotCount())
+	}
+
+	parked, _ := r.NewReaderHandle()
+	view, err := parked.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), view...)
+	for i := uint64(writes + 1); i <= 2*writes; i++ {
+		write(i)
+	}
+	if n := liveBuffers(r); n != 2 {
+		t.Fatalf("with one reader parked %d of %d slots hold a buffer, want 2", n, r.SlotCount())
+	}
+	if !bytes.Equal(view, before) {
+		t.Fatal("the parked reader's view changed")
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDynamicConcurrentIntegrity(t *testing.T) {
 	const (
 		readers = 4

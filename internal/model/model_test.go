@@ -6,26 +6,51 @@ import (
 )
 
 // The faithful protocol must be safe over the FULL interleaving space of
-// small configurations — the mechanized counterpart of the §4 proofs.
+// small configurations — the mechanized counterpart of the §4 proofs —
+// with fixed buffers and with DynamicBuffers' buffer release at W3.
+// The fixed-buffer counts are the ones the checker reported when it
+// stored whole unpacked states: packing must neither merge nor split a
+// state.
 func TestFaithfulARCSafe(t *testing.T) {
-	configs := []Config{
-		{Readers: 1, MaxWrites: 3, MaxReadsPerReader: 3},
-		{Readers: 2, MaxWrites: 2, MaxReadsPerReader: 2},
-		{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 2},
+	configs := []struct {
+		cfg                 Config
+		states, transitions int
+	}{
+		{Config{Readers: 1, MaxWrites: 3, MaxReadsPerReader: 3}, 8940, 15327},
+		{Config{Readers: 2, MaxWrites: 2, MaxReadsPerReader: 2}, 192640, 436974},
+		{Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 2}, 2156998, 5079672},
 	}
-	for _, cfg := range configs {
+	for _, c := range configs {
+		checkSafe(t, c.cfg, c.states, c.transitions)
+	}
+}
+
+// checkSafe checks cfg with fixed buffers, pinning the state and
+// transition counts, and again with DynamicBuffers.
+func checkSafe(t *testing.T, cfg Config, states, transitions int) {
+	t.Helper()
+	for _, dynamic := range []bool{false, true} {
+		cfg.DynamicBuffers = dynamic
 		res, err := Check(cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if res.Violation != nil {
-			t.Fatalf("R=%d W=%d RD=%d: %v", cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, res.Violation)
+			t.Fatalf("R=%d W=%d RD=%d dynamic=%v: %v", cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, dynamic, res.Violation)
 		}
 		if res.States < 100 {
 			t.Fatalf("suspiciously small state space: %d states", res.States)
 		}
-		t.Logf("R=%d W=%d RD=%d: %d states, %d transitions — safe",
-			cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, res.States, res.Transitions)
+		if dynamic && res.Drops == 0 {
+			t.Fatalf("R=%d W=%d RD=%d: no W3 released a buffer, so use-after-drop was never armed",
+				cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader)
+		}
+		if !dynamic && (res.States != states || res.Transitions != transitions) {
+			t.Fatalf("R=%d W=%d RD=%d: %d states, %d transitions; want %d, %d",
+				cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, res.States, res.Transitions, states, transitions)
+		}
+		t.Logf("R=%d W=%d RD=%d nofast=%v dynamic=%v: %d states, %d transitions, %d drops — safe",
+			cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, cfg.DisableFastPath, dynamic, res.States, res.Transitions, res.Drops)
 	}
 }
 
@@ -34,25 +59,22 @@ func TestFaithfulARCSafeDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep model check skipped in -short")
 	}
-	res, err := Check(Config{Readers: 2, MaxWrites: 4, MaxReadsPerReader: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatal(res.Violation)
-	}
-	t.Logf("deep: %d states, %d transitions — safe", res.States, res.Transitions)
+	checkSafe(t, Config{Readers: 2, MaxWrites: 4, MaxReadsPerReader: 2}, 14683264, 35557662)
 }
 
 // The ablated protocol (no fast path) must still be safe: the fast path
 // is an optimization, not a correctness mechanism.
 func TestNoFastPathSafe(t *testing.T) {
-	res, err := Check(Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 2, DisableFastPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatal(res.Violation)
+	checkSafe(t, Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 2, DisableFastPath: true}, 2569128, 6152322)
+}
+
+// A packed state is sized by the configuration: two words hold the deep
+// configuration's, and the most readers the model admits need more.
+func TestLayoutWords(t *testing.T) {
+	deep := newLayout(Config{Readers: 2, MaxWrites: 4, MaxReadsPerReader: 2}).words
+	wide := newLayout(Config{Readers: maxReaders, MaxWrites: 4, MaxReadsPerReader: 2}).words
+	if deep != 2 || wide <= deep {
+		t.Fatalf("R=2 packs into %d words and R=%d into %d, want 2 and more", deep, maxReaders, wide)
 	}
 }
 
@@ -92,6 +114,20 @@ func TestMutationsCaught(t *testing.T) {
 			wantKind: []string{"lemma-4.1", "lemma-4.2", "regularity", "process-order", "new-old-inversion"},
 			cfg:      Config{Readers: 2, MaxWrites: 4, MaxReadsPerReader: 3},
 		},
+		{
+			// Dropping a retired buffer some reader acquired before the
+			// swap leaves that reader's value load a nil buffer.
+			mutation: MutDropAlways,
+			wantKind: []string{"use-after-drop"},
+			cfg:      Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 3, DynamicBuffers: true},
+		},
+		{
+			// A count loaded before the swap misses an R4 that lands
+			// between the load and the swap.
+			mutation: MutDropStaleCount,
+			wantKind: []string{"use-after-drop"},
+			cfg:      Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 3, DynamicBuffers: true},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.mutation.String(), func(t *testing.T) {
@@ -126,6 +162,7 @@ func TestConfigValidation(t *testing.T) {
 		{Readers: 7, MaxWrites: 1, MaxReadsPerReader: 1},
 		{Readers: 1, MaxWrites: 0, MaxReadsPerReader: 1},
 		{Readers: 1, MaxWrites: 1, MaxReadsPerReader: 0},
+		{Readers: 1, MaxWrites: 1, MaxReadsPerReader: 1, Mutation: MutDropAlways},
 	}
 	for _, cfg := range bad {
 		if _, err := Check(cfg); err == nil {
@@ -152,7 +189,7 @@ func TestViolationError(t *testing.T) {
 }
 
 func TestMutationStrings(t *testing.T) {
-	for m := MutNone; m <= MutFreezeBeforePublish; m++ {
+	for m := MutNone; m <= MutDropStaleCount; m++ {
 		if m.String() == "unknown" {
 			t.Fatalf("mutation %d has no name", m)
 		}

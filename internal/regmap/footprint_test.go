@@ -33,37 +33,59 @@ func footprintKeys(n int) []string {
 // keys with 64-B dynamic values, read once each through one reader,
 // must leave at most 800 B of live heap per key. With every register
 // padded like a standalone one (808-B header with an embedded padded
-// gate, 288-B slots) the same map costs ~2,500 B per key.
+// gate, 288-B slots) the same map costs ~2,500 B per key. The rewritten
+// case writes every key 8 more times and reads it after every second
+// write — a key rewritten faster than it is read, as under uniform Sets
+// beside skewed Gets — under the same bound. Its unread writes cycle
+// through all N+2 slots; W3 releases each retired buffer no reader
+// acquired, so a key keeps only buffers a reader can reach (~875 B per
+// key when every slot kept its last buffer).
 func TestPerKeyFootprint(t *testing.T) {
 	const nkeys, bound = 10_000, 800
-	keys := footprintKeys(nkeys)
-	val := make([]byte, 64)
-	var m *Map
-	var rd *Reader
-	grew := heapGrowth(func() {
-		m = newMap(t, Config{Shards: 8, MaxReaders: 2, DynamicValues: true})
-		for _, k := range keys {
-			if err := m.Set(k, val); err != nil {
-				t.Fatal(err)
+	for _, rewrites := range []int{0, 8} {
+		t.Run(fmt.Sprintf("rewrites=%d", rewrites), func(t *testing.T) {
+			keys := footprintKeys(nkeys)
+			val := make([]byte, 64)
+			var m *Map
+			var rd *Reader
+			grew := heapGrowth(func() {
+				m = newMap(t, Config{Shards: 8, MaxReaders: 2, DynamicValues: true})
+				setAll := func() {
+					for _, k := range keys {
+						if err := m.Set(k, val); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				getAll := func() {
+					for _, k := range keys {
+						if _, err := rd.Get(k); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				setAll()
+				var err error
+				if rd, err = m.NewReader(); err != nil {
+					t.Fatal(err)
+				}
+				getAll()
+				for i := range rewrites {
+					setAll()
+					if i%2 == 1 {
+						getAll()
+					}
+				}
+			})
+			perKey := float64(grew) / nkeys
+			t.Logf("%.0f B per key (%d keys, MaxReaders 2, 64-B values, one reader, %d rewrites)", perKey, nkeys, rewrites)
+			if perKey > bound {
+				t.Fatalf("a created and read key costs %.0f B of heap after %d rewrites, want <= %d", perKey, rewrites, bound)
 			}
-		}
-		var err error
-		if rd, err = m.NewReader(); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
-			if _, err := rd.Get(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	perKey := float64(grew) / nkeys
-	t.Logf("%.0f B per key (%d keys, MaxReaders 2, 64-B values, one reader)", perKey, nkeys)
-	if perKey > bound {
-		t.Fatalf("a created and read key costs %.0f B of heap, want <= %d", perKey, bound)
+			runtime.KeepAlive(m)
+			runtime.KeepAlive(rd)
+		})
 	}
-	runtime.KeepAlive(m)
-	runtime.KeepAlive(rd)
 }
 
 // TestMapStatsMem checks the Stats tree's "mem" node against measured

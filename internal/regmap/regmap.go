@@ -200,9 +200,12 @@ type Config struct {
 	MaxValueSize int
 	// DynamicValues selects the §3.3 dynamic-buffer variant for the
 	// per-key value registers: each Set allocates an exact-size buffer
-	// instead of filling a pre-allocated slot. Memory then scales with
-	// the values actually stored — the right choice when the map holds
-	// many keys with small or rarely-updated values.
+	// instead of filling a pre-allocated slot, and a value no reader
+	// acquired is released when the next Set replaces it. A key then
+	// holds at most its current buffer, those of slots readers hold, and
+	// those of freed slots not yet reused, so memory scales with the
+	// values actually stored — the right choice when the map holds many
+	// keys with small or rarely-updated values.
 	DynamicValues bool
 	// Trace enables the always-on flight recorder: one writer ring per
 	// shard (value and directory publications record StagePublish and
@@ -988,27 +991,26 @@ type readerShard struct {
 	live    []bool
 	regs    []*arc.Register
 	handles []*arc.Reader
-	// retired holds handles whose slot re-registered at a different
-	// generation (a recycle this handle observed) — the old incarnation
-	// is gone for good. They are closed at Reader.Close, not eagerly:
-	// the owner may still hold views obtained through them, and the
-	// registers they pin are never written again. A handle displaced by
-	// a tombstone *alone* stays parked at its (dead) slot instead: it
-	// still pins exactly incarnation gens[slot], so if a compaction
-	// rebase re-registers the slot at that same generation the handle is
-	// picked back up with zero RMW — and the slot's next true recycle
-	// displaces it for real.
-	retired []*arc.Reader
 	// displaced stages handles pulled off their slots mid-decode: the
 	// decode may yet fail (and a later rebase may prove the displacement
 	// was poisoned), so the handle is not retired until a decode commits.
 	// On commit, a staged handle whose slot still carries its generation
-	// (with no replacement handle) is reinstated; the rest move to
-	// retired. The staging is what keeps repair from leaking handle
-	// capacity: each value register has exactly MaxReaders handles, so a
-	// reader must never re-acquire a handle for an incarnation it still
-	// holds one for.
+	// (with no replacement handle) is reinstated; the rest pin
+	// incarnations that are gone for good and are closed there. The
+	// staging is what keeps repair from leaking handle capacity: each
+	// value register has exactly MaxReaders handles, so a reader must
+	// never re-acquire a handle for an incarnation it still holds one
+	// for. A handle displaced by a tombstone *alone* is never staged: it
+	// stays parked at its (dead) slot, still pinning exactly incarnation
+	// gens[slot], so a compaction rebase that re-registers the slot at
+	// that same generation picks it back up with zero RMW — and the
+	// slot's next true recycle displaces it for real.
 	displaced []displacedHandle
+	// retiredN counts the handles commits closed, and retiredRMW sums
+	// the RMW they executed, their closing release included — what the
+	// tests' handle walk adds for handles no longer reachable.
+	retiredN   int
+	retiredRMW uint64
 	// cgen is the decoded compaction generation: a publication with a
 	// different cgen makes the reader rebase — drop every binding and
 	// the incremental frontier, then decode the fresh log from its start.
@@ -1295,13 +1297,21 @@ func (r *Reader) refresh(si int) error {
 		rs.regs = el.regs
 		// Commit the staged displacements: a handle whose slot still
 		// carries its generation (and grew no replacement) was displaced
-		// by a decode that never committed — reinstate it; the rest pin
-		// incarnations that are truly gone.
+		// by a decode that never committed — reinstate it. The rest pin
+		// incarnations that are truly gone, so close them now rather
+		// than at Reader.Close: their registers are never written again,
+		// so views the owner still holds through them stay intact, and
+		// a long-lived reader under delete/re-create churn would
+		// otherwise keep every incarnation it ever observed. Closing
+		// takes the old register's handle-table mutex, as creating a
+		// handle on a key's first Get already does.
 		for _, d := range rs.displaced {
 			if rs.gens[d.slot] == d.gen && rs.handles[d.slot] == nil {
 				rs.handles[d.slot] = d.h
 			} else {
-				rs.retired = append(rs.retired, d.h)
+				r.closeHandle(d.h)
+				rs.retiredN++
+				rs.retiredRMW += d.h.ReadStats().RMW
 			}
 		}
 		rs.displaced = rs.displaced[:0]
@@ -1624,7 +1634,15 @@ func (r *Reader) Stats() ReadStats {
 	}
 }
 
-// Close releases the handle: every per-key handle (live and retired) and
+// closeHandle closes a directory or per-key handle, tallying the RMW of
+// the slot release its Close executes.
+func (r *Reader) closeHandle(h *arc.Reader) {
+	rmw := h.ReadStats().RMW
+	h.Close()
+	r.rmw += h.ReadStats().RMW - rmw
+}
+
+// Close releases the handle: every per-key handle (live and staged) and
 // directory handle is returned to its register, and the map-level
 // capacity is freed.
 func (r *Reader) Close() error {
@@ -1632,27 +1650,18 @@ func (r *Reader) Close() error {
 		return register.ErrReaderClosed
 	}
 	r.closed = true
-	// Each handle's Close releases its held slot: tally that RMW too.
-	release := func(h *arc.Reader) {
-		rmw := h.ReadStats().RMW
-		h.Close()
-		r.rmw += h.ReadStats().RMW - rmw
-	}
 	for si := range r.shards {
 		rs := &r.shards[si]
 		if rs.dirRd != nil {
-			release(rs.dirRd)
+			r.closeHandle(rs.dirRd)
 		}
 		for _, h := range rs.handles {
 			if h != nil {
-				release(h)
+				r.closeHandle(h)
 			}
 		}
-		for _, h := range rs.retired {
-			release(h)
-		}
 		for _, d := range rs.displaced {
-			release(d.h)
+			r.closeHandle(d.h)
 		}
 	}
 	if r.laneFree != nil {

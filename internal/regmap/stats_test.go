@@ -268,8 +268,9 @@ func TestWatchStatsLedgerOnMap(t *testing.T) {
 
 // walkRMW is the reference Reader.Stats' running RMW tally must match:
 // the sum over every handle the reader has opened — directory, live
-// per-key, retired and displaced — of the RMW that handle executed.
-// Stats itself never walks; this O(keys touched) sum exists only here.
+// per-key, displaced, and those a decode commit closed (summed per shard
+// as they close) — of the RMW that handle executed. Stats itself never
+// walks; this O(keys touched) sum exists only here.
 func walkRMW(r *Reader) uint64 {
 	var n uint64
 	for si := range r.shards {
@@ -282,9 +283,7 @@ func walkRMW(r *Reader) uint64 {
 				n += h.ReadStats().RMW
 			}
 		}
-		for _, h := range rs.retired {
-			n += h.ReadStats().RMW
-		}
+		n += rs.retiredRMW
 		for _, d := range rs.displaced {
 			n += d.h.ReadStats().RMW
 		}
@@ -375,7 +374,7 @@ func TestStatsRMWTallyMatchesWalk(t *testing.T) {
 	}
 	set(hot, "v3")
 	get(hot)
-	if len(rd.shards[si].retired) == 0 {
+	if rd.shards[si].retiredN == 0 {
 		t.Fatal("recreate retired no handle: the leg never exercised retirement")
 	}
 	check("delete/recreate", true)

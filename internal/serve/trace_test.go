@@ -8,6 +8,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -38,34 +39,36 @@ func TestServeTraceEndToEndSpan(t *testing.T) {
 		t.Fatalf("initial event = %v (%v)", ev, err)
 	}
 
-	// The watcher is now parked; these publishes must wake it through
-	// the fan tree and flush frames back over the wire.
-	for i := 0; i < 3; i++ {
-		if err := s.Set("traced", []byte("v2")); err != nil {
+	// Publish until one span carries all five stages: each Set must
+	// wake the watcher through the fan tree and flush a frame back over
+	// the wire, but only a Set that finds the watcher parked records a
+	// wake — under CPU load one can land while the watcher is still
+	// flushing the previous frame, and that span has no StageWake.
+	want := uint32(1<<trace.StagePublish | 1<<trace.StageCascade |
+		1<<trace.StageWake | 1<<trace.StageConflate | 1<<trace.StageFlush)
+	var full trace.Span
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; full.Stamp == 0 && time.Now().Before(deadline); i++ {
+		if err := s.Set("traced", []byte(fmt.Sprintf("v%d", i+2))); err != nil {
 			t.Fatal(err)
 		}
 		if ev, err := readSSE(br); err != nil || ev.name != "value" {
 			t.Fatalf("delivered event %d = %v (%v)", i, ev, err)
 		}
-	}
-
-	// The connection goroutine records the flush after writing the
-	// frame, so the client can observe the frame first — poll briefly.
-	want := uint32(1<<trace.StagePublish | 1<<trace.StageCascade |
-		1<<trace.StageWake | 1<<trace.StageConflate | 1<<trace.StageFlush)
-	var full trace.Span
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for _, sp := range m.Tracer().Spans(0) {
-			if sp.Stages()&want == want {
-				full = sp
-				break
+		// The connection goroutine records the flush after writing the
+		// frame, so the client can observe the frame first — poll
+		// briefly before publishing again.
+		for poll := 0; poll < 20 && full.Stamp == 0; poll++ {
+			for _, sp := range m.Tracer().Spans(0) {
+				if sp.Stages()&want == want {
+					full = sp
+					break
+				}
+			}
+			if full.Stamp == 0 {
+				time.Sleep(time.Millisecond)
 			}
 		}
-		if full.Stamp != 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if full.Stamp == 0 {
 		var got []string
