@@ -42,18 +42,22 @@ func runFigure(b *testing.B, fig harness.Figure) {
 	b.Helper()
 	var headline float64
 	for b.Loop() {
-		data, err := fig.Run(nil)
+		rep, err := fig.Run(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		alg := fig.Algorithms[0]
-		series := data.Series(alg, fig.Sizes[0])
-		if len(series) == 0 {
+		alg := string(fig.Algorithms[0])
+		var last *harness.Row
+		for i, r := range rep.Rows {
+			if r.Get("algorithm").Text == alg && r.Get("size").Value == float64(fig.Sizes[0]) {
+				last = &rep.Rows[i]
+			}
+		}
+		if last == nil {
 			b.Fatalf("no cells for %s", alg)
 		}
-		last := series[len(series)-1]
 		if last.Err == nil {
-			headline = last.Result.Mops()
+			headline = last.Get("mops").Value
 		}
 	}
 	b.ReportMetric(headline, "Mops")
@@ -134,26 +138,21 @@ func BenchmarkProcessing_32KB(b *testing.B) {
 func BenchmarkRMWCount(b *testing.B) {
 	var arcPerRead, rfPerRead, mnPerRead float64
 	for b.Loop() {
-		rep, err := harness.RunRMWComparison(hostThreads(), 4<<10, benchWindow, 10*time.Millisecond)
+		// The (M,N) rows run at M=2 writers; mn is the fresh-gated
+		// collect, reported at the largest thread count.
+		rep, err := harness.RunRMWComparison(hostThreads(), 2, 4<<10, benchWindow, 10*time.Millisecond, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, row := range rep.Rows {
-			switch row.Algorithm {
+			perRead := row.Get("rmw_per_read").Value
+			switch harness.Algorithm(row.Get("algorithm").Text) {
 			case harness.AlgARC:
-				arcPerRead = row.RMWPerRead()
+				arcPerRead = perRead
 			case harness.AlgRF:
-				rfPerRead = row.RMWPerRead()
-			}
-		}
-		// (M,N) composite accounting: M=2 writers, fresh-gated collect.
-		mnRep, err := harness.RunMNRMWComparison([]int{4}, 2, 4<<10, benchWindow, 10*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range mnRep.Rows {
-			if row.Algorithm == harness.AlgMN {
-				mnPerRead = row.RMWPerRead()
+				rfPerRead = perRead
+			case harness.AlgMN:
+				mnPerRead = perRead
 			}
 		}
 	}

@@ -1,19 +1,16 @@
 // Command arcbench regenerates the ARC paper's evaluation (§5, Figures
-// 1–3) plus the RMW-accounting and ablation experiments on the local
-// machine.
+// 1–3, the RMW-per-read claim) plus the ablation, extension-baseline,
+// (M,N), keyed-map, latency, wakeup and serving experiments on the
+// local machine.
 //
-// Regenerate a whole figure (one ASCII table per register size, the same
-// series the paper plots):
+// Regenerate a figure by id. The ids are harness.FigureIDs, which -h
+// lists and `-figure all` runs in order:
 //
-//	arcbench -figure fig1
+//	arcbench -figure fig1            # one grid per register size, the series the paper plots
 //	arcbench -figure fig2            # virtualized host: CPU-steal simulation
-//	arcbench -figure fig3            # 1000–4000 threads, time-sharing
-//	arcbench -figure processing      # §5's second workload
-//	arcbench -figure ablation        # ARC vs its own disabled optimizations
 //	arcbench -figure rmw             # RMW instructions per read, ARC vs RF vs (M,N)
-//	arcbench -figure mn              # (M,N) composite: fresh-gated collect vs ablation
 //	arcbench -figure serve           # HTTP loopback: GET req/s + publish→observe latency
-//	arcbench -figure all             # everything above, in order
+//	arcbench -figure all -csv out.csv
 //
 // Sweeps can be overridden (-threads, -sizes, -duration, -steal,
 // -writers) and shrunk for smoke runs (-quick); explicit -threads/-sizes
@@ -23,7 +20,8 @@
 //	arcbench -alg arc -threads 16 -size 32768 -duration 2s
 //	arcbench -alg mn -writers 4 -nthreads 8 -size 4096
 //
-// Results go to stdout; -csv appends machine-readable rows to a file.
+// Tables go to stdout and progress lines to stderr; -csv appends every
+// figure's rows to a file, each figure under its own header line.
 package main
 
 import (
@@ -47,57 +45,60 @@ func main() {
 	}
 }
 
+// opts is the parsed command line.
+type opts struct {
+	figure, alg, mode, csv                               string
+	threads, sizes, writers, keys, watchers, clients     ints
+	size, nthreads, latency, shards, delEvery, snapEvery int
+	fanArity, fanDepth                                   int
+	duration, warmup, pubEvery                           time.Duration
+	steal, zipf                                          float64
+	quick                                                bool
+}
+
 func run(args []string, out io.Writer) error {
+	var o opts
 	fs := flag.NewFlagSet("arcbench", flag.ContinueOnError)
-	var (
-		figure    = fs.String("figure", "", "figure to regenerate: fig1|fig2|fig3|processing|ablation|extensions|mn|map|rmw|latency|watch|serve|all")
-		alg       = fs.String("alg", "arc", "algorithm for single runs: "+harness.AlgorithmNames())
-		threads   = fs.String("threads", "", "comma-separated thread counts (overrides the figure's sweep)")
-		sizes     = fs.String("sizes", "", "comma-separated register sizes in bytes (overrides the sweep)")
-		size      = fs.Int("size", 4096, "register size for single runs")
-		nthreads  = fs.Int("nthreads", 4, "thread count for single runs (writers + readers)")
-		writers   = fs.String("writers", "", "writer thread count(s): one value for single runs, a comma list sweeps M on the mn figure (e.g. 1,2,4,8)")
-		mode      = fs.String("mode", "dummy", "workload: dummy|processing")
-		duration  = fs.Duration("duration", time.Second, "measurement window per cell")
-		warmup    = fs.Duration("warmup", 200*time.Millisecond, "warmup before each window")
-		stealF    = fs.Float64("steal", -1, "CPU-steal fraction override (0..0.9; -1 keeps the figure default)")
-		quick     = fs.Bool("quick", false, "shrink sweeps and windows for a smoke run")
-		csvPath   = fs.String("csv", "", "also append CSV rows to this file")
-		latency   = fs.Int("latency-sample", 0, "record every Nth op latency in single runs (0=off)")
-		keys      = fs.String("keys", "", "comma-separated key counts for the map figure (overrides the sweep)")
-		zipf      = fs.Float64("zipf", -1, "map figure key-popularity Zipf exponent (≤1 uniform; -1 keeps the default)")
-		shards    = fs.Int("shards", 0, "map figure shard count (0 keeps the default)")
-		delEvery  = fs.Int("delete-every", -1, "map figure delete-mix: every Nth writer op deletes/re-creates a lifecycle key (0 disables; -1 keeps the default)")
-		snapEvery = fs.Int("snapshot-every", -1, "map figure snapshot mix: every Nth reader op takes a multi-key Snapshot (0 disables; -1 keeps the default)")
-		watchers  = fs.String("watchers", "", "comma-separated watcher counts for the watch figure, k suffix = thousands (e.g. 1k,10k; overrides the sweep)")
-		clients   = fs.String("clients", "", "comma-separated HTTP client counts for the serve figure (overrides the sweep)")
-		pubEvery  = fs.Duration("publish-every", 0, "watch figure writer cadence (0 keeps the default)")
-		fanArity  = fs.Int("fan-arity", -1, "watch figure wakeup-tree arity (0 drops the tree series; -1 keeps the default)")
-		fanDepth  = fs.Int("fan-depth", -1, "watch figure wakeup-tree depth (-1 keeps the default)")
-	)
+	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: "+strings.Join(harness.FigureIDs, "|")+"|all")
+	fs.StringVar(&o.alg, "alg", "arc", "algorithm for single runs: "+harness.AlgorithmNames())
+	fs.Var(&o.threads, "threads", "comma-separated thread `counts` (overrides the figure's sweep)")
+	fs.Var(&o.sizes, "sizes", "comma-separated register `sizes` in bytes (overrides the sweep)")
+	fs.IntVar(&o.size, "size", 4096, "register size for single runs")
+	fs.IntVar(&o.nthreads, "nthreads", 4, "thread count for single runs (writers + readers)")
+	fs.Var(&o.writers, "writers", "writer thread `count(s)`: one value for single runs, a comma list sweeps M on the mn figure (e.g. 1,2,4,8)")
+	fs.StringVar(&o.mode, "mode", "dummy", "workload: dummy|processing")
+	fs.DurationVar(&o.duration, "duration", time.Second, "measurement window per cell")
+	fs.DurationVar(&o.warmup, "warmup", 200*time.Millisecond, "warmup before each window")
+	fs.Float64Var(&o.steal, "steal", -1, "CPU-steal fraction override (0..0.9; -1 keeps the figure default)")
+	fs.BoolVar(&o.quick, "quick", false, "shrink sweeps and windows for a smoke run")
+	fs.StringVar(&o.csv, "csv", "", "also append CSV rows to this file")
+	fs.IntVar(&o.latency, "latency-sample", 0, "record every Nth op latency in single runs (0=off)")
+	fs.Var(&o.keys, "keys", "comma-separated key `counts` for the map figure (overrides the sweep)")
+	fs.Float64Var(&o.zipf, "zipf", -1, "map figure key-popularity Zipf exponent (≤1 uniform; -1 keeps the default)")
+	fs.IntVar(&o.shards, "shards", 0, "map figure shard count (0 keeps the default)")
+	fs.IntVar(&o.delEvery, "delete-every", -1, "map figure delete-mix: every Nth writer op deletes/re-creates a lifecycle key (0 disables; -1 keeps the default)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", -1, "map figure snapshot mix: every Nth reader op takes a multi-key Snapshot (0 disables; -1 keeps the default)")
+	fs.Var(&o.watchers, "watchers", "comma-separated watcher `counts` for the watch figure, k suffix = thousands (e.g. 1k,10k; overrides the sweep)")
+	fs.Var(&o.clients, "clients", "comma-separated HTTP client `counts` for the serve figure (overrides the sweep)")
+	fs.DurationVar(&o.pubEvery, "publish-every", 0, "watch figure writer cadence (0 keeps the default)")
+	fs.IntVar(&o.fanArity, "fan-arity", -1, "watch figure wakeup-tree arity (0 drops the tree series; -1 keeps the default)")
+	fs.IntVar(&o.fanDepth, "fan-depth", -1, "watch figure wakeup-tree depth (-1 keeps the default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	fmt.Fprintf(out, "arcbench: GOMAXPROCS=%d NumCPU=%d\n\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 
-	writerList := mustInts(*writers)
-	firstWriters := 0
-	if len(writerList) > 0 {
-		firstWriters = writerList[0]
+	if o.figure == "" {
+		return singleRun(out, &o)
 	}
-
-	if *figure == "" {
-		return singleRun(out, *alg, *nthreads, firstWriters, *size, *mode, *duration, *warmup, *stealF, *latency)
-	}
-
-	ids := []string{*figure}
-	if *figure == "all" {
-		ids = []string{"fig1", "fig2", "fig3", "processing", "ablation", "extensions", "mn", "map", "rmw", "latency", "watch", "serve"}
+	ids := []string{o.figure}
+	if o.figure == "all" {
+		ids = harness.FigureIDs
 	}
 	var csv *os.File
-	if *csvPath != "" {
-		f, err := os.OpenFile(*csvPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if o.csv != "" {
+		f, err := os.OpenFile(o.csv, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
@@ -105,81 +106,173 @@ func run(args []string, out io.Writer) error {
 		csv = f
 	}
 	for _, id := range ids {
-		if id == "rmw" {
-			if err := runRMW(out, *threads, firstWriters, *size, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "latency" {
-			if err := runLatency(out, *nthreads, *size, *stealF, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "map" {
-			if err := runMapFigure(out, csv, *threads, *keys, *sizes, *shards, *delEvery, *snapEvery, *zipf, *stealF, *mode, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "watch" {
-			if err := runWatchFigure(out, csv, *watchers, *sizes, *pubEvery, *fanArity, *fanDepth, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		if id == "serve" {
-			if err := runServeFigure(out, csv, *clients, *sizes, *pubEvery, *duration, *warmup, *quick); err != nil {
-				return err
-			}
-			continue
-		}
-		fig, err := harness.FigureByID(id)
+		rep, err := figure(id, &o, func(done, total int, r harness.Row) {
+			fmt.Fprintf(os.Stderr, "[%s %d/%d] %s\n", id, done, total, r)
+		})
 		if err != nil {
 			return err
 		}
-		fig = customize(fig, *threads, *sizes, writerList, *duration, *warmup, *stealF, *quick)
-		progress := func(done, total int, c harness.Cell) {
-			status := fmt.Sprintf("%.2f Mops/s", c.Result.Mops())
-			if c.Err != nil {
-				status = "n/a (" + c.Err.Error() + ")"
-			}
-			fmt.Fprintf(os.Stderr, "[%s %d/%d] %s threads=%d size=%d: %s\n",
-				fig.ID, done, total, c.Algorithm, c.Threads, c.Size, status)
-		}
-		data, err := fig.Run(progress)
-		if err != nil {
-			return err
-		}
-		data.RenderTable(out)
+		rep.RenderTable(out)
 		if csv != nil {
-			data.RenderCSV(csv)
+			rep.RenderCSV(csv)
 		}
 	}
 	return nil
 }
 
-// customize applies CLI overrides to a figure definition. Explicit
+// figure runs one figure id under the command line's overrides.
+func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (harness.Report, error) {
+	switch id {
+	case "rmw":
+		th := o.threads
+		if len(th) == 0 {
+			th = []int{2, 4, 8, 16, 32}
+			if o.quick {
+				th = []int{2, 4}
+			}
+		}
+		// The (M,N) rows run at the mn figure's M unless -writers says
+		// otherwise.
+		writers := harness.FigMN().Writers
+		if len(o.writers) > 0 && o.writers[0] > 0 {
+			writers = o.writers[0]
+		}
+		d, w := o.window(200 * time.Millisecond)
+		return harness.RunRMWComparison(th, writers, o.size, d, w, progress)
+	case "latency":
+		d, w := o.window(200 * time.Millisecond)
+		algs := []harness.Algorithm{
+			harness.AlgARC, harness.AlgRF, harness.AlgPeterson,
+			harness.AlgLock, harness.AlgSeqlock, harness.AlgLeftRight,
+			// The keyed store, measured through its single-key adapter (the
+			// full directory-probe-then-value-read path), so map tail
+			// latency is tracked alongside the raw algorithms.
+			harness.AlgMap,
+		}
+		return harness.RunLatencyComparison(algs, o.nthreads, o.size, max(o.steal, 0), d, w, progress)
+	case "map":
+		// The map figure: thread sweep × key-count sweep, Zipf key
+		// popularity, with optional delete-mix (-delete-every) and
+		// snapshot (-snapshot-every) workloads.
+		fig := harness.FigMap()
+		m, err := workload.ParseMode(o.mode)
+		if err != nil {
+			return harness.Report{}, err
+		}
+		fig.Mode = m
+		if o.shards > 0 {
+			fig.Shards = o.shards
+		}
+		if o.delEvery >= 0 {
+			fig.DeleteEvery = o.delEvery
+		}
+		if o.snapEvery >= 0 {
+			fig.SnapshotEvery = o.snapEvery
+		}
+		if o.zipf >= 0 {
+			fig.Zipf = o.zipf
+		}
+		if o.steal >= 0 {
+			fig.StealFraction = o.steal
+		}
+		oneSize(id, o.sizes, &fig.ValueSize)
+		fig.Duration, fig.Warmup = o.window(200 * time.Millisecond)
+		if o.quick {
+			fig = fig.Scale(2*runtime.NumCPU(), 0, 0)
+		}
+		set(&fig.Threads, o.threads)
+		set(&fig.Keys, o.keys)
+		return fig.Run(progress)
+	case "watch":
+		// The wakeup-latency figure: parked watchers vs fixed-interval
+		// pollers over watcher counts (DESIGN.md §8).
+		fig := harness.FigWatch()
+		if o.pubEvery > 0 {
+			fig.PublishEvery = o.pubEvery
+		}
+		if o.fanArity >= 0 {
+			fig.FanArity = o.fanArity
+		}
+		if o.fanDepth >= 0 {
+			fig.FanDepth = o.fanDepth
+		}
+		oneSize(id, o.sizes, &fig.ValueSize)
+		fig.Duration, fig.Warmup = o.window(200 * time.Millisecond)
+		if o.quick {
+			fig = fig.Scale(4, 0, 0)
+		}
+		set(&fig.Watchers, o.watchers)
+		return fig.Run(progress)
+	case "serve":
+		// The HTTP serving figure: a real arcserve server on a loopback
+		// listener over GET client counts (DESIGN.md §11).
+		fig := harness.FigServe()
+		if o.pubEvery > 0 {
+			fig.PublishEvery = o.pubEvery
+		}
+		oneSize(id, o.sizes, &fig.ValueSize)
+		fig.Duration, fig.Warmup = o.window(300 * time.Millisecond)
+		if o.quick {
+			fig = fig.Scale(2*runtime.NumCPU(), 0, 0)
+		}
+		set(&fig.Clients, o.clients)
+		return fig.Run(progress)
+	}
+	fig, err := harness.FigureByID(id)
+	if err != nil {
+		return harness.Report{}, err
+	}
+	return customize(fig, o).Run(progress)
+}
+
+// window is the per-cell measurement window and warmup: -duration and
+// -warmup, capped under -quick at quickDur and 50ms.
+func (o *opts) window(quickDur time.Duration) (duration, warmup time.Duration) {
+	if !o.quick {
+		return o.duration, o.warmup
+	}
+	return min(o.duration, quickDur), min(o.warmup, 50*time.Millisecond)
+}
+
+// set replaces a figure's sweep with an explicit override, if any.
+func set(sweep *[]int, override []int) {
+	if len(override) > 0 {
+		*sweep = override
+	}
+}
+
+// oneSize applies -sizes to a figure that measures one value size per
+// run: the first entry wins.
+func oneSize(id string, sizes []int, size *int) {
+	if len(sizes) == 0 {
+		return
+	}
+	*size = sizes[0]
+	if len(sizes) > 1 {
+		fmt.Fprintf(os.Stderr, "arcbench: %s figure measures one value size per run; using %d\n", id, sizes[0])
+	}
+}
+
+// customize applies CLI overrides to a register-sweep figure. Explicit
 // -threads/-sizes/-duration/-warmup win over -quick's shrinking (a 1-CPU
 // host would otherwise clip an explicitly requested sweep).
-func customize(fig harness.Figure, threads, sizes string, writers []int, duration, warmup time.Duration, stealF float64, quick bool) harness.Figure {
-	if stealF >= 0 {
-		fig.StealFraction = stealF
+func customize(fig harness.Figure, o *opts) harness.Figure {
+	if o.steal >= 0 {
+		fig.StealFraction = o.steal
 	}
 	// -writers only applies to figures that sweep multiple writers (the
 	// MN figure); forcing it onto the (1,N) figures would fail every
 	// cell, which matters for `-figure all -writers N`. A single value
 	// replaces the figure's M; a list turns M into a sweep axis.
-	if len(writers) > 0 && fig.Writers > 0 {
-		if len(writers) == 1 {
-			fig.Writers = writers[0]
+	if len(o.writers) > 0 && fig.Writers > 0 {
+		if len(o.writers) == 1 {
+			fig.Writers = o.writers[0]
 			fig.WriterCounts = nil
 		} else {
-			fig.WriterCounts = writers
+			fig.WriterCounts = o.writers
 		}
 	}
-	if quick {
+	if o.quick {
 		maxTh := 2 * runtime.NumCPU()
 		if fig.ID == "fig3" {
 			maxTh = 64
@@ -194,17 +287,10 @@ func customize(fig harness.Figure, threads, sizes string, writers []int, duratio
 		if len(fig.Sizes) > 2 {
 			fig.Sizes = fig.Sizes[:2]
 		}
-		duration = min(duration, 200*time.Millisecond)
-		warmup = min(warmup, 50*time.Millisecond)
 	}
-	fig.Duration = duration
-	fig.Warmup = warmup
-	if threads != "" {
-		fig.Threads = mustInts(threads)
-	}
-	if sizes != "" {
-		fig.Sizes = mustInts(sizes)
-	}
+	fig.Duration, fig.Warmup = o.window(200 * time.Millisecond)
+	set(&fig.Threads, o.threads)
+	set(&fig.Sizes, o.sizes)
 	return fig
 }
 
@@ -219,253 +305,37 @@ func maxWriters(fig harness.Figure) int {
 	return m
 }
 
-func runRMW(out io.Writer, threads string, writers, size int, duration, warmup time.Duration, quick bool) error {
-	th := []int{2, 4, 8, 16, 32}
-	if threads != "" {
-		th = mustInts(threads)
-	}
-	if quick {
-		if threads == "" {
-			th = []int{2, 4}
-		}
-		duration = min(duration, 200*time.Millisecond)
-		warmup = min(warmup, 50*time.Millisecond)
-	}
-	rep, err := harness.RunRMWComparison(th, size, duration, warmup)
+func singleRun(out io.Writer, o *opts) error {
+	a, err := harness.ParseAlgorithm(o.alg)
 	if err != nil {
 		return err
 	}
-	rep.Render(out)
-
-	// The (M,N) composite rows: fresh-gated collect vs ablation. Reuse
-	// the thread sweep where it fits M writers + ≥1 reader, extending it
-	// with a minimal feasible deployment otherwise.
-	if writers <= 0 {
-		writers = 4
-	}
-	var mnTh []int
-	for _, t := range th {
-		if t >= writers+1 {
-			mnTh = append(mnTh, t)
-		}
-	}
-	if len(mnTh) == 0 {
-		mnTh = []int{writers + 1}
-	}
-	mnRep, err := harness.RunMNRMWComparison(mnTh, writers, size, duration, warmup)
+	m, err := workload.ParseMode(o.mode)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "\n(M,N) composite, %d writers:\n", writers)
-	mnRep.Render(out)
-	return nil
-}
-
-// runMapFigure regenerates the keyed-workload figure (the regmap sharded
-// snapshot map): thread sweep × key-count sweep, Zipf key popularity,
-// with optional delete-mix (-delete-every) and snapshot (-snapshot-every)
-// workloads. The shared -sizes and -steal overrides apply here too (the
-// map figure measures one value size per run; the first -sizes entry
-// wins).
-func runMapFigure(out io.Writer, csv *os.File, threads, keys, sizes string, shards, delEvery, snapEvery int, zipf, stealF float64, mode string, duration, warmup time.Duration, quick bool) error {
-	fig := harness.FigMap()
-	m, err := workload.ParseMode(mode)
-	if err != nil {
-		return err
-	}
-	fig.Mode = m
-	if shards > 0 {
-		fig.Shards = shards
-	}
-	if delEvery >= 0 {
-		fig.DeleteEvery = delEvery
-	}
-	if snapEvery >= 0 {
-		fig.SnapshotEvery = snapEvery
-	}
-	if zipf >= 0 {
-		fig.Zipf = zipf
-	}
-	if stealF >= 0 {
-		fig.StealFraction = stealF
-	}
-	if sizes != "" {
-		sz := mustInts(sizes)
-		fig.ValueSize = sz[0]
-		if len(sz) > 1 {
-			fmt.Fprintf(os.Stderr, "arcbench: map figure measures one value size per run; using %d\n", sz[0])
-		}
-	}
-	if quick {
-		fig = fig.Scale(2*runtime.NumCPU(), min(duration, 200*time.Millisecond), min(warmup, 50*time.Millisecond))
-	} else {
-		fig.Duration = duration
-		fig.Warmup = warmup
-	}
-	if threads != "" {
-		fig.Threads = mustInts(threads)
-	}
-	if keys != "" {
-		fig.Keys = mustInts(keys)
-	}
-	progress := func(done, total int, c harness.MapCell) {
-		fmt.Fprintf(os.Stderr, "[%s %d/%d] keys=%d threads=%d: %.2f Mops/s (%.4f rmw/get)\n",
-			fig.ID, done, total, c.Keys, c.Threads, c.Result.Mops(), c.Result.RMWPerGet())
-	}
-	data, err := fig.Run(progress)
-	if err != nil {
-		return err
-	}
-	data.RenderTable(out)
-	if csv != nil {
-		data.RenderCSV(csv)
-	}
-	return nil
-}
-
-// runWatchFigure regenerates the wakeup-latency figure: publish→observe
-// latency of parked watchers vs fixed-interval pollers, swept over
-// watcher counts (the notify subsystem's measurement; see DESIGN.md §8).
-func runWatchFigure(out io.Writer, csv *os.File, watchers, sizes string, pubEvery time.Duration, fanArity, fanDepth int, duration, warmup time.Duration, quick bool) error {
-	fig := harness.FigWatch()
-	if pubEvery > 0 {
-		fig.PublishEvery = pubEvery
-	}
-	if fanArity >= 0 {
-		fig.FanArity = fanArity
-	}
-	if fanDepth >= 0 {
-		fig.FanDepth = fanDepth
-	}
-	if sizes != "" {
-		sz := mustInts(sizes)
-		fig.ValueSize = sz[0]
-		if len(sz) > 1 {
-			fmt.Fprintf(os.Stderr, "arcbench: watch figure measures one value size per run; using %d\n", sz[0])
-		}
-	}
-	if quick {
-		fig = fig.Scale(4, min(duration, 200*time.Millisecond), min(warmup, 50*time.Millisecond))
-	} else {
-		fig.Duration = duration
-		fig.Warmup = warmup
-	}
-	if watchers != "" {
-		fig.Watchers = mustInts(watchers)
-	}
-	progress := func(done, total int, c harness.WatchCell) {
-		fmt.Fprintf(os.Stderr, "[%s %d/%d] %s watchers=%d: %d observed, p99 %v, pub p99 %v, lag max %d, conflated %d\n",
-			fig.ID, done, total, c.Series(), c.Watchers, c.Result.Observed,
-			time.Duration(c.Result.Latency.Quantile(0.99)),
-			time.Duration(c.Result.PubOverhead.Quantile(0.99)),
-			c.Result.LagMax, c.Result.Conflated)
-	}
-	data, err := fig.Run(progress)
-	if err != nil {
-		return err
-	}
-	data.RenderTable(out)
-	if csv != nil {
-		data.RenderCSV(csv)
-	}
-	return nil
-}
-
-// runServeFigure regenerates the HTTP serving figure: a real arcserve
-// server on a loopback listener, swept over concurrent GET client
-// counts, reporting sustained req/s and publish→client-observe latency
-// through the SSE watch path (see DESIGN.md §11).
-func runServeFigure(out io.Writer, csv *os.File, clients, sizes string, pubEvery, duration, warmup time.Duration, quick bool) error {
-	fig := harness.FigServe()
-	if pubEvery > 0 {
-		fig.PublishEvery = pubEvery
-	}
-	if sizes != "" {
-		sz := mustInts(sizes)
-		fig.ValueSize = sz[0]
-		if len(sz) > 1 {
-			fmt.Fprintf(os.Stderr, "arcbench: serve figure measures one value size per run; using %d\n", sz[0])
-		}
-	}
-	if quick {
-		fig = fig.Scale(2*runtime.NumCPU(), min(duration, 300*time.Millisecond), min(warmup, 50*time.Millisecond))
-	} else {
-		fig.Duration = duration
-		fig.Warmup = warmup
-	}
-	if clients != "" {
-		fig.Clients = mustInts(clients)
-	}
-	progress := func(done, total int, c harness.ServeCell) {
-		fmt.Fprintf(os.Stderr, "[%s %d/%d] clients=%d: %.0f GET/s, get p99 %v, obs p99 %v, conflated %d\n",
-			fig.ID, done, total, c.Clients, c.Result.Rate(),
-			time.Duration(c.Result.GetLat.Quantile(0.99)),
-			time.Duration(c.Result.ObsLat.Quantile(0.99)),
-			c.Result.Conflated)
-	}
-	data, err := fig.Run(progress)
-	if err != nil {
-		return err
-	}
-	data.RenderTable(out)
-	if csv != nil {
-		data.RenderCSV(csv)
-	}
-	return nil
-}
-
-func runLatency(out io.Writer, threads, size int, stealF float64, duration, warmup time.Duration, quick bool) error {
-	if quick {
-		duration = 200 * time.Millisecond
-		warmup = 50 * time.Millisecond
-	}
-	frac := 0.0
-	if stealF > 0 {
-		frac = stealF
-	}
-	algs := []harness.Algorithm{
-		harness.AlgARC, harness.AlgRF, harness.AlgPeterson,
-		harness.AlgLock, harness.AlgSeqlock, harness.AlgLeftRight,
-		// The keyed store, measured through its single-key adapter (the
-		// full directory-probe-then-value-read path), so map tail
-		// latency is tracked alongside the raw algorithms.
-		harness.AlgMap,
-	}
-	rep, err := harness.RunLatencyComparison(algs, threads, size, frac, duration, warmup)
-	if err != nil {
-		return err
-	}
-	rep.Render(out)
-	return nil
-}
-
-func singleRun(out io.Writer, alg string, threads, writers, size int, mode string, duration, warmup time.Duration, stealF float64, latencySample int) error {
-	a, err := harness.ParseAlgorithm(alg)
-	if err != nil {
-		return err
-	}
-	m, err := workload.ParseMode(mode)
-	if err != nil {
-		return err
+	writers := 0
+	if len(o.writers) > 0 {
+		writers = o.writers[0]
 	}
 	if writers == 0 && a.IsMN() {
 		writers = 4
 	}
 	cfg := harness.RunConfig{
 		Algorithm:     a,
-		Threads:       threads,
+		Threads:       o.nthreads,
 		Writers:       writers,
-		ValueSize:     size,
+		ValueSize:     o.size,
 		Mode:          m,
-		Duration:      duration,
-		Warmup:        warmup,
-		LatencySample: latencySample,
+		Duration:      o.duration,
+		Warmup:        o.warmup,
+		LatencySample: o.latency,
 	}
 	if a.IsMN() && cfg.Threads < cfg.Writers+1 {
 		cfg.Threads = cfg.Writers + 1
 	}
-	if stealF > 0 {
-		cfg.StealFraction = stealF
+	if o.steal > 0 {
+		cfg.StealFraction = o.steal
 	}
 	res, err := harness.Run(cfg)
 	if err != nil {
@@ -473,10 +343,10 @@ func singleRun(out io.Writer, alg string, threads, writers, size int, mode strin
 	}
 	if cfg.Writers > 1 {
 		fmt.Fprintf(out, "%s threads=%d writers=%d size=%d mode=%s steal=%.0f%%\n",
-			a, cfg.Threads, cfg.Writers, size, m, cfg.StealFraction*100)
+			a, cfg.Threads, cfg.Writers, o.size, m, cfg.StealFraction*100)
 	} else {
 		fmt.Fprintf(out, "%s threads=%d size=%d mode=%s steal=%.0f%%\n",
-			a, cfg.Threads, size, m, cfg.StealFraction*100)
+			a, cfg.Threads, o.size, m, cfg.StealFraction*100)
 	}
 	fmt.Fprintf(out, "  throughput: %s\n", res.Throughput())
 	// Per-op ratios use the protocol counters for both numerator and
@@ -505,25 +375,35 @@ func safeDiv(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-func mustInts(csv string) []int {
+// ints is a comma-separated integer list flag.
+type ints []int
+
+func (l *ints) String() string { return fmt.Sprint([]int(*l)) }
+
+func (l *ints) Set(s string) (err error) {
+	*l, err = parseInts(s)
+	return err
+}
+
+// parseInts reads a comma-separated integer list. A k/K suffix means
+// thousands (1k = 1000, 10k = 10000) — the watcher sweeps are quoted
+// that way.
+func parseInts(csv string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(csv, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		// Accept a k/K suffix for thousands (1k = 1000, 10k = 10000) —
-		// the watcher sweeps are quoted that way.
 		mult := 1
 		if s := strings.TrimRight(part, "kK"); len(s) == len(part)-1 {
 			part, mult = s, 1000
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "arcbench: bad integer %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad integer %q", part)
 		}
 		out = append(out, n*mult)
 	}
-	return out
+	return out, nil
 }

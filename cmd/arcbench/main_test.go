@@ -53,9 +53,10 @@ func TestFigureQuickWithCSV(t *testing.T) {
 }
 
 func TestRMWFigure(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "rmw.csv")
 	var sb strings.Builder
 	err := run([]string{"-figure", "rmw", "-threads", "2", "-size", "256",
-		"-duration", "30ms", "-warmup", "5ms", "-writers", "2"}, &sb)
+		"-duration", "30ms", "-warmup", "5ms", "-writers", "2", "-csv", csv}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,33 @@ func TestRMWFigure(t *testing.T) {
 	if !strings.Contains(sb.String(), "mn-nogate") {
 		t.Fatalf("missing MN rmw rows:\n%s", sb.String())
 	}
+	// -csv covers the rmw figure: arc, arc-nofastpath and rf at 2
+	// threads, then mn and mn-nogate at M=2 on the smallest feasible
+	// deployment (3 threads).
+	lines := csvLines(t, csv)
+	if !strings.HasPrefix(lines[0], "figure,algorithm,waitfree,threads,writers,reads,") ||
+		!strings.Contains(lines[0], "rmw_per_read") {
+		t.Fatalf("rmw csv header wrong: %q", lines[0])
+	}
+	if len(lines) != 1+5 {
+		t.Fatalf("rmw csv has %d data lines, want 5:\n%s", len(lines)-1, strings.Join(lines, "\n"))
+	}
+	if !strings.HasPrefix(lines[4], "rmw,mn,r+w,3,2,") {
+		t.Fatalf("rmw csv lacks the mn row: %q", lines[4])
+	}
+}
+
+// csvLines reads a CSV file the command wrote, failing on an empty one.
+func csvLines(t *testing.T, path string) []string {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) == 0 {
+		t.Fatalf("%s is empty", path)
+	}
+	return strings.Split(strings.TrimSpace(string(blob)), "\n")
 }
 
 func TestMNFigureQuick(t *testing.T) {
@@ -148,13 +176,26 @@ func TestMapSingleRun(t *testing.T) {
 }
 
 func TestLatencyFigure(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "latency.csv")
 	var sb strings.Builder
-	err := run([]string{"-figure", "latency", "-quick", "-nthreads", "3", "-size", "256"}, &sb)
+	err := run([]string{"-figure", "latency", "-quick", "-nthreads", "3", "-size", "256", "-csv", csv}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "read p99") {
 		t.Fatalf("missing latency table:\n%s", sb.String())
+	}
+	// -csv covers the latency figure: one row per algorithm, all seven
+	// feasible at 2 readers.
+	lines := csvLines(t, csv)
+	if !strings.HasPrefix(lines[0], "figure,algorithm,waitfree,threads,read_p50_ns,read_p99_ns,") {
+		t.Fatalf("latency csv header wrong: %q", lines[0])
+	}
+	if len(lines) != 1+7 {
+		t.Fatalf("latency csv has %d data lines, want 7:\n%s", len(lines)-1, strings.Join(lines, "\n"))
+	}
+	if !strings.HasPrefix(lines[1], "latency,arc,r+w,3,") {
+		t.Fatalf("latency csv first row: %q", lines[1])
 	}
 }
 
@@ -162,6 +203,14 @@ func TestBadFlags(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-figure", "fig9"}, &sb); err == nil {
 		t.Error("unknown figure accepted")
+	} else if !strings.Contains(err.Error(), "serve") {
+		t.Errorf("unknown-figure error does not list every figure id: %v", err)
+	}
+	if err := run([]string{"-figure", "fig1", "-threads", "2,x"}, &sb); err == nil {
+		t.Error("bad -threads list accepted")
+	}
+	if err := run([]string{"-figure", "watch", "-watchers", "1k,y"}, &sb); err == nil {
+		t.Error("bad -watchers list accepted")
 	}
 	if err := run([]string{"-alg", "bogus"}, &sb); err == nil {
 		t.Error("unknown algorithm accepted")
@@ -171,14 +220,17 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-func TestMustInts(t *testing.T) {
-	got := mustInts("1, 2,3 ,")
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("mustInts = %v", got)
+func TestParseInts(t *testing.T) {
+	got, err := parseInts("1, 2,3 ,")
+	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("parseInts = %v, %v", got, err)
 	}
-	got = mustInts("1k, 10K,25")
-	if len(got) != 3 || got[0] != 1000 || got[1] != 10000 || got[2] != 25 {
-		t.Fatalf("mustInts with k suffix = %v", got)
+	got, err = parseInts("1k, 10K,25")
+	if err != nil || len(got) != 3 || got[0] != 1000 || got[1] != 10000 || got[2] != 25 {
+		t.Fatalf("parseInts with k suffix = %v, %v", got, err)
+	}
+	if _, err := parseInts("2,x"); err == nil {
+		t.Fatal("parseInts accepted a bad integer")
 	}
 }
 

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"arcreg/internal/workload"
@@ -164,7 +164,13 @@ func FigMN() Figure {
 	}
 }
 
-// FigureByID resolves a CLI name.
+// FigureIDs lists every figure arcbench regenerates, in the order
+// `-figure all` runs them.
+var FigureIDs = []string{"fig1", "fig2", "fig3", "processing", "ablation", "extensions", "mn", "map", "rmw", "latency", "watch", "serve"}
+
+// FigureByID resolves the id of a register sweep (fig1 to mn; 1, 2 and
+// 3 alias the paper's figures). The other FigureIDs have runners of
+// their own.
 func FigureByID(id string) (Figure, error) {
 	switch id {
 	case "fig1", "1":
@@ -182,7 +188,7 @@ func FigureByID(id string) (Figure, error) {
 	case "mn":
 		return FigMN(), nil
 	}
-	return Figure{}, fmt.Errorf("harness: unknown figure %q (fig1|fig2|fig3|processing|ablation|extensions|mn)", id)
+	return Figure{}, fmt.Errorf("harness: unknown figure %q (want %s)", id, strings.Join(FigureIDs, "|"))
 }
 
 // Scale shrinks a figure for smoke tests and CI: thread counts are capped,
@@ -225,171 +231,87 @@ func (f Figure) writerCounts() []int {
 	return []int{w}
 }
 
-// Cell is one measured point of a figure.
-type Cell struct {
-	Algorithm Algorithm
-	Threads   int
-	Size      int
-	// Writers is the cell's writer count M (1 for the (1,N) figures).
-	Writers int
-	Result  Result
-	Err     error // non-nil when the cell is infeasible (e.g. RF > 58)
-}
-
-// FigureData is the measured content of a figure: cells in sweep order.
-type FigureData struct {
-	Figure Figure
-	Cells  []Cell
-}
-
-// Progress receives cell-completion callbacks (nil to disable).
-type Progress func(done, total int, c Cell)
-
-// Run measures every cell of the figure. Infeasible cells (reader counts
-// beyond an algorithm's limit) are recorded with an error rather than
-// aborting, mirroring the paper's "RF could not be tested" note.
-func (f Figure) Run(progress Progress) (FigureData, error) {
-	data := FigureData{Figure: f}
+// Run measures every cell of the figure into a grid report: one panel
+// per register size, one line per thread count (and M when swept), one
+// column per algorithm, Mops/s in each cell. Infeasible cells (reader
+// counts beyond an algorithm's limit) are recorded with an error rather
+// than aborting, mirroring the paper's "RF could not be tested" note.
+func (f Figure) Run(progress func(done, total int, r Row)) (Report, error) {
 	wcs := f.writerCounts()
-	total := len(f.Sizes) * len(wcs) * len(f.Threads) * len(f.Algorithms)
-	done := 0
+	rep := Report{ID: f.ID, Caption: f.Caption,
+		Params: fmt.Sprintf("mode=%s writers=%s steal=%.0f%% duration=%v",
+			f.Mode, strings.Trim(strings.ReplaceAll(fmt.Sprint(wcs), " ", ","), "[]"), f.StealFraction*100, f.Duration),
+		Grid: &Grid{Across: "algorithm"},
+	}
+	for _, size := range f.Sizes {
+		rep.Grid.Sections = append(rep.Grid.Sections,
+			Section{Title: "register size " + fmtSize(size), Tag: "size", Value: float64(size), Metric: "mops"})
+	}
+	// The M column shows only when the writer count is swept.
+	mLabel := ""
+	if len(wcs) > 1 {
+		mLabel = "M"
+	}
+	type cell struct {
+		alg                    Algorithm
+		size, writers, threads int
+	}
+	var cells []cell
 	for _, size := range f.Sizes {
 		for _, writers := range wcs {
 			for _, th := range f.Threads {
 				for _, alg := range f.Algorithms {
-					cell := Cell{Algorithm: alg, Threads: th, Size: size, Writers: writers}
-					switch {
-					case writers > 1 && !alg.IsMN():
-						cell.Err = fmt.Errorf("%s is a (1,N) register; %d writers need mn", alg, writers)
-					case th-writers > alg.MaxReaders():
-						cell.Err = fmt.Errorf("%d readers exceed %s limit %d", th-writers, alg, alg.MaxReaders())
-					case th < writers+1:
-						cell.Err = fmt.Errorf("%d threads leave no reader beside %d writers", th, writers)
-					default:
-						res, err := Run(RunConfig{
-							Algorithm:     alg,
-							Threads:       th,
-							Writers:       writers,
-							ValueSize:     size,
-							Mode:          f.Mode,
-							Duration:      f.Duration,
-							Warmup:        f.Warmup,
-							StealFraction: f.StealFraction,
-							Pin:           f.Pin,
-							Seed:          f.Seed,
-						})
-						if err != nil {
-							return data, fmt.Errorf("figure %s (%s, %d threads, M=%d, %dB): %w",
-								f.ID, alg, th, writers, size, err)
-						}
-						cell.Result = res
-					}
-					data.Cells = append(data.Cells, cell)
-					done++
-					if progress != nil {
-						progress(done, total, cell)
-					}
+					cells = append(cells, cell{alg, size, writers, th})
 				}
 			}
 		}
 	}
-	return data, nil
-}
-
-// Series extracts the (threads → Mops) series for one algorithm and
-// size, in sweep order (grouped by writer count when M is swept).
-func (d *FigureData) Series(alg Algorithm, size int) []Cell {
-	var out []Cell
-	for _, c := range d.Cells {
-		if c.Algorithm == alg && c.Size == size {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// RenderTable writes the figure as one ASCII table per register size —
-// rows are thread counts, columns are algorithms, cells are Mops/s (the
-// paper's y-axis).
-func (d *FigureData) RenderTable(w io.Writer) {
-	f := d.Figure
-	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Caption)
-	wcs := f.writerCounts()
-	sweep := len(wcs) > 1
-	if sweep {
-		fmt.Fprintf(w, "mode=%s writers=%s steal=%.0f%% duration=%v\n", f.Mode, fmtInts(wcs), f.StealFraction*100, f.Duration)
-	} else {
-		fmt.Fprintf(w, "mode=%s writers=%d steal=%.0f%% duration=%v\n", f.Mode, wcs[0], f.StealFraction*100, f.Duration)
-	}
-	for _, size := range f.Sizes {
-		fmt.Fprintf(w, "\n-- register size %s --\n", fmtSize(size))
-		fmt.Fprintf(w, "%8s", "threads")
-		if sweep {
-			fmt.Fprintf(w, " %4s", "M")
-		}
-		for _, alg := range f.Algorithms {
-			fmt.Fprintf(w, " %14s", alg)
-		}
-		fmt.Fprintln(w)
-		for _, wc := range wcs {
-			for _, th := range f.Threads {
-				fmt.Fprintf(w, "%8d", th)
-				if sweep {
-					fmt.Fprintf(w, " %4d", wc)
-				}
-				for _, alg := range f.Algorithms {
-					c := d.cell(alg, th, size, wc)
-					switch {
-					case c == nil:
-						fmt.Fprintf(w, " %14s", "-")
-					case c.Err != nil:
-						fmt.Fprintf(w, " %14s", "n/a")
-					default:
-						fmt.Fprintf(w, " %14.2f", c.Result.Mops())
-					}
-				}
-				fmt.Fprintln(w)
+	err := rep.sweep(len(cells), progress, func(i int) (Row, error) {
+		c := cells[i]
+		row := Row{Tags: []Field{
+			num("size", "", "B", c.size),
+			num("threads", "threads", "count", c.threads),
+			text("algorithm", "algorithm", string(c.alg)),
+			num("writers", mLabel, "count", c.writers),
+		}}
+		switch {
+		case c.writers > 1 && !c.alg.IsMN():
+			row.Err = fmt.Errorf("%s is a (1,N) register; %d writers need mn", c.alg, c.writers)
+		case c.threads-c.writers > c.alg.MaxReaders():
+			row.Err = fmt.Errorf("%d readers exceed %s limit %d", c.threads-c.writers, c.alg, c.alg.MaxReaders())
+		case c.threads < c.writers+1:
+			row.Err = fmt.Errorf("%d threads leave no reader beside %d writers", c.threads, c.writers)
+		default:
+			res, err := Run(RunConfig{
+				Algorithm:     c.alg,
+				Threads:       c.threads,
+				Writers:       c.writers,
+				ValueSize:     c.size,
+				Mode:          f.Mode,
+				Duration:      f.Duration,
+				Warmup:        f.Warmup,
+				StealFraction: f.StealFraction,
+				Pin:           f.Pin,
+				Seed:          f.Seed,
+			})
+			if err != nil {
+				return row, fmt.Errorf("figure %s (%s, %d threads, M=%d, %dB): %w",
+					f.ID, c.alg, c.threads, c.writers, c.size, err)
+			}
+			row.Metrics = []Field{
+				num("mops", "mops", "Mops/s", res.Mops()),
+				num("read_ops", "", "count", res.ReadOps),
+				num("write_ops", "", "count", res.WriteOps),
+				num("read_rmw", "", "count", res.ReadStat.RMW),
+				num("read_fastpath", "", "count", res.ReadStat.FastPath),
+				num("write_scan_steps", "", "count", res.WriteStat.ScanSteps),
+				num("hint_hits", "", "count", res.WriteStat.HintHits),
+				num("steal_events", "", "count", res.Steal.Steals),
 			}
 		}
-	}
-	fmt.Fprintln(w)
-}
-
-func fmtInts(xs []int) string {
-	s := ""
-	for i, x := range xs {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprintf("%d", x)
-	}
-	return s
-}
-
-// RenderCSV writes the figure in long form:
-// figure,size,threads,algorithm,writers,mops,read_ops,write_ops,…
-func (d *FigureData) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,size,threads,algorithm,writers,mops,read_ops,write_ops,read_rmw,read_fastpath,write_scan_steps,hint_hits,steal_events")
-	for _, c := range d.Cells {
-		if c.Err != nil {
-			continue
-		}
-		r := c.Result
-		fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%d,%d,%d,%d,%d,%d,%d\n",
-			d.Figure.ID, c.Size, c.Threads, c.Algorithm, c.Writers, r.Mops(),
-			r.ReadOps, r.WriteOps, r.ReadStat.RMW, r.ReadStat.FastPath,
-			r.WriteStat.ScanSteps, r.WriteStat.HintHits, r.Steal.Steals)
-	}
-}
-
-func (d *FigureData) cell(alg Algorithm, threads, size, writers int) *Cell {
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Algorithm == alg && c.Threads == threads && c.Size == size && c.Writers == writers {
-			return c
-		}
-	}
-	return nil
+		return row, nil
+	})
+	return rep, err
 }
 
 func fmtSize(n int) string {

@@ -203,26 +203,30 @@ func TestFigureRunAndRender(t *testing.T) {
 		Warmup:     5 * time.Millisecond,
 	}
 	var progressed int
-	data, err := f.Run(func(done, total int, c Cell) { progressed++ })
+	data, err := f.Run(func(done, total int, r Row) { progressed++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Cells) != 4 {
-		t.Fatalf("cells = %d, want 4", len(data.Cells))
+	if len(data.Rows) != 4 {
+		t.Fatalf("cells = %d, want 4", len(data.Rows))
 	}
 	if progressed != 4 {
 		t.Fatalf("progress callbacks = %d", progressed)
 	}
-	for _, c := range data.Cells {
+	var series int
+	for _, c := range data.Rows {
 		if c.Err != nil {
 			t.Fatalf("unexpected infeasible cell: %v", c.Err)
 		}
-		if c.Result.Mops() <= 0 {
-			t.Fatalf("cell %s/%d has zero throughput", c.Algorithm, c.Threads)
+		if c.Get("mops").Value <= 0 {
+			t.Fatalf("cell %s/%v has zero throughput", c.Get("algorithm").Text, c.Get("threads").Value)
+		}
+		if c.Get("algorithm").Text == string(AlgARC) && c.Get("size").Value == 256 {
+			series++
 		}
 	}
-	if got := data.Series(AlgARC, 256); len(got) != 2 {
-		t.Fatalf("series length %d", len(got))
+	if series != 2 {
+		t.Fatalf("series length %d", series)
 	}
 
 	var tbl strings.Builder
@@ -258,8 +262,8 @@ func TestFigureInfeasibleCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Cells) != 1 || data.Cells[0].Err == nil {
-		t.Fatalf("expected one infeasible cell, got %+v", data.Cells)
+	if len(data.Rows) != 1 || data.Rows[0].Err == nil {
+		t.Fatalf("expected one infeasible cell, got %+v", data.Rows)
 	}
 	var tbl strings.Builder
 	data.RenderTable(&tbl)
@@ -269,29 +273,29 @@ func TestFigureInfeasibleCells(t *testing.T) {
 }
 
 func TestRMWComparison(t *testing.T) {
-	rep, err := RunRMWComparison([]int{3}, 512, 40*time.Millisecond, 10*time.Millisecond)
+	rep, err := RunRMWComparison([]int{3}, 0, 512, 40*time.Millisecond, 10*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (arc, arc-nofastpath, rf)", len(rep.Rows))
 	}
-	byAlg := map[Algorithm]RMWRow{}
+	perRead := map[Algorithm]float64{}
 	for _, r := range rep.Rows {
-		byAlg[r.Algorithm] = r
+		perRead[Algorithm(r.Get("algorithm").Text)] = r.Get("rmw_per_read").Value
+		if r.Get("algorithm").Text == string(AlgARCNoFast) && r.Get("fastpath_pct").Value != 0 {
+			t.Errorf("ablated ARC shows fast-path reads")
+		}
 	}
-	if rf := byAlg[AlgRF]; rf.RMWPerRead() < 0.999 {
-		t.Errorf("RF rmw/read = %v, want 1", rf.RMWPerRead())
+	if rf := perRead[AlgRF]; rf < 0.999 {
+		t.Errorf("RF rmw/read = %v, want 1", rf)
 	}
-	if arcRow := byAlg[AlgARC]; arcRow.RMWPerRead() >= byAlg[AlgRF].RMWPerRead() {
+	if arc := perRead[AlgARC]; arc >= perRead[AlgRF] {
 		t.Errorf("ARC rmw/read %v not below RF %v — the paper's central claim",
-			arcRow.RMWPerRead(), byAlg[AlgRF].RMWPerRead())
-	}
-	if noFast := byAlg[AlgARCNoFast]; noFast.FastPathShare() != 0 {
-		t.Errorf("ablated ARC shows fast-path reads")
+			arc, perRead[AlgRF])
 	}
 	var sb strings.Builder
-	rep.Render(&sb)
+	rep.RenderTable(&sb)
 	if !strings.Contains(sb.String(), "rmw/read") {
 		t.Fatalf("render missing header:\n%s", sb.String())
 	}
@@ -319,7 +323,7 @@ func TestFmtSize(t *testing.T) {
 func TestLatencyComparison(t *testing.T) {
 	rep, err := RunLatencyComparison(
 		[]Algorithm{AlgARC, AlgLock}, 3, 512, 0,
-		40*time.Millisecond, 10*time.Millisecond)
+		40*time.Millisecond, 10*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +331,12 @@ func TestLatencyComparison(t *testing.T) {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
 	for _, r := range rep.Rows {
-		if r.ReadLat.Count() == 0 {
-			t.Errorf("%s: no read latency samples", r.Algorithm)
+		if r.Get("read_samples").Value == 0 {
+			t.Errorf("%s: no read latency samples", r.Get("algorithm").Text)
 		}
 	}
 	var sb strings.Builder
-	rep.Render(&sb)
+	rep.RenderTable(&sb)
 	for _, want := range []string{"read p99", "arc", "lock"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("render missing %q:\n%s", want, sb.String())

@@ -2,45 +2,33 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"arcreg/internal/metrics"
 	"arcreg/internal/workload"
 )
 
-// LatencyRow is one line of the latency experiment: per-operation read and
-// write latency quantiles for an algorithm under the standard deployment.
-// The paper reports throughput only; tail latency is the supplementary
-// view that exposes seqlock's unbounded read retries and the lock/
-// Left-Right writer stalls that aggregate throughput hides. AlgMap rows
-// run the keyed store through its single-key adapter, so its
-// directory-probe-then-value-read path is held to the same tail-latency
-// scrutiny as the raw algorithms.
-type LatencyRow struct {
-	Algorithm Algorithm
-	Threads   int
-	ReadLat   metrics.Histogram
-	WriteLat  metrics.Histogram
-}
-
-// LatencyReport is the experiment outcome.
-type LatencyReport struct {
-	Size     int
-	Steal    float64
-	Duration time.Duration
-	Rows     []LatencyRow
-}
-
-// RunLatencyComparison samples per-op latencies for the given algorithms.
-// Sampling records every 64th operation so the clock reads stay out of
-// the measured contention path.
-func RunLatencyComparison(algs []Algorithm, threads, size int, stealFrac float64, duration, warmup time.Duration) (LatencyReport, error) {
-	rep := LatencyReport{Size: size, Steal: stealFrac, Duration: duration}
+// RunLatencyComparison samples per-operation read and write latency
+// quantiles for the given algorithms under the standard deployment, one
+// row each; algorithms whose reader bound the thread count exceeds are
+// left out. The paper reports throughput only; tail latency is the
+// supplementary view that exposes seqlock's unbounded read retries and
+// the lock/Left-Right writer stalls that aggregate throughput hides.
+// AlgMap rows run the keyed store through its single-key adapter, so
+// its directory-probe-then-value-read path is held to the same
+// tail-latency scrutiny as the raw algorithms. Sampling records every
+// 64th operation so the clock reads stay out of the measured contention
+// path.
+func RunLatencyComparison(algs []Algorithm, threads, size int, stealFrac float64, duration, warmup time.Duration, progress func(done, total int, r Row)) (Report, error) {
+	rep := Report{ID: "latency", Caption: "per-operation latency",
+		Params: fmt.Sprintf("size %s, steal %.0f%%, window %v", fmtSize(size), stealFrac*100, duration)}
+	var feasible []Algorithm
 	for _, alg := range algs {
-		if threads-1 > alg.MaxReaders() {
-			continue
+		if threads-1 <= alg.MaxReaders() {
+			feasible = append(feasible, alg)
 		}
+	}
+	err := rep.sweep(len(feasible), progress, func(i int) (Row, error) {
+		alg := feasible[i]
 		res, err := Run(RunConfig{
 			Algorithm:     alg,
 			Threads:       threads,
@@ -52,30 +40,25 @@ func RunLatencyComparison(algs []Algorithm, threads, size int, stealFrac float64
 			LatencySample: 64,
 		})
 		if err != nil {
-			return rep, fmt.Errorf("latency experiment (%s): %w", alg, err)
+			return Row{}, fmt.Errorf("latency experiment (%s): %w", alg, err)
 		}
-		rep.Rows = append(rep.Rows, LatencyRow{
-			Algorithm: alg,
-			Threads:   threads,
-			ReadLat:   res.ReadLat,
-			WriteLat:  res.WriteLat,
-		})
-	}
-	return rep, nil
-}
-
-// Render writes the report as an ASCII table (nanoseconds).
-func (rep LatencyReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "== per-operation latency (size %s, steal %.0f%%, window %v) ==\n",
-		fmtSize(rep.Size), rep.Steal*100, rep.Duration)
-	fmt.Fprintf(w, "%12s %9s %8s %12s %12s %12s %12s %12s %12s\n",
-		"algorithm", "waitfree", "threads", "read p50", "read p99", "read max", "write p50", "write p99", "write max")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%12s %9s %8d %12s %12s %12s %12s %12s %12s\n",
-			r.Algorithm, r.Algorithm.WaitFreeLabel(), r.Threads,
-			metrics.Duration(r.ReadLat.Quantile(0.5)), metrics.Duration(r.ReadLat.Quantile(0.99)),
-			time.Duration(r.ReadLat.Max()),
-			metrics.Duration(r.WriteLat.Quantile(0.5)), metrics.Duration(r.WriteLat.Quantile(0.99)),
-			time.Duration(r.WriteLat.Max()))
-	}
+		return Row{
+			Tags: []Field{
+				text("algorithm", "algorithm", string(alg)),
+				text("waitfree", "waitfree", alg.WaitFreeLabel()),
+				num("threads", "threads", "count", threads),
+			},
+			Metrics: []Field{
+				num("read_p50_ns", "read p50", "ns", res.ReadLat.Quantile(0.5)),
+				num("read_p99_ns", "read p99", "ns", res.ReadLat.Quantile(0.99)),
+				num("read_max_ns", "read max", "ns", res.ReadLat.Max()),
+				num("write_p50_ns", "write p50", "ns", res.WriteLat.Quantile(0.5)),
+				num("write_p99_ns", "write p99", "ns", res.WriteLat.Quantile(0.99)),
+				num("write_max_ns", "write max", "ns", res.WriteLat.Max()),
+				num("read_samples", "", "count", res.ReadLat.Count()),
+				num("write_samples", "", "count", res.WriteLat.Count()),
+			},
+		}, nil
+	})
+	return rep, err
 }

@@ -11,7 +11,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -55,16 +54,10 @@ type MapRunConfig struct {
 	// StealFraction > 0 enables the virtualized-platform simulation
 	// (same injector as the register deployments).
 	StealFraction float64
-	// StealSlice overrides the steal event length (0 = default).
-	StealSlice time.Duration
-	// Pin binds workers to CPUs round-robin when supported.
-	Pin bool
 	// LatencySample records every Nth operation's latency (0 = off).
 	LatencySample int
 	// Seed fixes the key-popularity and steal schedules.
 	Seed uint64
-	// DynamicValues selects exact-size allocation per Set.
-	DynamicValues bool
 }
 
 func (c *MapRunConfig) defaults() error {
@@ -129,12 +122,7 @@ func (r MapResult) Mops() float64 { return r.Throughput().Mops() }
 
 // RMWPerGet is the average RMW instructions per Get — ~0 when the
 // fresh-gate holds through the map layer.
-func (r MapResult) RMWPerGet() float64 {
-	if r.ReadStat.Ops == 0 {
-		return 0
-	}
-	return float64(r.ReadStat.RMW) / float64(r.ReadStat.Ops)
-}
+func (r MapResult) RMWPerGet() float64 { return ratio(r.ReadStat.RMW, r.ReadStat.Ops) }
 
 // RunMap executes one measured keyed deployment: the map is
 // pre-populated with cfg.Keys keys, then 1 writer Sets and Threads−1
@@ -146,10 +134,9 @@ func RunMap(cfg MapRunConfig) (MapResult, error) {
 	readers := cfg.Threads - 1
 
 	m, err := regmap.New(regmap.Config{
-		Shards:        cfg.Shards,
-		MaxReaders:    readers,
-		MaxValueSize:  cfg.ValueSize,
-		DynamicValues: cfg.DynamicValues,
+		Shards:       cfg.Shards,
+		MaxReaders:   readers,
+		MaxValueSize: cfg.ValueSize,
 	})
 	if err != nil {
 		return MapResult{}, err
@@ -164,9 +151,8 @@ func RunMap(cfg MapRunConfig) (MapResult, error) {
 		}
 	}
 
-	env, err := newLoopEnv(cfg.Threads, cfg.Pin, cfg.LatencySample, steal.Config{
+	env, err := newLoopEnv(cfg.Threads, false, cfg.LatencySample, steal.Config{
 		Fraction: cfg.StealFraction,
-		Slice:    cfg.StealSlice,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {
@@ -259,27 +245,22 @@ type MapFigure struct {
 	// Threads and Keys span the sweep.
 	Threads []int
 	Keys    []int
-	// ValueSize, Zipf, Shards, MissEvery, ChurnEvery, DeleteEvery,
-	// SnapshotEvery, Mode apply to every cell.
+	// ValueSize, Zipf, Shards, ChurnEvery, DeleteEvery, SnapshotEvery
+	// and Mode apply to every cell.
 	ValueSize     int
 	Zipf          float64
 	Shards        int
-	MissEvery     int
 	ChurnEvery    int
 	DeleteEvery   int
 	SnapshotEvery int
 	Mode          workload.Mode
 	// StealFraction > 0 simulates the virtualized host in every cell.
 	StealFraction float64
-	// Pin requests CPU pinning in the physical regime.
-	Pin bool
 	// Duration and Warmup apply to every cell.
 	Duration time.Duration
 	Warmup   time.Duration
 	// Seed fixes key-popularity schedules.
 	Seed uint64
-	// DynamicValues selects exact-size value allocation.
-	DynamicValues bool
 }
 
 // FigMap is the keyed-workload figure: thread sweep × key-count sweep on
@@ -335,118 +316,60 @@ func (f MapFigure) Scale(maxThreads int, duration, warmup time.Duration) MapFigu
 	return f
 }
 
-// MapCell is one measured point of the map figure.
-type MapCell struct {
-	Threads int
-	Keys    int
-	Result  MapResult
-	Err     error
-}
-
-// MapFigureData is the measured content of the map figure.
-type MapFigureData struct {
-	Figure MapFigure
-	Cells  []MapCell
-}
-
-// MapProgress receives cell-completion callbacks (nil to disable).
-type MapProgress func(done, total int, c MapCell)
-
-// Run measures every cell of the figure.
-func (f MapFigure) Run(progress MapProgress) (MapFigureData, error) {
-	data := MapFigureData{Figure: f}
-	total := len(f.Keys) * len(f.Threads)
-	done := 0
-	for _, keys := range f.Keys {
-		for _, th := range f.Threads {
-			cell := MapCell{Threads: th, Keys: keys}
-			res, err := RunMap(MapRunConfig{
-				Threads:       th,
-				Keys:          keys,
-				Shards:        f.Shards,
-				ValueSize:     f.ValueSize,
-				Zipf:          f.Zipf,
-				MissEvery:     f.MissEvery,
-				ChurnEvery:    f.ChurnEvery,
-				DeleteEvery:   f.DeleteEvery,
-				SnapshotEvery: f.SnapshotEvery,
-				Mode:          f.Mode,
-				StealFraction: f.StealFraction,
-				Pin:           f.Pin,
-				Duration:      f.Duration,
-				Warmup:        f.Warmup,
-				Seed:          f.Seed,
-				DynamicValues: f.DynamicValues,
-			})
-			if err != nil {
-				return data, fmt.Errorf("figure %s (%d keys, %d threads): %w", f.ID, keys, th, err)
-			}
-			cell.Result = res
-			data.Cells = append(data.Cells, cell)
-			done++
-			if progress != nil {
-				progress(done, total, cell)
-			}
-		}
+// Run measures every cell of the figure into a grid report with two
+// panels, throughput (Mops/s) and rmw/get: one line per thread count,
+// one column per key count.
+func (f MapFigure) Run(progress func(done, total int, r Row)) (Report, error) {
+	rep := Report{ID: f.ID, Caption: f.Caption,
+		Params: fmt.Sprintf("mode=%s value=%s zipf=%.2f shards=%d churn=1/%d deletes=1/%d snapshots=1/%d steal=%.0f%% duration=%v",
+			f.Mode, fmtSize(f.ValueSize), f.Zipf, f.Shards, f.ChurnEvery, f.DeleteEvery, f.SnapshotEvery, f.StealFraction*100, f.Duration),
+		Grid: &Grid{Across: "keys", Sections: []Section{
+			{Title: "throughput (Mops/s)", Metric: "mops"},
+			{Title: "rmw/get", Metric: "rmw/get"},
+		}},
 	}
-	return data, nil
-}
-
-// RenderTable writes the figure as two ASCII tables — throughput
-// (Mops/s) and rmw/get — rows are thread counts, columns key counts.
-func (d *MapFigureData) RenderTable(w io.Writer) {
-	f := d.Figure
-	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Caption)
-	fmt.Fprintf(w, "mode=%s value=%s zipf=%.2f shards=%d churn=1/%d deletes=1/%d snapshots=1/%d steal=%.0f%% duration=%v\n",
-		f.Mode, fmtSize(f.ValueSize), f.Zipf, f.Shards, f.ChurnEvery, f.DeleteEvery, f.SnapshotEvery, f.StealFraction*100, f.Duration)
-	render := func(title string, metric func(MapResult) float64, format string) {
-		fmt.Fprintf(w, "\n-- %s --\n", title)
-		fmt.Fprintf(w, "%8s", "threads")
-		for _, k := range f.Keys {
-			fmt.Fprintf(w, " %14s", fmt.Sprintf("%d keys", k))
+	n := len(f.Threads)
+	err := rep.sweep(len(f.Keys)*n, progress, func(i int) (Row, error) {
+		keys, th := f.Keys[i/n], f.Threads[i%n]
+		res, err := RunMap(MapRunConfig{
+			Threads:       th,
+			Keys:          keys,
+			Shards:        f.Shards,
+			ValueSize:     f.ValueSize,
+			Zipf:          f.Zipf,
+			ChurnEvery:    f.ChurnEvery,
+			DeleteEvery:   f.DeleteEvery,
+			SnapshotEvery: f.SnapshotEvery,
+			Mode:          f.Mode,
+			StealFraction: f.StealFraction,
+			Duration:      f.Duration,
+			Warmup:        f.Warmup,
+			Seed:          f.Seed,
+		})
+		if err != nil {
+			return Row{}, fmt.Errorf("figure %s (%d keys, %d threads): %w", f.ID, keys, th, err)
 		}
-		fmt.Fprintln(w)
-		for _, th := range f.Threads {
-			fmt.Fprintf(w, "%8d", th)
-			for _, k := range f.Keys {
-				c := d.cell(th, k)
-				if c == nil {
-					fmt.Fprintf(w, " %14s", "-")
-					continue
-				}
-				fmt.Fprintf(w, format, metric(c.Result))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	render("throughput (Mops/s)", MapResult.Mops, " %14.2f")
-	render("rmw/get", MapResult.RMWPerGet, " %14.4f")
-	fmt.Fprintln(w)
-}
-
-// RenderCSV writes the figure in long form.
-func (d *MapFigureData) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,keys,threads,mops,get_ops,set_ops,rmw,fastpath,misses,dir_refreshes,keys_created,keys_deleted,snapshots,snapshot_retries,compactions,dir_bytes,repairs")
-	for _, c := range d.Cells {
-		if c.Err != nil {
-			continue
-		}
-		r := c.Result
-		fmt.Fprintf(w, "%s,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			d.Figure.ID, c.Keys, c.Threads, r.Mops(),
-			r.GetOps, r.SetOps, r.ReadStat.RMW, r.ReadStat.FastPath,
-			r.ReadStat.Misses, r.ReadStat.DirRefreshes, r.KeysCreated,
-			r.KeysDeleted, r.Snapshots, r.ReadStat.SnapshotRetries,
-			r.WriteStat.Compactions, r.WriteStat.DirBytes, r.ReadStat.Repairs)
-	}
-}
-
-func (d *MapFigureData) cell(threads, keys int) *MapCell {
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Threads == threads && c.Keys == keys {
-			return c
-		}
-	}
-	return nil
+		rd, wr := res.ReadStat, res.WriteStat
+		return Row{
+			Tags: []Field{num("keys", "keys", "count", keys), num("threads", "threads", "count", th)},
+			Metrics: []Field{
+				num("mops", "mops", "Mops/s", res.Mops()),
+				num("get_ops", "", "count", res.GetOps),
+				num("set_ops", "", "count", res.SetOps),
+				num("rmw", "", "count", rd.RMW),
+				num("fastpath", "", "count", rd.FastPath),
+				num("misses", "", "count", rd.Misses),
+				num("dir_refreshes", "", "count", rd.DirRefreshes),
+				num("keys_created", "", "count", res.KeysCreated),
+				num("keys_deleted", "", "count", res.KeysDeleted),
+				num("snapshots", "", "count", res.Snapshots),
+				num("snapshot_retries", "", "count", rd.SnapshotRetries),
+				num("compactions", "", "count", wr.Compactions),
+				num("dir_bytes", "", "B", wr.DirBytes),
+				num("repairs", "", "count", rd.Repairs),
+				num("", "rmw/get", "ratio", res.RMWPerGet()),
+			},
+		}, nil
+	})
+	return rep, err
 }

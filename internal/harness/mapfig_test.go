@@ -98,8 +98,8 @@ func TestMapFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(data.Cells))
+	if len(data.Rows) != 2 {
+		t.Fatalf("cells = %d, want 2", len(data.Rows))
 	}
 	var tbl strings.Builder
 	data.RenderTable(&tbl)

@@ -106,14 +106,14 @@ func TestFigMNRunAndRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	var infeasible, measured int
-	for _, c := range data.Cells {
-		switch {
-		case c.Threads == 2 && c.Err != nil:
+	for _, c := range data.Rows {
+		switch th := c.Get("threads").Value; {
+		case th == 2 && c.Err != nil:
 			infeasible++
-		case c.Threads == 3 && c.Err == nil:
+		case th == 3 && c.Err == nil:
 			measured++
 		default:
-			t.Errorf("unexpected cell %s threads=%d err=%v", c.Algorithm, c.Threads, c.Err)
+			t.Errorf("unexpected cell %s threads=%v err=%v", c.Get("algorithm").Text, th, c.Err)
 		}
 	}
 	if infeasible != 2 || measured != 2 {
@@ -140,15 +140,16 @@ func TestFigMNWriterSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Cells) != 4 { // 2 writer counts × 1 thread × 2 algorithms
-		t.Fatalf("cells = %d, want 4", len(data.Cells))
+	if len(data.Rows) != 4 { // 2 writer counts × 1 thread × 2 algorithms
+		t.Fatalf("cells = %d, want 4", len(data.Rows))
 	}
 	byM := map[int]int{}
-	for _, c := range data.Cells {
+	for _, c := range data.Rows {
+		m := int(c.Get("writers").Value)
 		if c.Err != nil {
-			t.Errorf("cell %s th=%d M=%d infeasible: %v", c.Algorithm, c.Threads, c.Writers, c.Err)
+			t.Errorf("cell %s th=%v M=%d infeasible: %v", c.Get("algorithm").Text, c.Get("threads").Value, m, c.Err)
 		}
-		byM[c.Writers]++
+		byM[m]++
 	}
 	if byM[1] != 2 || byM[2] != 2 {
 		t.Fatalf("cells per M = %v, want 2 each", byM)
@@ -184,31 +185,37 @@ func TestFigWriterSweepInfeasibleForSingleWriterAlg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Cells) != 1 || data.Cells[0].Err == nil {
-		t.Fatalf("expected one infeasible cell, got %+v", data.Cells)
+	if len(data.Rows) != 1 || data.Rows[0].Err == nil {
+		t.Fatalf("expected one infeasible cell, got %+v", data.Rows)
 	}
 }
 
 func TestMNRMWComparison(t *testing.T) {
-	rep, err := RunMNRMWComparison([]int{2, 4}, 2, 256, 40*time.Millisecond, 5*time.Millisecond)
+	rep, err := RunRMWComparison([]int{2, 4}, 2, 256, 40*time.Millisecond, 5*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// threads=2 leaves no reader and is skipped; threads=4 yields one row
 	// per variant.
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rep.Rows))
-	}
+	var mnRows []Row
 	for _, row := range rep.Rows {
-		if row.Threads != 4 {
-			t.Errorf("row threads = %d", row.Threads)
+		if Algorithm(row.Get("algorithm").Text).IsMN() {
+			mnRows = append(mnRows, row)
 		}
-		if row.ReadOps == 0 {
-			t.Errorf("%s: no reads accounted", row.Algorithm)
+	}
+	if len(mnRows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(mnRows))
+	}
+	for _, row := range mnRows {
+		if row.Get("threads").Value != 4 {
+			t.Errorf("row threads = %v", row.Get("threads").Value)
+		}
+		if row.Get("reads").Value == 0 {
+			t.Errorf("%s: no reads accounted", row.Get("algorithm").Text)
 		}
 	}
 	var sb strings.Builder
-	rep.Render(&sb)
+	rep.RenderTable(&sb)
 	if !strings.Contains(sb.String(), "mn-nogate") {
 		t.Fatalf("render missing mn rows:\n%s", sb.String())
 	}

@@ -2,139 +2,92 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"arcreg/internal/workload"
 )
 
-// RMWRow is one line of the RMW-accounting experiment: how many
-// read-modify-write instructions each algorithm spends per read — the
-// mechanism behind the paper's §1/§5 claim that ARC outperforms RF by
-// avoiding RMW execution on reads of unchanged content.
-type RMWRow struct {
-	Algorithm     Algorithm
-	Threads       int
-	ReadOps       uint64
-	ReadRMW       uint64
-	FastPathReads uint64
-	WriteOps      uint64
-	WriteRMW      uint64
-}
-
-// RMWPerRead is the average RMW instructions per read operation.
-func (r RMWRow) RMWPerRead() float64 {
-	if r.ReadOps == 0 {
-		return 0
+// RunRMWComparison measures how many read-modify-write instructions
+// each algorithm spends per read — the mechanism behind the paper's
+// §1/§5 claim that ARC outperforms RF by avoiding RMW execution on reads
+// of unchanged content. ARC, the fast-path-ablated ARC and RF run at
+// every thread count their reader bound allows: RF issues exactly one
+// RMW per read by construction; ARC's count falls with concurrency
+// because more reads land on unchanged content (the scenario §5
+// highlights).
+//
+// With writers > 0 the (M,N) composite's fresh-gated collect and its
+// always-View ablation follow at M = writers, on the thread counts that
+// leave a reader beside the writers (writers+1 when none does). Their
+// ReadStats aggregate component RMW per composite read, so the rmw/read
+// column compares directly with the (1,N) rows: a read-dominated steady
+// state shows ~0 for the gated collect.
+func RunRMWComparison(threads []int, writers, size int, duration, warmup time.Duration, progress func(done, total int, r Row)) (Report, error) {
+	rep := Report{ID: "rmw", Caption: "RMW accounting",
+		Params: fmt.Sprintf("register size %s, window %v", fmtSize(size), duration)}
+	type cell struct {
+		alg              Algorithm
+		threads, writers int
 	}
-	return float64(r.ReadRMW) / float64(r.ReadOps)
-}
-
-// FastPathShare is the fraction of reads served with zero RMW.
-func (r RMWRow) FastPathShare() float64 {
-	if r.ReadOps == 0 {
-		return 0
-	}
-	return float64(r.FastPathReads) / float64(r.ReadOps)
-}
-
-// RMWReport is the experiment outcome.
-type RMWReport struct {
-	Size     int
-	Duration time.Duration
-	Rows     []RMWRow
-}
-
-// RunRMWComparison measures RMW economy for ARC, the fast-path-ablated
-// ARC, and RF across the given thread counts. RF issues exactly one RMW
-// per read by construction; ARC's count falls with concurrency because
-// more reads land on unchanged content (the scenario §5 highlights).
-func RunRMWComparison(threads []int, size int, duration, warmup time.Duration) (RMWReport, error) {
-	rep := RMWReport{Size: size, Duration: duration}
+	var cells, mn []cell
 	for _, th := range threads {
 		for _, alg := range []Algorithm{AlgARC, AlgARCNoFast, AlgRF} {
-			if th-1 > alg.MaxReaders() {
-				continue
+			if th-1 <= alg.MaxReaders() {
+				cells = append(cells, cell{alg, th, 1})
 			}
-			res, err := Run(RunConfig{
-				Algorithm: alg,
-				Threads:   th,
-				ValueSize: size,
-				Mode:      workload.Dummy,
-				Duration:  duration,
-				Warmup:    warmup,
-			})
-			if err != nil {
-				return rep, fmt.Errorf("rmw experiment (%s, %d threads): %w", alg, th, err)
-			}
-			// Use the protocol counters for both numerator and
-			// denominator: they cover the same operations (warmup
-			// included), unlike the measured-window op counts.
-			rep.Rows = append(rep.Rows, RMWRow{
-				Algorithm:     alg,
-				Threads:       th,
-				ReadOps:       res.ReadStat.Ops,
-				ReadRMW:       res.ReadStat.RMW,
-				FastPathReads: res.ReadStat.FastPath,
-				WriteOps:      res.WriteStat.Ops,
-				WriteRMW:      res.WriteStat.RMW,
-			})
+		}
+		if writers > 0 && th > writers {
+			mn = append(mn, cell{AlgMN, th, writers}, cell{AlgMNNoGate, th, writers})
 		}
 	}
-	return rep, nil
+	if writers > 0 && len(mn) == 0 {
+		mn = []cell{{AlgMN, writers + 1, writers}, {AlgMNNoGate, writers + 1, writers}}
+	}
+	cells = append(cells, mn...)
+	err := rep.sweep(len(cells), progress, func(i int) (Row, error) {
+		c := cells[i]
+		res, err := Run(RunConfig{
+			Algorithm: c.alg,
+			Threads:   c.threads,
+			Writers:   c.writers,
+			ValueSize: size,
+			Mode:      workload.Dummy,
+			Duration:  duration,
+			Warmup:    warmup,
+		})
+		if err != nil {
+			return Row{}, fmt.Errorf("rmw experiment (%s, %d threads, M=%d): %w", c.alg, c.threads, c.writers, err)
+		}
+		// The protocol counters give both numerator and denominator:
+		// they cover the same operations (warmup included), unlike the
+		// measured-window op counts.
+		rd, wr := res.ReadStat, res.WriteStat
+		return Row{
+			Tags: []Field{
+				text("algorithm", "algorithm", string(c.alg)),
+				text("waitfree", "waitfree", c.alg.WaitFreeLabel()),
+				num("threads", "threads", "count", c.threads),
+				num("writers", "M", "count", c.writers),
+			},
+			Metrics: []Field{
+				num("reads", "reads", "count", rd.Ops),
+				num("read_rmw", "", "count", rd.RMW),
+				num("read_fastpath", "", "count", rd.FastPath),
+				num("writes", "", "count", wr.Ops),
+				num("write_rmw", "", "count", wr.RMW),
+				num("rmw_per_read", "rmw/read", "ratio", ratio(rd.RMW, rd.Ops)),
+				num("fastpath_pct", "fastpath%", "%", 100*ratio(rd.FastPath, rd.Ops)),
+				num("rmw_per_write", "rmw/write", "ratio", ratio(wr.RMW, wr.Ops)),
+			},
+		}, nil
+	})
+	return rep, err
 }
 
-// RunMNRMWComparison measures the RMW economy of the (M,N) composite:
-// the fresh-gated collect versus its always-View ablation, at a fixed
-// writer count across the given total thread counts. The composite
-// ReadStats aggregate component RMW per composite read, so the table's
-// rmw/read column is directly comparable to the (1,N) rows: a
-// read-dominated steady state shows ~0 for the gated collect. Thread
-// counts that leave no reader beside the writers are skipped.
-func RunMNRMWComparison(threads []int, writers, size int, duration, warmup time.Duration) (RMWReport, error) {
-	rep := RMWReport{Size: size, Duration: duration}
-	for _, th := range threads {
-		if th < writers+1 {
-			continue
-		}
-		for _, alg := range []Algorithm{AlgMN, AlgMNNoGate} {
-			res, err := Run(RunConfig{
-				Algorithm: alg,
-				Threads:   th,
-				Writers:   writers,
-				ValueSize: size,
-				Mode:      workload.Dummy,
-				Duration:  duration,
-				Warmup:    warmup,
-			})
-			if err != nil {
-				return rep, fmt.Errorf("mn rmw experiment (%s, %d threads): %w", alg, th, err)
-			}
-			rep.Rows = append(rep.Rows, RMWRow{
-				Algorithm:     alg,
-				Threads:       th,
-				ReadOps:       res.ReadStat.Ops,
-				ReadRMW:       res.ReadStat.RMW,
-				FastPathReads: res.ReadStat.FastPath,
-				WriteOps:      res.WriteStat.Ops,
-				WriteRMW:      res.WriteStat.RMW,
-			})
-		}
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
 	}
-	return rep, nil
-}
-
-// Render writes the report as an ASCII table.
-func (rep RMWReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "== RMW accounting (register size %s, window %v) ==\n", fmtSize(rep.Size), rep.Duration)
-	fmt.Fprintf(w, "%8s %16s %9s %14s %14s %12s %12s\n",
-		"threads", "algorithm", "waitfree", "reads", "rmw/read", "fastpath%", "rmw/write")
-	for _, r := range rep.Rows {
-		perWrite := 0.0
-		if r.WriteOps > 0 {
-			perWrite = float64(r.WriteRMW) / float64(r.WriteOps)
-		}
-		fmt.Fprintf(w, "%8d %16s %9s %14d %14.4f %11.1f%% %12.2f\n",
-			r.Threads, r.Algorithm, r.Algorithm.WaitFreeLabel(), r.ReadOps, r.RMWPerRead(), r.FastPathShare()*100, perWrite)
-	}
+	return float64(a) / float64(b)
 }

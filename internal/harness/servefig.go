@@ -50,10 +50,6 @@ type ServeRunConfig struct {
 	// Duration is the measurement window; Warmup precedes it.
 	Duration time.Duration
 	Warmup   time.Duration
-	// PoolReaders/QueueDepth tune the server (0 = serve defaults
-	// scaled to the client count).
-	PoolReaders int
-	QueueDepth  int
 }
 
 // ServeResult is one cell's outcome.
@@ -107,17 +103,8 @@ func RunServe(cfg ServeRunConfig) (ServeResult, error) {
 	if cfg.ValueSize < 16 {
 		cfg.ValueSize = 16
 	}
-	pool := cfg.PoolReaders
-	if pool <= 0 {
-		pool = cfg.Clients
-		if pool > 16 {
-			pool = 16
-		}
-	}
-	queue := cfg.QueueDepth
-	if queue <= 0 {
-		queue = 256
-	}
+	// The server pools one reader per client, at most 16.
+	pool := min(cfg.Clients, 16)
 	m, err := regmap.New(regmap.Config{
 		Shards:       4,
 		MaxReaders:   pool + cfg.Watchers + 2,
@@ -136,7 +123,7 @@ func RunServe(cfg ServeRunConfig) (ServeResult, error) {
 		Map:          m,
 		Readers:      pool,
 		WatchStreams: cfg.Watchers + 1,
-		QueueDepth:   queue,
+		QueueDepth:   256,
 	})
 	if err != nil {
 		return ServeResult{}, err
@@ -438,25 +425,14 @@ func (f ServeFigure) Scale(maxClients int, duration, warmup time.Duration) Serve
 	return f
 }
 
-// ServeCell is one measured figure cell.
-type ServeCell struct {
-	Clients int
-	Result  ServeResult
-	Err     error
-}
-
-// ServeData is the figure outcome.
-type ServeData struct {
-	Figure ServeFigure
-	Cells  []ServeCell
-}
-
-// Run executes the client-count sweep.
-func (f ServeFigure) Run(progress func(done, total int, c ServeCell)) (ServeData, error) {
-	data := ServeData{Figure: f}
-	for i, clients := range f.Clients {
-		res, err := RunServe(ServeRunConfig{
-			Clients:      clients,
+// Run executes the client-count sweep into a one-line-per-row report.
+func (f ServeFigure) Run(progress func(done, total int, r Row)) (Report, error) {
+	rep := Report{ID: f.ID, Caption: "loopback serving: GET req/s and publish→client-observe latency",
+		Params: fmt.Sprintf("publish every %v, value %dB, %d keys, %d watchers, window %v",
+			f.PublishEvery, f.ValueSize, f.Keys, f.Watchers, f.Duration)}
+	err := rep.sweep(len(f.Clients), progress, func(i int) (Row, error) {
+		r, err := RunServe(ServeRunConfig{
+			Clients:      f.Clients[i],
 			Watchers:     f.Watchers,
 			Keys:         f.Keys,
 			ValueSize:    f.ValueSize,
@@ -464,57 +440,34 @@ func (f ServeFigure) Run(progress func(done, total int, c ServeCell)) (ServeData
 			Duration:     f.Duration,
 			Warmup:       f.Warmup,
 		})
-		cell := ServeCell{Clients: clients, Result: res, Err: err}
 		if err != nil {
-			return data, err
+			return Row{}, err
 		}
-		data.Cells = append(data.Cells, cell)
-		if progress != nil {
-			progress(i+1, len(f.Clients), cell)
-		}
-	}
-	return data, nil
-}
-
-// RenderTable writes the figure as an ASCII table.
-func (d ServeData) RenderTable(w io.Writer) {
-	f := d.Figure
-	fmt.Fprintf(w, "== loopback serving: GET req/s and publish→client-observe latency (publish every %v, value %dB, %d keys, %d watchers, window %v) ==\n",
-		f.PublishEvery, f.ValueSize, f.Keys, f.Watchers, f.Duration)
-	fmt.Fprintf(w, "%8s %10s %12s %10s %10s %8s %12s %12s %12s %8s %10s %12s %12s %10s\n",
-		"clients", "gets", "get req/s", "get p50", "get p99", "puts",
-		"obs p50", "obs p99", "obs max", "shed", "conflated",
-		"cascade p99", "flush p99", "drops")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%8d %10d %12.0f %10s %10s %8d %12s %12s %12s %8d %10d %12s %12s %10d\n",
-			c.Clients, r.Gets, r.Rate(),
-			metrics.Duration(r.GetLat.Quantile(0.5)),
-			metrics.Duration(r.GetLat.Quantile(0.99)),
-			r.Puts,
-			metrics.Duration(r.ObsLat.Quantile(0.5)),
-			metrics.Duration(r.ObsLat.Quantile(0.99)),
-			time.Duration(r.ObsLat.Max()),
-			r.Shed, r.Conflated,
-			metrics.Duration(r.CascadeLat.Quantile(0.99)),
-			metrics.Duration(r.FlushLat.Quantile(0.99)),
-			r.ConflateDrops)
-	}
-}
-
-// RenderCSV appends machine-readable rows.
-func (d ServeData) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,clients,watchers,keys,value_size,window_ms,gets,get_rps,get_p50_ns,get_p99_ns,puts,observed,obs_p50_ns,obs_p99_ns,obs_max_ns,shed,conflated,cascade_p99_ns,conflate_drops,flush_p99_ns")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%s,%d,%d,%d,%d,%.0f,%d,%.0f,%.0f,%.0f,%d,%d,%.0f,%.0f,%d,%d,%d,%.0f,%d,%.0f\n",
-			d.Figure.ID, c.Clients, d.Figure.Watchers, d.Figure.Keys, d.Figure.ValueSize,
-			float64(r.Elapsed)/float64(time.Millisecond),
-			r.Gets, r.Rate(),
-			r.GetLat.Quantile(0.5), r.GetLat.Quantile(0.99),
-			r.Puts, r.Observed,
-			r.ObsLat.Quantile(0.5), r.ObsLat.Quantile(0.99), r.ObsLat.Max(),
-			r.Shed, r.Conflated,
-			r.CascadeLat.Quantile(0.99), r.ConflateDrops, r.FlushLat.Quantile(0.99))
-	}
+		return Row{
+			Tags: []Field{
+				num("clients", "clients", "count", f.Clients[i]),
+				num("watchers", "", "count", f.Watchers),
+				num("keys", "", "count", f.Keys),
+				num("value_size", "", "B", f.ValueSize),
+			},
+			Metrics: []Field{
+				num("window_ms", "", "ms", float64(r.Elapsed)/float64(time.Millisecond)),
+				num("gets", "gets", "count", r.Gets),
+				num("get_rps", "get req/s", "req/s", r.Rate()),
+				num("get_p50_ns", "get p50", "ns", r.GetLat.Quantile(0.5)),
+				num("get_p99_ns", "get p99", "ns", r.GetLat.Quantile(0.99)),
+				num("puts", "puts", "count", r.Puts),
+				num("observed", "", "count", r.Observed),
+				num("obs_p50_ns", "obs p50", "ns", r.ObsLat.Quantile(0.5)),
+				num("obs_p99_ns", "obs p99", "ns", r.ObsLat.Quantile(0.99)),
+				num("obs_max_ns", "obs max", "ns", r.ObsLat.Max()),
+				num("shed", "shed", "count", r.Shed),
+				num("conflated", "conflated", "count", r.Conflated),
+				num("cascade_p99_ns", "cascade p99", "ns", r.CascadeLat.Quantile(0.99)),
+				num("conflate_drops", "drops", "count", r.ConflateDrops),
+				num("flush_p99_ns", "flush p99", "ns", r.FlushLat.Quantile(0.99)),
+			},
+		}, nil
+	})
+	return rep, err
 }

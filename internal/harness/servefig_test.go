@@ -22,21 +22,22 @@ func TestServeFigureSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Cells) != len(f.Clients) {
-		t.Fatalf("got %d cells, want %d", len(data.Cells), len(f.Clients))
+	if len(data.Rows) != len(f.Clients) {
+		t.Fatalf("got %d cells, want %d", len(data.Rows), len(f.Clients))
 	}
-	var observed uint64
-	for _, c := range data.Cells {
-		if c.Result.Gets == 0 {
-			t.Errorf("clients=%d: no GETs completed in the window", c.Clients)
+	var observed float64
+	for _, c := range data.Rows {
+		clients := c.Get("clients").Value
+		if c.Get("gets").Value == 0 {
+			t.Errorf("clients=%v: no GETs completed in the window", clients)
 		}
-		if c.Result.Rate() <= 0 {
-			t.Errorf("clients=%d: rate %.0f, want > 0", c.Clients, c.Result.Rate())
+		if c.Get("get_rps").Value <= 0 {
+			t.Errorf("clients=%v: rate %.0f, want > 0", clients, c.Get("get_rps").Value)
 		}
-		if c.Result.Puts == 0 {
-			t.Errorf("clients=%d: writer published nothing", c.Clients)
+		if c.Get("puts").Value == 0 {
+			t.Errorf("clients=%v: writer published nothing", clients)
 		}
-		observed += c.Result.Observed
+		observed += c.Get("observed").Value
 	}
 	if observed == 0 {
 		t.Error("no watch client observed a publication in any cell")
@@ -49,8 +50,8 @@ func TestServeFigureSmoke(t *testing.T) {
 	}
 	data.RenderCSV(&csv)
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 1+len(data.Cells) {
-		t.Fatalf("CSV has %d lines, want header + %d rows", len(lines), len(data.Cells))
+	if len(lines) != 1+len(data.Rows) {
+		t.Fatalf("CSV has %d lines, want header + %d rows", len(lines), len(data.Rows))
 	}
 	for _, col := range []string{"figure", "clients", "get_rps", "get_p50_ns", "get_p99_ns", "obs_p50_ns", "obs_p99_ns", "shed", "conflated"} {
 		if !strings.Contains(lines[0], col) {

@@ -8,16 +8,14 @@ package harness
 // publish→observe latency quantifies what the subsystem buys: a parked
 // watcher wakes in scheduler time regardless of how rarely values
 // change, while a poller's latency floor is half its poll interval —
-// and its idle cost is a CPU-resident loop. This is the figure the
-// paper's evaluation never shows (its readers spin), and the one that
-// matters for the "millions of mostly-idle readers" deployment the
-// north star names.
+// and its idle cost is a CPU-resident loop. The paper's evaluation
+// never shows this (its readers spin); it is what a deployment of many
+// mostly-idle subscribers pays.
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +35,7 @@ const (
 	// the notify/Watch path.
 	ModeWatch WatchMode = "watch"
 	// ModePoll probes freshness in a sleep loop (PollEvery per round) —
-	// the pre-notify Values discipline.
+	// a subscriber without the notify subsystem.
 	ModePoll WatchMode = "poll"
 )
 
@@ -415,142 +413,84 @@ func (f WatchFigure) Scale(maxWatchers int, duration, warmup time.Duration) Watc
 	return f
 }
 
-// WatchCell is one measured figure cell.
-type WatchCell struct {
-	Mode      WatchMode
-	PollEvery time.Duration
-	Watchers  int
-	// FanArity/FanDepth are the wakeup-tree topology for a tree-parked
-	// watch cell; zero arity marks the flat-gate baseline.
-	FanArity int
-	FanDepth int
-	Result   WatchResult
-	Err      error
-}
-
-// Series names the cell's subscriber discipline for tables and CSV.
-func (c WatchCell) Series() string {
-	if c.Mode == ModeWatch {
-		if c.FanArity > 0 {
-			return "watch"
-		}
-		return "watch-flat"
+// Run executes the sweep into a one-line-per-row report: the
+// tree-parked watch series (when FanArity is set), the flat-gate
+// baseline, and one poll series per configured interval, each across
+// the watcher counts. Poll cells above maxPollWatchers are skipped, not
+// silently shrunk — they simply do not appear in the output.
+func (f WatchFigure) Run(progress func(done, total int, r Row)) (Report, error) {
+	type cell struct {
+		series             string
+		mode               WatchMode
+		poll               time.Duration
+		fanArity, fanDepth int
+		watchers           int
 	}
-	return fmt.Sprintf("poll-%s", c.PollEvery)
-}
-
-// WatchData is the figure outcome.
-type WatchData struct {
-	Figure WatchFigure
-	Cells  []WatchCell
-}
-
-// Run executes the sweep: the tree-parked watch series (when FanArity
-// is set), the flat-gate baseline, and one poll series per configured
-// interval, each across the watcher counts. Poll cells above
-// maxPollWatchers are skipped, not silently shrunk — they simply do
-// not appear in the output.
-func (f WatchFigure) Run(progress func(done, total int, c WatchCell)) (WatchData, error) {
-	type series struct {
-		mode     WatchMode
-		poll     time.Duration
-		fanArity int
-		fanDepth int
-	}
-	var sweeps []series
+	var series []cell
 	if f.FanArity > 0 {
-		sweeps = append(sweeps, series{ModeWatch, 0, f.FanArity, f.FanDepth})
+		series = append(series, cell{series: "watch", mode: ModeWatch, fanArity: f.FanArity, fanDepth: f.FanDepth})
 	}
-	sweeps = append(sweeps, series{ModeWatch, 0, 0, 0}) // flat baseline
+	series = append(series, cell{series: "watch-flat", mode: ModeWatch})
 	for _, p := range f.PollEvery {
-		sweeps = append(sweeps, series{mode: ModePoll, poll: p})
+		series = append(series, cell{series: fmt.Sprintf("poll-%s", p), mode: ModePoll, poll: p})
 	}
-	data := WatchData{Figure: f}
-	total := 0
-	for _, s := range sweeps {
+	var cells []cell
+	for _, c := range series {
 		for _, w := range f.Watchers {
-			if s.mode == ModePoll && w > maxPollWatchers {
+			if c.mode == ModePoll && w > maxPollWatchers {
 				continue
 			}
-			total++
+			c.watchers = w
+			cells = append(cells, c)
 		}
 	}
-	done := 0
-	for _, s := range sweeps {
-		for _, w := range f.Watchers {
-			if s.mode == ModePoll && w > maxPollWatchers {
-				continue
-			}
-			res, err := RunWatch(WatchRunConfig{
-				Mode:          s.mode,
-				PollEvery:     s.poll,
-				Watchers:      w,
-				FanArity:      s.fanArity,
-				FanDepth:      s.fanDepth,
-				PublishEvery:  f.PublishEvery,
-				ValueSize:     f.ValueSize,
-				Duration:      f.Duration,
-				Warmup:        f.Warmup,
-				SlowConsumers: f.SlowConsumers,
-				SlowDelay:     f.SlowDelay,
-			})
-			cell := WatchCell{
-				Mode: s.mode, PollEvery: s.poll, Watchers: w,
-				FanArity: s.fanArity, FanDepth: s.fanDepth,
-				Result: res, Err: err,
-			}
-			if err != nil {
-				return data, err
-			}
-			data.Cells = append(data.Cells, cell)
-			done++
-			if progress != nil {
-				progress(done, total, cell)
-			}
+	rep := Report{ID: f.ID, Caption: "publish→observe wakeup latency",
+		Params: fmt.Sprintf("publish every %v, value %dB, window %v, %d slow consumer(s) +%v",
+			f.PublishEvery, f.ValueSize, f.Duration, f.SlowConsumers, f.SlowDelay)}
+	err := rep.sweep(len(cells), progress, func(i int) (Row, error) {
+		c := cells[i]
+		r, err := RunWatch(WatchRunConfig{
+			Mode:          c.mode,
+			PollEvery:     c.poll,
+			Watchers:      c.watchers,
+			FanArity:      c.fanArity,
+			FanDepth:      c.fanDepth,
+			PublishEvery:  f.PublishEvery,
+			ValueSize:     f.ValueSize,
+			Duration:      f.Duration,
+			Warmup:        f.Warmup,
+			SlowConsumers: f.SlowConsumers,
+			SlowDelay:     f.SlowDelay,
+		})
+		if err != nil {
+			return Row{}, err
 		}
-	}
-	return data, nil
-}
-
-// RenderTable writes the figure as an ASCII table.
-func (d WatchData) RenderTable(w io.Writer) {
-	f := d.Figure
-	fmt.Fprintf(w, "== publish→observe wakeup latency (publish every %v, value %dB, window %v, %d slow consumer(s) +%v) ==\n",
-		f.PublishEvery, f.ValueSize, f.Duration, f.SlowConsumers, f.SlowDelay)
-	fmt.Fprintf(w, "%12s %9s %10s %10s %12s %12s %12s %10s %10s %8s %8s %10s %9s %12s %10s\n",
-		"series", "watchers", "published", "observed", "lat p50", "lat p99", "lat max",
-		"pub p50", "pub p99", "lag p50", "lag max", "conflated", "wakeups",
-		"cascade p99", "drops")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%12s %9d %10d %10d %12s %12s %12s %10s %10s %8d %8d %10d %9d %12s %10d\n",
-			c.Series(), c.Watchers, r.Published, r.Observed,
-			metrics.Duration(r.Latency.Quantile(0.5)),
-			metrics.Duration(r.Latency.Quantile(0.99)),
-			time.Duration(r.Latency.Max()),
-			metrics.Duration(r.PubOverhead.Quantile(0.5)),
-			metrics.Duration(r.PubOverhead.Quantile(0.99)),
-			r.LagP50, r.LagMax, r.Conflated, r.Wakeups,
-			metrics.Duration(r.CascadeLat.Quantile(0.99)),
-			r.ConflateDrops)
-	}
-}
-
-// RenderCSV appends machine-readable rows.
-func (d WatchData) RenderCSV(w io.Writer) {
-	// New columns go at the end: CI's smoke grep matches the prefix of
-	// this header, and downstream plotting scripts index by name.
-	fmt.Fprintln(w, "figure,series,watchers,publish_every_us,poll_every_us,published,observed,lat_p50_ns,lat_p99_ns,lat_max_ns,lag_p50,lag_max,conflated,wakeups,pub_p50_ns,pub_p99_ns,cascade_p99_ns,conflate_drops,flush_p99_ns")
-	for _, c := range d.Cells {
-		r := c.Result
-		fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%d,%d,%.0f,%.0f,%d,%d,%d,%d,%d,%.0f,%.0f,%.0f,%d,%.0f\n",
-			d.Figure.ID, c.Series(), c.Watchers,
-			float64(d.Figure.PublishEvery)/float64(time.Microsecond),
-			float64(c.PollEvery)/float64(time.Microsecond),
-			r.Published, r.Observed,
-			r.Latency.Quantile(0.5), r.Latency.Quantile(0.99), r.Latency.Max(),
-			r.LagP50, r.LagMax, r.Conflated, r.Wakeups,
-			r.PubOverhead.Quantile(0.5), r.PubOverhead.Quantile(0.99),
-			r.CascadeLat.Quantile(0.99), r.ConflateDrops, r.FlushLat.Quantile(0.99))
-	}
+		// New columns go at the end: CI's smoke grep matches a prefix
+		// of this header, and plotting scripts index by name.
+		return Row{
+			Tags: []Field{
+				text("series", "series", c.series),
+				num("watchers", "watchers", "count", c.watchers),
+				num("publish_every_us", "", "us", float64(f.PublishEvery)/float64(time.Microsecond)),
+				num("poll_every_us", "", "us", float64(c.poll)/float64(time.Microsecond)),
+			},
+			Metrics: []Field{
+				num("published", "published", "count", r.Published),
+				num("observed", "observed", "count", r.Observed),
+				num("lat_p50_ns", "lat p50", "ns", r.Latency.Quantile(0.5)),
+				num("lat_p99_ns", "lat p99", "ns", r.Latency.Quantile(0.99)),
+				num("lat_max_ns", "lat max", "ns", r.Latency.Max()),
+				num("lag_p50", "lag p50", "count", r.LagP50),
+				num("lag_max", "lag max", "count", r.LagMax),
+				num("conflated", "conflated", "count", r.Conflated),
+				num("wakeups", "wakeups", "count", r.Wakeups),
+				num("pub_p50_ns", "pub p50", "ns", r.PubOverhead.Quantile(0.5)),
+				num("pub_p99_ns", "pub p99", "ns", r.PubOverhead.Quantile(0.99)),
+				num("cascade_p99_ns", "cascade p99", "ns", r.CascadeLat.Quantile(0.99)),
+				num("conflate_drops", "drops", "count", r.ConflateDrops),
+				num("flush_p99_ns", "", "ns", r.FlushLat.Quantile(0.99)),
+			},
+		}, nil
+	})
+	return rep, err
 }

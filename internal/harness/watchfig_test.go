@@ -96,8 +96,8 @@ func TestWatchFigureRender(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
 		}
 	}
-	if got := strings.Count(csv.String(), "\n"); got != len(data.Cells)+1 {
-		t.Errorf("CSV has %d lines, want %d cells + header", got, len(data.Cells))
+	if got := strings.Count(csv.String(), "\n"); got != len(data.Rows)+1 {
+		t.Errorf("CSV has %d lines, want %d cells + header", got, len(data.Rows))
 	}
 	// The CI smoke job greps this exact substring from the header; the
 	// pub columns must extend it, never break it.
@@ -107,13 +107,11 @@ func TestWatchFigureRender(t *testing.T) {
 	// Both watch disciplines must run in the default figure: the tree
 	// series and the flat baseline are a comparison, not alternatives.
 	var tree, flat int
-	for _, c := range data.Cells {
-		if c.Mode != ModeWatch {
-			continue
-		}
-		if c.FanArity > 0 {
+	for _, c := range data.Rows {
+		switch c.Get("series").Text {
+		case "watch":
 			tree++
-		} else {
+		case "watch-flat":
 			flat++
 		}
 	}
@@ -139,8 +137,12 @@ func TestWatchFigurePollClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := map[WatchMode]map[int]int{ModeWatch: {}, ModePoll: {}}
-	for _, c := range data.Cells {
-		cells[c.Mode][c.Watchers]++
+	for _, c := range data.Rows {
+		mode := ModeWatch
+		if strings.HasPrefix(c.Get("series").Text, "poll-") {
+			mode = ModePoll
+		}
+		cells[mode][int(c.Get("watchers").Value)]++
 	}
 	if got := cells[ModePoll][2]; got != len(fig.PollEvery) {
 		t.Errorf("small watcher count ran %d poll cells, want %d", got, len(fig.PollEvery))
