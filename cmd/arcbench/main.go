@@ -137,8 +137,10 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 		if len(o.writers) > 0 && o.writers[0] > 0 {
 			writers = o.writers[0]
 		}
+		size := o.size
+		oneSize(id, o.sizes, &size)
 		d, w := o.window(200 * time.Millisecond)
-		return harness.RunRMWComparison(th, writers, o.size, d, w, progress)
+		return harness.RunRMWComparison(th, writers, size, d, w, progress)
 	case "latency":
 		d, w := o.window(200 * time.Millisecond)
 		algs := []harness.Algorithm{
@@ -149,7 +151,10 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 			// latency is tracked alongside the raw algorithms.
 			harness.AlgMap,
 		}
-		return harness.RunLatencyComparison(algs, o.nthreads, o.size, max(o.steal, 0), d, w, progress)
+		threads, size := o.nthreads, o.size
+		oneThreads(id, o.threads, &threads)
+		oneSize(id, o.sizes, &size)
+		return harness.RunLatencyComparison(algs, threads, size, max(o.steal, 0), d, w, progress)
 	case "map":
 		// The map figure: thread sweep × key-count sweep, Zipf key
 		// popularity, with optional delete-mix (-delete-every) and
@@ -243,13 +248,21 @@ func set(sweep *[]int, override []int) {
 
 // oneSize applies -sizes to a figure that measures one value size per
 // run: the first entry wins.
-func oneSize(id string, sizes []int, size *int) {
-	if len(sizes) == 0 {
+func oneSize(id string, sizes []int, size *int) { oneOf(id, "value size", sizes, size) }
+
+// oneThreads applies -threads to a figure that measures one thread
+// count per run: the first entry wins.
+func oneThreads(id string, threads []int, n *int) { oneOf(id, "thread count", threads, n) }
+
+// oneOf sets *v to the first entry of an explicit sweep override, saying
+// on stderr when it drops the rest.
+func oneOf(id, what string, sweep []int, v *int) {
+	if len(sweep) == 0 {
 		return
 	}
-	*size = sizes[0]
-	if len(sizes) > 1 {
-		fmt.Fprintf(os.Stderr, "arcbench: %s figure measures one value size per run; using %d\n", id, sizes[0])
+	*v = sweep[0]
+	if len(sweep) > 1 {
+		fmt.Fprintf(os.Stderr, "arcbench: %s figure measures one %s per run; using %d\n", id, what, sweep[0])
 	}
 }
 

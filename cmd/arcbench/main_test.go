@@ -55,13 +55,17 @@ func TestFigureQuickWithCSV(t *testing.T) {
 func TestRMWFigure(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "rmw.csv")
 	var sb strings.Builder
-	err := run([]string{"-figure", "rmw", "-threads", "2", "-size", "256",
+	err := run([]string{"-figure", "rmw", "-threads", "2", "-sizes", "512",
 		"-duration", "30ms", "-warmup", "5ms", "-writers", "2", "-csv", csv}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "rmw/read") {
 		t.Fatalf("missing rmw table:\n%s", sb.String())
+	}
+	// -sizes sets the one register size the figure measures.
+	if !strings.Contains(sb.String(), "register size 512B") {
+		t.Fatalf("rmw figure ignored -sizes 512:\n%s", sb.String())
 	}
 	if !strings.Contains(sb.String(), "mn-nogate") {
 		t.Fatalf("missing MN rmw rows:\n%s", sb.String())
@@ -178,7 +182,7 @@ func TestMapSingleRun(t *testing.T) {
 func TestLatencyFigure(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "latency.csv")
 	var sb strings.Builder
-	err := run([]string{"-figure", "latency", "-quick", "-nthreads", "3", "-size", "256", "-csv", csv}, &sb)
+	err := run([]string{"-figure", "latency", "-quick", "-threads", "2", "-sizes", "256", "-csv", csv}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,8 @@ func TestLatencyFigure(t *testing.T) {
 		t.Fatalf("missing latency table:\n%s", sb.String())
 	}
 	// -csv covers the latency figure: one row per algorithm, all seven
-	// feasible at 2 readers.
+	// feasible at the one reader -threads 2 leaves, and every row at the
+	// thread count -threads gave.
 	lines := csvLines(t, csv)
 	if !strings.HasPrefix(lines[0], "figure,algorithm,waitfree,threads,read_p50_ns,read_p99_ns,") {
 		t.Fatalf("latency csv header wrong: %q", lines[0])
@@ -194,8 +199,16 @@ func TestLatencyFigure(t *testing.T) {
 	if len(lines) != 1+7 {
 		t.Fatalf("latency csv has %d data lines, want 7:\n%s", len(lines)-1, strings.Join(lines, "\n"))
 	}
-	if !strings.HasPrefix(lines[1], "latency,arc,r+w,3,") {
+	if !strings.HasPrefix(lines[1], "latency,arc,r+w,2,") {
 		t.Fatalf("latency csv first row: %q", lines[1])
+	}
+	for _, l := range lines[1:] {
+		if f := strings.Split(l, ","); len(f) < 4 || f[3] != "2" {
+			t.Fatalf("latency csv row not at 2 threads: %q", l)
+		}
+	}
+	if !strings.Contains(sb.String(), "size 256B") {
+		t.Fatalf("latency figure ignored -sizes 256:\n%s", sb.String())
 	}
 }
 

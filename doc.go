@@ -15,7 +15,9 @@
 // classical wait-free registers copy the value multiple times per
 // operation. ARC gives every operation a bounded, constant number of
 // steps, copies the value exactly once (on write — reads are zero-copy),
-// admits up to 2³²−2 concurrent readers, and needs only N+2 value buffers.
+// admits up to 2³²−2 concurrent readers, and needs at most N+2 value
+// buffers — only as many as the versions its readers hold at once, plus
+// two.
 //
 // # Quick start
 //

@@ -36,6 +36,20 @@
 // search by posting just-freed slots into a hint word (§3.4), making
 // writes amortized constant time.
 //
+// # Slot buffers follow the versions readers hold
+//
+// The paper pre-allocates a MaxValueSize buffer per slot and calls the
+// buffer policy an implementation choice (§3.3). Here the writer keeps a
+// published prefix: slots [0, used) have been published at least once,
+// and W1 searches only there, taking slot used (and growing the prefix)
+// when no slot in it but last_slot is free. A fixed-buffer register
+// allocates slot 0's buffer in New and any other slot's on the write
+// that first fills it, so its buffers number at most two more than the
+// most distinct versions readers held at once — not N+2. Lemma 4.1
+// keeps the growth in range: a never-published slot is free, so when the
+// prefix offers none, one lies beyond it (DESIGN.md §3, "The published
+// prefix").
+//
 // # Deviation from the paper's initialization
 //
 // Algorithm 1 initializes current to N, pre-charging all N statically
@@ -87,7 +101,11 @@ type slot struct {
 	// the writer while the slot is free; readers observe it through the
 	// happens-before edge established by the RMW chain on current.
 	size int
-	// content is the pre-allocated value buffer (MaxValueSize bytes).
+	// content is the value buffer: on a fixed-buffer register a
+	// MaxValueSize buffer allocated when the slot joins the published
+	// prefix and kept from then on; under DynamicBuffers the exact-size
+	// buffer of the slot's last write, or nil once W3 dropped it. nil on
+	// every slot beyond the prefix.
 	content []byte
 }
 
@@ -112,8 +130,9 @@ type Options struct {
 	// any real implementation … dynamic buffer allocation/release, with
 	// each buffer made up by the amount of bytes fitting the size of the
 	// register value … could be employed." Each write allocates an
-	// exact-size buffer instead of copying into the pre-allocated
-	// MaxValueSize one, and W3 releases the retired slot's buffer when
+	// exact-size buffer instead of copying into the slot's MaxValueSize
+	// one (which a fixed-buffer register allocates once per slot of its
+	// published prefix), and W3 releases the retired slot's buffer when
 	// no reader acquired the slot while it was current. A register so
 	// keeps at most the current buffer, those of slots readers hold, and
 	// those of freed slots not yet reused, rather than one per slot.
@@ -146,6 +165,12 @@ type Register struct {
 	maxReaders   int
 	maxValueSize int
 	opts         Options
+	// used is the published prefix: slots [0, used) have been published
+	// at least once, and W1 never looks beyond it. Only the writer
+	// stores it, and only when the prefix grows; Stats loads it from any
+	// goroutine. It fills the padding after opts, so the header keeps
+	// its size.
+	used atomic.Uint32
 
 	// seq is the publication sequencer watchers park on: Publish after
 	// every W2 costs the writer one atomic store plus one load of the
@@ -197,19 +222,17 @@ func New(cfg register.Config, opts Options) (*Register, error) {
 		maxValueSize: cfg.MaxValueSize,
 		opts:         opts,
 	}
-	if !opts.DynamicBuffers {
-		for i := range r.slots {
-			r.slots[i].content = membuf.Aligned(cfg.MaxValueSize)
-		}
-	}
-	// Algorithm 1: the initial value is posted into slot 0; every other
-	// slot starts with r_start == r_end == 0 (free).
+	// Algorithm 1: the initial value is posted into slot 0, the published
+	// prefix's only member; every other slot starts with r_start == r_end
+	// == 0 (free) and no buffer.
 	if opts.DynamicBuffers {
 		r.slots[0].content = append([]byte(nil), initial...)
 		r.slots[0].size = len(initial)
 	} else {
+		r.slots[0].content = membuf.Aligned(cfg.MaxValueSize)
 		r.slots[0].size = copy(r.slots[0].content, initial)
 	}
+	r.used.Store(1)
 	if opts.StaticInit {
 		// I1: current ← N — index 0, counter N, as if all N readers had
 		// already started reading slot 0.
@@ -220,7 +243,7 @@ func New(cfg register.Config, opts Options) (*Register, error) {
 	}
 	r.freeHint.Store(noHint)
 	r.lastSlot = 0
-	r.scanCursor = 1
+	r.scanCursor = 0
 	return r, nil
 }
 
@@ -252,18 +275,29 @@ func (r *Register) MaxValueSize() int { return r.maxValueSize }
 // SlotCount reports the number of snapshot slots (always MaxReaders+2).
 func (r *Register) SlotCount() int { return len(r.slots) }
 
-// Footprint reports the bytes New allocates for a register built from
-// cfg and opts, from the types' sizes and the slot count: reg is the
-// register header plus its slot array, and bufs its fixed value buffers,
-// zero under DynamicBuffers (whose buffers follow the values written, so
-// only the caller can count them).
-func Footprint(cfg register.Config, opts Options) (reg, bufs int) {
+// FixedBuffers reports how many MaxValueSize buffers the register holds:
+// on a fixed-buffer register one per slot of the published prefix (the
+// Stats node's slots_used), under DynamicBuffers 0 (those buffers follow
+// the values written, so only the caller can count them). Safe from any
+// goroutine.
+func (r *Register) FixedBuffers() int {
+	if r.opts.DynamicBuffers {
+		return 0
+	}
+	return int(r.used.Load())
+}
+
+// Footprint reports, from the types' sizes and the slot count, what a
+// register built from cfg and opts costs: reg is the register header
+// plus its slot array, and buf the bytes of one fixed value buffer (zero
+// under DynamicBuffers). The register holds FixedBuffers of those.
+func Footprint(cfg register.Config, opts Options) (reg, buf int) {
 	nslots := cfg.MaxReaders + 2
 	reg = int(unsafe.Sizeof(Register{})) + nslots*int(unsafe.Sizeof(slot{}))
 	if !opts.DynamicBuffers {
-		bufs = nslots * membuf.AlignedBytes(cfg.MaxValueSize)
+		buf = membuf.AlignedBytes(cfg.MaxValueSize)
 	}
-	return reg, bufs
+	return reg, buf
 }
 
 // Writer implements register.Register. The register itself is the writer
@@ -275,14 +309,17 @@ func (r *Register) Writer() register.Writer { return r }
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
 // Stats returns the register's live telemetry as a Stats-tree node:
-// capacity gauges plus the publication sequencer's counters. Safe from
-// any goroutine at any time — it reads only tier-1 words (atomically
-// published cells and the handle-table mutex), never the writer's or a
-// reader's plain hot-path counters; those stay quiescent-collection
-// only (WriteStats/ReadStats) per the DESIGN §10 recording discipline.
+// capacity gauges, the published prefix's length (slots_used, which on
+// a fixed-buffer register is also its buffer count) and the publication
+// sequencer's counters. Safe from any goroutine at any time — it reads
+// only tier-1 words (atomically published cells and the handle-table
+// mutex), never the writer's or a reader's plain hot-path counters;
+// those stay quiescent-collection only (WriteStats/ReadStats) per the
+// DESIGN §10 recording discipline.
 func (r *Register) Stats() obs.Snapshot {
 	sn := obs.Snapshot{Name: "register"}
 	sn.Put("slots", uint64(len(r.slots)))
+	sn.Put("slots_used", uint64(r.used.Load()))
 	sn.Put("max_readers", uint64(r.maxReaders))
 	sn.Put("live_readers", uint64(r.LiveReaders()))
 	sn.Children = append(sn.Children, r.seq.Stats())
@@ -395,8 +432,11 @@ func (r *Register) Trace(ring *trace.Ring) { r.rec = ring }
 func (r *Register) Notifier() *notify.Sequencer { return &r.seq }
 
 // findFreeSlot returns a slot with r_start == r_end that is not the
-// freshest slot (W1), consulting the §3.4 reader hint first.
+// freshest slot (W1), consulting the §3.4 reader hint first. It searches
+// the published prefix [0, used) only, and takes slot used when the
+// prefix has no free slot but last_slot.
 func (r *Register) findFreeSlot() uint32 {
+	used := r.used.Load()
 	if !r.opts.DisableFreeHint {
 		if h := r.freeHint.Load(); h != noHint {
 			// Single writer ⇒ load-then-clear needs no RMW. A hint a
@@ -406,7 +446,7 @@ func (r *Register) findFreeSlot() uint32 {
 			r.freeHint.Store(noHint)
 			idx := uint32(h)
 			r.wstats.ScanSteps++
-			if idx != r.lastSlot && int(idx) < len(r.slots) {
+			if idx != r.lastSlot && idx < used {
 				s := &r.slots[idx]
 				// Re-validate: the hinted slot may have been reused for
 				// an earlier write since the reader posted it (§3.4's
@@ -418,14 +458,14 @@ func (r *Register) findFreeSlot() uint32 {
 			}
 		}
 	}
-	// Linear scan from a roving cursor. A slot observed free cannot be
-	// re-acquired by readers (only the freshest slot can be acquired, and
-	// only the writer republishes), so one full pass must succeed.
-	n := uint32(len(r.slots))
-	for probes := uint32(0); probes < n; probes++ {
+	// Linear scan of the prefix from a roving cursor. A slot observed
+	// free cannot be re-acquired by readers (only the freshest slot can
+	// be acquired, and only the writer republishes), so one full pass
+	// finds a free slot if the prefix holds one.
+	for probes := uint32(0); probes < used; probes++ {
 		idx := r.scanCursor
 		r.scanCursor++
-		if r.scanCursor == n {
+		if r.scanCursor >= used {
 			r.scanCursor = 0
 		}
 		r.wstats.ScanSteps++
@@ -437,10 +477,20 @@ func (r *Register) findFreeSlot() uint32 {
 			return idx
 		}
 	}
-	// Unreachable by Lemma 4.1: Σ(r_start − r_end) ≤ N live readers, so
-	// at least 2 of the N+2 slots are free and at least one of them is
-	// not last_slot. Reaching this line means the implementation broke
-	// the paper's invariant — fail loudly rather than corrupt data.
+	// Lemma 4.1: Σ(r_start − r_end) ≤ N live readers, so at least 2 of
+	// the N+2 slots are free and at least one of them is not last_slot.
+	// None is in the prefix, and a never-published slot has r_start ==
+	// r_end == 0, so slot used is free and used < N+2: grow the prefix.
+	if int(used) < len(r.slots) {
+		if !r.opts.DynamicBuffers {
+			r.slots[used].content = membuf.Aligned(r.maxValueSize)
+		}
+		r.used.Store(used + 1)
+		return used
+	}
+	// Unreachable by Lemma 4.1. Reaching this line means the
+	// implementation broke the paper's invariant — fail loudly rather
+	// than corrupt data.
 	panic("arc: no free slot found; Lemma 4.1 invariant violated")
 }
 
@@ -629,6 +679,26 @@ func (r *Register) CheckInvariants() error {
 	}
 	if idx != r.lastSlot {
 		return fmt.Errorf("arc: current index %d != lastSlot %d", idx, r.lastSlot)
+	}
+	// The published prefix holds every slot ever published, the current
+	// one included; beyond it lie only never-published slots: free, with
+	// no buffer. A fixed-buffer slot owns its MaxValueSize buffer from
+	// the write that brought it into the prefix on.
+	used := r.used.Load()
+	if int(used) > len(r.slots) || idx >= used {
+		return fmt.Errorf("arc: published prefix %d out of range (current index %d, %d slots)", used, idx, len(r.slots))
+	}
+	for i := range r.slots {
+		s := &r.slots[i]
+		switch {
+		case uint32(i) >= used:
+			if s.rStart.Load() != 0 || s.rEnd.Load() != 0 || s.content != nil {
+				return fmt.Errorf("arc: slot %d beyond the published prefix %d has r_start %d, r_end %d, %d-B buffer",
+					i, used, s.rStart.Load(), s.rEnd.Load(), len(s.content))
+			}
+		case !r.opts.DynamicBuffers && len(s.content) != r.maxValueSize:
+			return fmt.Errorf("arc: fixed-buffer slot %d holds a %d-B buffer, want %d", i, len(s.content), r.maxValueSize)
+		}
 	}
 	// Σ(r_start − r_end) over retired slots plus the live counter must
 	// not exceed the number of presence units ever issued to live

@@ -524,6 +524,26 @@ func TestConcurrentIntegrity(t *testing.T) {
 			}
 		}(rd)
 	}
+	// A Stats walker beside them: slots_used is the writer's published
+	// prefix, which only ever grows and never past the slot count.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			used, _ := r.Stats().Get("slots_used")
+			if used < last || used > uint64(r.SlotCount()) {
+				t.Errorf("slots_used %d after %d (%d slots)", used, last, r.SlotCount())
+				return
+			}
+			last = used
+		}
+	}()
 
 	buf := make([]byte, size)
 	for i := uint64(1); i <= writes; i++ {

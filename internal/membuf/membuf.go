@@ -1,7 +1,8 @@
 // Package membuf supplies the buffer substrate shared by all register
 // implementations: cache-line-aligned buffer allocation (the paper
-// pre-allocates all N+2 slot buffers with mmap; we pre-allocate slices once
-// at register construction) and a versioned payload codec.
+// pre-allocates all N+2 slot buffers with mmap; the baselines allocate
+// theirs at register construction, and ARC each slot's on the first write
+// into it) and a versioned payload codec.
 //
 // The codec is the workhorse of the correctness harness. Every test write
 // encodes a monotonically increasing version into the payload, redundantly

@@ -90,8 +90,9 @@
 // tag), so a cached tag can never exceed the component's current tag and
 // the incremental argmax can never regress.
 //
-// All operations are wait-free with O(M) time and M·(N+M+2) buffers total
-// — inherited directly from ARC's N+2 per component.
+// All operations are wait-free with O(M) time and at most M·(N+M+2)
+// buffers total — inherited directly from ARC's N+2 bound per component,
+// whose buffers are allocated only as its published prefix grows.
 package mnreg
 
 import (

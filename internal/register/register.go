@@ -91,9 +91,13 @@ type Register interface {
 type Config struct {
 	// MaxReaders is N, the number of concurrently live reader handles.
 	MaxReaders int
-	// MaxValueSize is the largest value, in bytes, a Write may publish.
-	// Slot buffers are pre-allocated at this size (the paper pre-allocates
-	// with mmap; §3.3 notes dynamic allocation is an orthogonal choice).
+	// MaxValueSize is the largest value, in bytes, a Write may publish,
+	// and the size of a fixed slot buffer. The paper pre-allocates every
+	// buffer with mmap and calls the policy an orthogonal choice (§3.3):
+	// the baselines pre-allocate theirs at construction, while ARC
+	// allocates a slot's buffer on the write that first publishes into
+	// the slot (see internal/arc), so it holds one per slot published,
+	// not N+2.
 	MaxValueSize int
 	// Initial, if non-nil, is the register's initial value (Algorithm 1
 	// posts it into slot 0). If nil, the register initially holds a

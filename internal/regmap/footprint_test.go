@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"arcreg/internal/arc"
+	"arcreg/internal/register"
 )
 
 // heapGrowth runs build between two collections and returns how many
@@ -89,25 +92,56 @@ func TestPerKeyFootprint(t *testing.T) {
 }
 
 // TestMapStatsMem checks the Stats tree's "mem" node against measured
-// heap growth: with empty values and no reader, the node's components
-// — registers, fixed value buffers, writer slot tables, the estimated
-// key index, directory logs — must add up to within 15% of what
-// building the map allocated.
+// heap growth: with empty values, the node's components — registers,
+// fixed value buffers, writer slot tables, the estimated key index,
+// directory logs — must add up to within 15% of what building the map
+// allocated. The fixed-buffer case also rewrites every key 8 times and
+// reads it through one reader after every second rewrite, as
+// TestPerKeyFootprint does, then closes the reader: each key's register
+// grows its published prefix to 3 slots (the current one, the one the
+// reader held, and one more for the write in between), so it holds 3
+// buffers, not N+2 = 4, and the node must count exactly those.
 func TestMapStatsMem(t *testing.T) {
 	const nkeys = 10_000
-	for _, cfg := range []Config{
-		{Shards: 8, MaxReaders: 2, DynamicValues: true},
-		{Shards: 8, MaxReaders: 4, DynamicValues: true},
-		{Shards: 8, MaxReaders: 2, MaxValueSize: 32},
+	for _, tc := range []struct {
+		cfg      Config
+		rewrites int
+		buffers  uint64 // fixed value buffers per key
+	}{
+		{cfg: Config{Shards: 8, MaxReaders: 2, DynamicValues: true}},
+		{cfg: Config{Shards: 8, MaxReaders: 4, DynamicValues: true}},
+		{cfg: Config{Shards: 8, MaxReaders: 2, MaxValueSize: 32}, rewrites: 8, buffers: 3},
 	} {
+		cfg := tc.cfg
 		t.Run(fmt.Sprintf("readers=%d,dynamic=%v", cfg.MaxReaders, cfg.DynamicValues), func(t *testing.T) {
 			keys := footprintKeys(nkeys)
 			var m *Map
 			grew := heapGrowth(func() {
 				m = newMap(t, cfg)
-				for _, k := range keys {
-					if err := m.Set(k, nil); err != nil {
-						t.Fatal(err)
+				setAll := func() {
+					for _, k := range keys {
+						if err := m.Set(k, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				setAll()
+				if tc.rewrites == 0 {
+					return
+				}
+				rd, err := m.NewReader()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rd.Close()
+				for i := range tc.rewrites {
+					setAll()
+					if i%2 == 1 {
+						for _, k := range keys {
+							if _, err := rd.Get(k); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
 				}
 			})
@@ -128,8 +162,10 @@ func TestMapStatsMem(t *testing.T) {
 			if sum != total {
 				t.Fatalf("mem components sum to %d, total says %d", sum, total)
 			}
-			if bufs, _ := mem.Get("value_buffers"); (bufs == 0) != cfg.DynamicValues {
-				t.Fatalf("value_buffers = %d with DynamicValues %v", bufs, cfg.DynamicValues)
+			_, buf := arc.Footprint(register.Config{MaxReaders: cfg.MaxReaders, MaxValueSize: cfg.MaxValueSize},
+				arc.Options{DynamicBuffers: cfg.DynamicValues})
+			if bufs, _ := mem.Get("value_buffers"); bufs != tc.buffers*nkeys*uint64(buf) {
+				t.Fatalf("value_buffers = %d B, want %d keys × %d buffers × %d B", bufs, nkeys, tc.buffers, buf)
 			}
 			ratio := float64(total) / float64(grew)
 			t.Logf("mem total %d B vs heap growth %d B (%.3f)\n%s", total, grew, ratio, mem.String())

@@ -195,13 +195,16 @@ type Config struct {
 	// MaxReaders is N, the number of concurrently live Reader handles.
 	MaxReaders int
 	// MaxValueSize bounds values in bytes (default
-	// register.DefaultMaxValueSize). Per-key registers pre-allocate
-	// MaxReaders+2 buffers of this size unless DynamicValues is set.
+	// register.DefaultMaxValueSize). Unless DynamicValues is set, a
+	// per-key register holds one buffer of this size per slot it has
+	// published: one for a key written once, at most the number of
+	// versions readers hold at once plus two, never more than
+	// MaxReaders+2.
 	MaxValueSize int
 	// DynamicValues selects the §3.3 dynamic-buffer variant for the
 	// per-key value registers: each Set allocates an exact-size buffer
-	// instead of filling a pre-allocated slot, and a value no reader
-	// acquired is released when the next Set replaces it. A key then
+	// instead of copying into the slot's MaxValueSize one, and a value
+	// no reader acquired is released when the next Set replaces it. A key then
 	// holds at most its current buffer, those of slots readers hold, and
 	// those of freed slots not yet reused, so memory scales with the
 	// values actually stored — the right choice when the map holds many
@@ -300,6 +303,7 @@ type shard struct {
 	deletes     uint64          // tombstones published (including compaction-folded deletes)
 	creates     uint64          // keys created (including re-creations)
 	compactions uint64          // compaction epochs published
+	buffers     uint64          // fixed value buffers the wregs registers hold (0 under DynamicValues)
 
 	// stats mirrors the plain directory counters above as live cells
 	// for Map.Stats. The writer flushes it with flushStats only inside
@@ -324,6 +328,7 @@ type shardStats struct {
 	deletes     obs.Cell
 	compactions obs.Cell
 	slots       obs.Cell // len(wregs): live and tombstoned slots, each holding a register
+	buffers     obs.Cell // fixed value buffers those registers hold
 	_           pad.CacheLinePad
 }
 
@@ -344,7 +349,7 @@ func (sh *shard) stampNow() int64 {
 // flushStats publishes the shard's directory counters into the live
 // cells. Call only from the shard writer, only inside a publication
 // window (between beginPub and endPub): the window is what lets the
-// stats walker validate that the eight cells belong to one publication
+// stats walker validate that the nine cells belong to one publication
 // instead of tearing across two.
 func (sh *shard) flushStats() {
 	sh.stats.epoch.Store(sh.epoch)
@@ -355,6 +360,7 @@ func (sh *shard) flushStats() {
 	sh.stats.deletes.Store(sh.deletes)
 	sh.stats.compactions.Store(sh.compactions)
 	sh.stats.slots.Store(uint64(len(sh.wregs)))
+	sh.stats.buffers.Store(sh.buffers)
 }
 
 // Map is a sharded wait-free snapshot map of ARC registers.
@@ -483,13 +489,22 @@ func (m *Map) Set(key string, val []byte) error {
 	}
 	sh := m.shards[m.ShardOf(key)]
 	if i, ok := sh.index[key]; ok {
+		reg := sh.wregs[i]
+		held := reg.FixedBuffers()
 		// Stamp the publication on traced shards: the key register's
 		// StagePublish event, the shard notify wake, and every downstream
 		// stage share this one span ID (see internal/trace).
 		stamp := sh.stampNow()
 		sh.beginPub()
 		faultValuePublish.Hit()
-		err := sh.wregs[i].WriteStamped(val, stamp)
+		err := reg.WriteStamped(val, stamp)
+		if grown := reg.FixedBuffers() - held; grown > 0 {
+			// A fixed-buffer write that grew the register's published
+			// prefix allocated a buffer: count it, inside the window
+			// like every stat cell.
+			sh.buffers += uint64(grown)
+			sh.stats.buffers.Store(sh.buffers)
+		}
 		sh.endPub()
 		if err == nil {
 			sh.notify.PublishAt(stamp)
@@ -590,6 +605,7 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 		// seeing the slot's previous incarnation.
 		sh.wregs = slices.Clone(sh.wregs)
 		sh.wgens = slices.Clone(sh.wgens)
+		sh.buffers -= uint64(sh.wregs[slot].FixedBuffers())
 		sh.wregs[slot] = reg
 		sh.wgens[slot]++
 		sh.wkeys[slot] = key
@@ -599,6 +615,7 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 		sh.wgens = append(sh.wgens, 1)
 		sh.wkeys = append(sh.wkeys, key)
 	}
+	sh.buffers += uint64(reg.FixedBuffers())
 	next := sh.slotSnapshot()
 	sh.index[key] = slot
 	sh.creates++
@@ -759,7 +776,7 @@ func (m *Map) WriteStats() WriteStats {
 // same per-shard consistency contract as Snapshot's value collect.
 func (m *Map) Stats() obs.Snapshot {
 	sn := obs.Snapshot{Name: "map"}
-	var keys, pubs, wakes, epoch, entries, dirBytes, creates, deletes, compactions, nslots uint64
+	var keys, pubs, wakes, epoch, entries, dirBytes, creates, deletes, compactions, nslots, nbufs uint64
 	children := make([]obs.Snapshot, 0, len(m.shards)+1)
 	for _, sh := range m.shards {
 		node := sh.statsSnapshot()
@@ -774,6 +791,7 @@ func (m *Map) Stats() obs.Snapshot {
 		deletes += get("deletes")
 		compactions += get("compactions")
 		nslots += get("slots")
+		nbufs += get("fixed_buffers")
 		children = append(children, node)
 	}
 	sn.Put("shards", uint64(len(m.shards)))
@@ -788,7 +806,7 @@ func (m *Map) Stats() obs.Snapshot {
 	sn.Put("creates", creates)
 	sn.Put("deletes", deletes)
 	sn.Put("compactions", compactions)
-	sn.Children = append(sn.Children, m.memStats(nslots, keys, dirBytes), m.watchTrack.Stats())
+	sn.Children = append(sn.Children, m.memStats(nslots, nbufs, keys, dirBytes), m.watchTrack.Stats())
 	if t := m.watchGate.Fanned(); t != nil {
 		// The map-level gate's wakeup tree (attached by the first
 		// WatchAll session): topology, live relays, cascade counters.
@@ -814,19 +832,21 @@ const (
 
 // memStats is the Stats tree's "mem" node: the map's heap bytes by
 // component, from the sums Stats already collects out of the shard
-// cells (slots, live keys, directory bytes) and from the registers' type
-// sizes — O(shards) in all, with no per-Set bookkeeping and no walk.
+// cells (slots, fixed value buffers, live keys, directory bytes) and
+// from the registers' type sizes — O(shards) in all, with no walk. The
+// only per-Set bookkeeping is the buffer count a fixed-buffer Set adds
+// when it grows its register's published prefix.
 // Every component but key_index_est is counted from sizes and counts;
 // total includes that one estimate. Values stored under DynamicValues,
 // key strings and reader-side state are not counted: they follow the
 // values, the callers and the handles, not the map's shape.
-func (m *Map) memStats(nslots, liveKeys, dirBytes uint64) obs.Snapshot {
-	valReg, valBufs := arc.Footprint(register.Config{
+func (m *Map) memStats(nslots, nbufs, liveKeys, dirBytes uint64) obs.Snapshot {
+	valReg, valBuf := arc.Footprint(register.Config{
 		MaxReaders: m.maxReaders, MaxValueSize: m.maxValueSize,
 	}, arc.Options{DynamicBuffers: m.dynamic})
 	dirReg, _ := arc.Footprint(register.Config{MaxReaders: m.maxReaders}, arc.Options{DynamicBuffers: true})
 	regs := nslots*uint64(valReg) + uint64(len(m.shards)*dirReg)
-	bufs := nslots * uint64(valBufs)
+	bufs := nbufs * uint64(valBuf)
 	tables := nslots * uint64(slotRowBytes)
 	index := liveKeys * indexEntryEstimate
 
@@ -918,6 +938,7 @@ func (sh *shard) statsSnapshot() obs.Snapshot {
 		node.Put("deletes", sh.stats.deletes.Load())
 		node.Put("compactions", sh.stats.compactions.Load())
 		node.Put("slots", sh.stats.slots.Load())
+		node.Put("fixed_buffers", sh.stats.buffers.Load())
 		// Independently atomic gauges: consistent with themselves, not
 		// window-validated (live_keys moves just outside the window).
 		node.Put("live_keys", uint64(sh.liveKeys.Load()))

@@ -48,9 +48,12 @@ type MapConfig struct {
 	// MaxValueSize bounds values in bytes (default 4096).
 	MaxValueSize int
 	// DynamicValues makes every Set allocate an exact-size buffer (the
-	// paper's §3.3 variant) instead of pre-allocating MaxReaders+2
-	// MaxValueSize buffers per key — the right choice for maps with many
-	// keys holding small values.
+	// paper's §3.3 variant) instead of copying into a MaxValueSize slot
+	// buffer. A key without it holds one such buffer per register slot
+	// it has published — one for a key written once, at most the versions
+	// readers hold at once plus two, never MaxReaders+2 up front — so
+	// DynamicValues is the right choice for maps with many keys holding
+	// values much smaller than MaxValueSize.
 	DynamicValues bool
 	// Trace enables the always-on flight recorder (see WithTrace):
 	// per-domain event rings threading publish→deliver spans, with zero

@@ -110,8 +110,12 @@ func WithReaders(n int) Option {
 	return func(c *config) { c.readers = n }
 }
 
-// WithMaxValueSize bounds encoded values in bytes (default 4096; slot
-// buffers are pre-allocated at this size).
+// WithMaxValueSize bounds encoded values in bytes (default 4096), and
+// sizes each fixed slot buffer. An ARC register allocates a slot's
+// buffer on the first write into that slot and fills the slots already
+// published first, so it holds as many buffers as the versions its
+// readers hold at once, plus two: two for readers that keep up, never
+// more than N+2.
 func WithMaxValueSize(n int) Option {
 	return func(c *config) { c.maxValueSize = n }
 }
@@ -145,9 +149,9 @@ func WithShards(s int) Option {
 }
 
 // WithDynamicValues selects the paper's §3.3 dynamic-buffer variant:
-// every Set allocates an exact-size buffer instead of pre-allocating
-// MaxReaders+2 MaxValueSize buffers, so memory scales with the values
-// actually stored, at the cost of one allocation per write. NewMap
+// every Set allocates an exact-size buffer instead of copying into a
+// MaxValueSize slot buffer, so memory scales with the values actually
+// stored, at the cost of one allocation per write. NewMap
 // applies it to every per-key register — the right choice for maps
 // holding many keys with small values. New applies it to the (1,N) ARC
 // register and rejects it for other algorithms and for WithWriters(m >
