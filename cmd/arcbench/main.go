@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 	fs.Var(&o.threads, "threads", "comma-separated thread `counts` (overrides the figure's sweep)")
 	fs.Var(&o.sizes, "sizes", "comma-separated register `sizes` in bytes (overrides the sweep)")
 	fs.IntVar(&o.size, "size", 4096, "register size for single runs")
-	fs.IntVar(&o.nthreads, "nthreads", 4, "thread count for single runs (writers + readers)")
+	fs.IntVar(&o.nthreads, "nthreads", 4, "thread count for single runs (writers + readers); -threads overrides it")
 	fs.Var(&o.writers, "writers", "writer thread `count(s)`: one value for single runs, a comma list sweeps M on the mn figure (e.g. 1,2,4,8)")
 	fs.StringVar(&o.mode, "mode", "dummy", "workload: dummy|processing")
 	fs.DurationVar(&o.duration, "duration", time.Second, "measurement window per cell")
@@ -138,7 +138,7 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 			writers = o.writers[0]
 		}
 		size := o.size
-		oneSize(id, o.sizes, &size)
+		oneSize(id+" figure", o.sizes, &size)
 		d, w := o.window(200 * time.Millisecond)
 		return harness.RunRMWComparison(th, writers, size, d, w, progress)
 	case "latency":
@@ -152,8 +152,8 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 			harness.AlgMap,
 		}
 		threads, size := o.nthreads, o.size
-		oneThreads(id, o.threads, &threads)
-		oneSize(id, o.sizes, &size)
+		oneThreads(id+" figure", o.threads, &threads)
+		oneSize(id+" figure", o.sizes, &size)
 		return harness.RunLatencyComparison(algs, threads, size, max(o.steal, 0), d, w, progress)
 	case "map":
 		// The map figure: thread sweep × key-count sweep, Zipf key
@@ -180,7 +180,7 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 		if o.steal >= 0 {
 			fig.StealFraction = o.steal
 		}
-		oneSize(id, o.sizes, &fig.ValueSize)
+		oneSize(id+" figure", o.sizes, &fig.ValueSize)
 		fig.Duration, fig.Warmup = o.window(200 * time.Millisecond)
 		if o.quick {
 			fig = fig.Scale(2*runtime.NumCPU(), 0, 0)
@@ -201,7 +201,7 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 		if o.fanDepth >= 0 {
 			fig.FanDepth = o.fanDepth
 		}
-		oneSize(id, o.sizes, &fig.ValueSize)
+		oneSize(id+" figure", o.sizes, &fig.ValueSize)
 		fig.Duration, fig.Warmup = o.window(200 * time.Millisecond)
 		if o.quick {
 			fig = fig.Scale(4, 0, 0)
@@ -215,7 +215,7 @@ func figure(id string, o *opts, progress func(done, total int, r harness.Row)) (
 		if o.pubEvery > 0 {
 			fig.PublishEvery = o.pubEvery
 		}
-		oneSize(id, o.sizes, &fig.ValueSize)
+		oneSize(id+" figure", o.sizes, &fig.ValueSize)
 		fig.Duration, fig.Warmup = o.window(300 * time.Millisecond)
 		if o.quick {
 			fig = fig.Scale(2*runtime.NumCPU(), 0, 0)
@@ -246,23 +246,23 @@ func set(sweep *[]int, override []int) {
 	}
 }
 
-// oneSize applies -sizes to a figure that measures one value size per
-// run: the first entry wins.
-func oneSize(id string, sizes []int, size *int) { oneOf(id, "value size", sizes, size) }
+// oneSize applies -sizes to a figure or single run that measures one
+// value size: the first entry wins.
+func oneSize(run string, sizes []int, size *int) { oneOf(run, "value size", sizes, size) }
 
-// oneThreads applies -threads to a figure that measures one thread
-// count per run: the first entry wins.
-func oneThreads(id string, threads []int, n *int) { oneOf(id, "thread count", threads, n) }
+// oneThreads applies -threads to a figure or single run that measures
+// one thread count: the first entry wins.
+func oneThreads(run string, threads []int, n *int) { oneOf(run, "thread count", threads, n) }
 
 // oneOf sets *v to the first entry of an explicit sweep override, saying
 // on stderr when it drops the rest.
-func oneOf(id, what string, sweep []int, v *int) {
+func oneOf(run, what string, sweep []int, v *int) {
 	if len(sweep) == 0 {
 		return
 	}
 	*v = sweep[0]
 	if len(sweep) > 1 {
-		fmt.Fprintf(os.Stderr, "arcbench: %s figure measures one %s per run; using %d\n", id, what, sweep[0])
+		fmt.Fprintf(os.Stderr, "arcbench: %s measures one %s per run; using %d\n", run, what, sweep[0])
 	}
 }
 
@@ -334,11 +334,17 @@ func singleRun(out io.Writer, o *opts) error {
 	if writers == 0 && a.IsMN() {
 		writers = 4
 	}
+	// -threads and -sizes name one deployment's thread count and value
+	// size here, as on the one-cell figures; -nthreads and -size are the
+	// defaults they override.
+	threads, size := o.nthreads, o.size
+	oneThreads("single run", o.threads, &threads)
+	oneSize("single run", o.sizes, &size)
 	cfg := harness.RunConfig{
 		Algorithm:     a,
-		Threads:       o.nthreads,
+		Threads:       threads,
 		Writers:       writers,
-		ValueSize:     o.size,
+		ValueSize:     size,
 		Mode:          m,
 		Duration:      o.duration,
 		Warmup:        o.warmup,
@@ -356,10 +362,10 @@ func singleRun(out io.Writer, o *opts) error {
 	}
 	if cfg.Writers > 1 {
 		fmt.Fprintf(out, "%s threads=%d writers=%d size=%d mode=%s steal=%.0f%%\n",
-			a, cfg.Threads, cfg.Writers, o.size, m, cfg.StealFraction*100)
+			a, cfg.Threads, cfg.Writers, cfg.ValueSize, m, cfg.StealFraction*100)
 	} else {
 		fmt.Fprintf(out, "%s threads=%d size=%d mode=%s steal=%.0f%%\n",
-			a, cfg.Threads, o.size, m, cfg.StealFraction*100)
+			a, cfg.Threads, cfg.ValueSize, m, cfg.StealFraction*100)
 	}
 	fmt.Fprintf(out, "  throughput: %s\n", res.Throughput())
 	// Per-op ratios use the protocol counters for both numerator and

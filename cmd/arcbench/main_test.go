@@ -24,6 +24,20 @@ func TestSingleRunOutput(t *testing.T) {
 	}
 }
 
+// A single run takes -threads' first entry as its thread count, as the
+// package doc's `arcbench -alg arc -threads 16 -size 32768` expects;
+// -nthreads is only the default.
+func TestSingleRunThreads(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-alg", "arc", "-threads", "2", "-size", "256", "-duration", "30ms", "-warmup", "10ms"}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "arc threads=2 size=256 ") {
+		t.Fatalf("single run ignored -threads 2:\n%s", sb.String())
+	}
+}
+
 func TestFigureQuickWithCSV(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var sb strings.Builder

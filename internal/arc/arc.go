@@ -40,15 +40,20 @@
 //
 // The paper pre-allocates a MaxValueSize buffer per slot and calls the
 // buffer policy an implementation choice (§3.3). Here the writer keeps a
-// published prefix: slots [0, used) have been published at least once,
-// and W1 searches only there, taking slot used (and growing the prefix)
-// when no slot in it but last_slot is free. A fixed-buffer register
-// allocates slot 0's buffer in New and any other slot's on the write
-// that first fills it, so its buffers number at most two more than the
-// most distinct versions readers held at once — not N+2. Lemma 4.1
-// keeps the growth in range: a never-published slot is free, so when the
-// prefix offers none, one lies beyond it (DESIGN.md §3, "The published
-// prefix").
+// published prefix, slots [0, used). W1 searches only there, and takes
+// slot used (growing the prefix) when no slot in it but last_slot is
+// free. The prefix also shrinks as readers leave its top: a free top
+// slot other than last_slot and the slot being filled leaves it with its
+// counters zeroed and its buffer dropped. W1 trims when the §3.4 hint
+// names the free top slot and the one slot it then probes below is free
+// (it takes that slot), and on every 8th write. A fixed-buffer register
+// allocates slot 0's buffer in New and a slot's buffer when the prefix
+// grows onto it, so its buffers number one past the highest slot a
+// reader holds (or the writer's two) — not N+2. Lemma 4.1 keeps the
+// growth in range: a slot beyond the prefix is free, so when the prefix
+// offers none, one lies beyond it. The trim is safe for the reason W3's
+// drop is: a free slot other than last_slot has no holder and cannot be
+// acquired again (DESIGN.md §3, "The published prefix").
 //
 // # Deviation from the paper's initialization
 //
@@ -102,10 +107,10 @@ type slot struct {
 	// happens-before edge established by the RMW chain on current.
 	size int
 	// content is the value buffer: on a fixed-buffer register a
-	// MaxValueSize buffer allocated when the slot joins the published
-	// prefix and kept from then on; under DynamicBuffers the exact-size
-	// buffer of the slot's last write, or nil once W3 dropped it. nil on
-	// every slot beyond the prefix.
+	// MaxValueSize buffer the slot gets when the published prefix grows
+	// onto it and keeps while it stays there; under DynamicBuffers the
+	// exact-size buffer of the slot's last write, or nil once W3 dropped
+	// it. nil on every slot beyond the prefix: a trim drops it.
 	content []byte
 }
 
@@ -131,11 +136,12 @@ type Options struct {
 	// each buffer made up by the amount of bytes fitting the size of the
 	// register value … could be employed." Each write allocates an
 	// exact-size buffer instead of copying into the slot's MaxValueSize
-	// one (which a fixed-buffer register allocates once per slot of its
+	// one (which a fixed-buffer register holds for each slot of its
 	// published prefix), and W3 releases the retired slot's buffer when
-	// no reader acquired the slot while it was current. A register so
-	// keeps at most the current buffer, those of slots readers hold, and
-	// those of freed slots not yet reused, rather than one per slot.
+	// no reader acquired the slot while it was current; a slot trimmed
+	// off the prefix drops its buffer too. A register so keeps at most
+	// the current buffer, those of slots readers hold, and those of freed
+	// slots not yet reused or trimmed, rather than one per slot.
 	// Replaced and released buffers are reclaimed by the garbage
 	// collector once no view holds them, which also makes stale views
 	// safe indefinitely (they alias buffers no writer will ever touch
@@ -165,11 +171,10 @@ type Register struct {
 	maxReaders   int
 	maxValueSize int
 	opts         Options
-	// used is the published prefix: slots [0, used) have been published
-	// at least once, and W1 never looks beyond it. Only the writer
-	// stores it, and only when the prefix grows; Stats loads it from any
-	// goroutine. It fills the padding after opts, so the header keeps
-	// its size.
+	// used is the published prefix, slots [0, used): W1 never looks
+	// beyond it. Only the writer stores it, when the prefix grows or is
+	// trimmed; Stats and FixedBuffers load it from any goroutine. It
+	// fills the padding after opts, so the header keeps its size.
 	used atomic.Uint32
 
 	// seq is the publication sequencer watchers park on: Publish after
@@ -277,9 +282,9 @@ func (r *Register) SlotCount() int { return len(r.slots) }
 
 // FixedBuffers reports how many MaxValueSize buffers the register holds:
 // on a fixed-buffer register one per slot of the published prefix (the
-// Stats node's slots_used), under DynamicBuffers 0 (those buffers follow
-// the values written, so only the caller can count them). Safe from any
-// goroutine.
+// Stats node's slots_used, which falls when a trim drops slots), under
+// DynamicBuffers 0 (those buffers follow the values written, so only the
+// caller can count them). Safe from any goroutine.
 func (r *Register) FixedBuffers() int {
 	if r.opts.DynamicBuffers {
 		return 0
@@ -309,8 +314,9 @@ func (r *Register) Writer() register.Writer { return r }
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
 // Stats returns the register's live telemetry as a Stats-tree node:
-// capacity gauges, the published prefix's length (slots_used, which on
-// a fixed-buffer register is also its buffer count) and the publication
+// capacity gauges, the published prefix's length (slots_used, a gauge
+// that falls when the writer trims slots readers have left; on a
+// fixed-buffer register also its buffer count) and the publication
 // sequencer's counters. Safe from any goroutine at any time — it reads
 // only tier-1 words (atomically published cells and the handle-table
 // mutex), never the writer's or a reader's plain hot-path counters;
@@ -432,11 +438,31 @@ func (r *Register) Trace(ring *trace.Ring) { r.rec = ring }
 func (r *Register) Notifier() *notify.Sequencer { return &r.seq }
 
 // findFreeSlot returns a slot with r_start == r_end that is not the
-// freshest slot (W1), consulting the §3.4 reader hint first. It searches
-// the published prefix [0, used) only, and takes slot used when the
-// prefix has no free slot but last_slot.
+// freshest slot (W1), and trims the published prefix when the §3.4 hint
+// names its free top slot or on every 8th write (trimPrefix). Every 8th
+// and not every write: loading the top slot's counters is a cross-core
+// miss on a line readers RMW.
 func (r *Register) findFreeSlot() uint32 {
+	idx, topFree := r.pickFreeSlot()
+	if topFree || r.wstats.Ops%8 == 0 {
+		r.trimPrefix(idx)
+	}
+	return idx
+}
+
+// pickFreeSlot is W1's choice, the §3.4 reader hint first. It searches
+// the published prefix [0, used) only, and takes slot used when the
+// prefix has no free slot but last_slot. When the hint names the free
+// top slot, it probes the one slot at the scan cursor below it and takes
+// that slot if it is free, so that the top can leave the prefix, and
+// reports topFree; else it takes the top.
+func (r *Register) pickFreeSlot() (idx uint32, topFree bool) {
 	used := r.used.Load()
+	// The scan probes up to probes slots of [0, limit): one pass over the
+	// whole prefix, or one slot below a free top the hint named. One and
+	// not every lower slot: in a steady rotation they are all held, and
+	// each probe is a cross-core miss on a line readers RMW.
+	limit, probes := used, used
 	if !r.opts.DisableFreeHint {
 		if h := r.freeHint.Load(); h != noHint {
 			// Single writer ⇒ load-then-clear needs no RMW. A hint a
@@ -452,20 +478,26 @@ func (r *Register) findFreeSlot() uint32 {
 				// an earlier write since the reader posted it (§3.4's
 				// corner case).
 				if s.rStart.Load() == s.rEnd.Load() {
-					r.wstats.HintHits++
-					return idx
+					if idx != used-1 {
+						r.wstats.HintHits++
+						return idx, false
+					}
+					limit, probes = idx, 1
 				}
 			}
 		}
 	}
-	// Linear scan of the prefix from a roving cursor. A slot observed
-	// free cannot be re-acquired by readers (only the freshest slot can
-	// be acquired, and only the writer republishes), so one full pass
-	// finds a free slot if the prefix holds one.
-	for probes := uint32(0); probes < used; probes++ {
+	// Linear scan from a roving cursor. A slot observed free cannot be
+	// re-acquired by readers (only the freshest slot can be acquired, and
+	// only the writer republishes), so one full pass finds a free slot if
+	// the prefix holds one.
+	if r.scanCursor >= limit {
+		r.scanCursor = 0
+	}
+	for ; probes > 0; probes-- {
 		idx := r.scanCursor
 		r.scanCursor++
-		if r.scanCursor >= used {
+		if r.scanCursor >= limit {
 			r.scanCursor = 0
 		}
 		r.wstats.ScanSteps++
@@ -474,24 +506,57 @@ func (r *Register) findFreeSlot() uint32 {
 		}
 		s := &r.slots[idx]
 		if s.rStart.Load() == s.rEnd.Load() {
-			return idx
+			return idx, limit < used
 		}
+	}
+	if limit < used {
+		// The probe found no free slot below the hinted top: take the top.
+		r.wstats.HintHits++
+		return limit, false
 	}
 	// Lemma 4.1: Σ(r_start − r_end) ≤ N live readers, so at least 2 of
 	// the N+2 slots are free and at least one of them is not last_slot.
-	// None is in the prefix, and a never-published slot has r_start ==
-	// r_end == 0, so slot used is free and used < N+2: grow the prefix.
+	// None is in the prefix, and a slot beyond it has r_start == r_end ==
+	// 0, so slot used is free and used < N+2: grow the prefix.
 	if int(used) < len(r.slots) {
 		if !r.opts.DynamicBuffers {
 			r.slots[used].content = membuf.Aligned(r.maxValueSize)
 		}
 		r.used.Store(used + 1)
-		return used
+		return used, false
 	}
 	// Unreachable by Lemma 4.1. Reaching this line means the
 	// implementation broke the paper's invariant — fail loudly rather
 	// than corrupt data.
 	panic("arc: no free slot found; Lemma 4.1 invariant violated")
+}
+
+// trimPrefix drops free slots off the published prefix's top, down to
+// the first slot that is held, last_slot, or idx (the slot W1 chose).
+// It is safe for the reason W3's buffer drop is: a free slot other than
+// last_slot has no holder, and only the freshest slot can be acquired,
+// so no reader loads the slot again before a write brings it back into
+// the prefix. Zeroing its counters keeps the slot free, as a slot beyond
+// the prefix must be. A hint still naming it fails W1's idx < used
+// check, or, once the prefix has grown back over it, the counter check
+// like any stale hint. The slot's buffer goes with it, fixed or dynamic:
+// the growth that brings the slot back allocates a new one.
+func (r *Register) trimPrefix(idx uint32) {
+	used := r.used.Load()
+	n := used
+	for top := n - 1; top != r.lastSlot && top != idx; top-- {
+		s := &r.slots[top]
+		if s.rStart.Load() != s.rEnd.Load() {
+			break
+		}
+		s.rStart.Store(0)
+		s.rEnd.Store(0)
+		s.content = nil
+		n = top
+	}
+	if n < used {
+		r.used.Store(n)
+	}
 }
 
 // Reader is a per-goroutine read endpoint. It carries the process-local
@@ -680,10 +745,10 @@ func (r *Register) CheckInvariants() error {
 	if idx != r.lastSlot {
 		return fmt.Errorf("arc: current index %d != lastSlot %d", idx, r.lastSlot)
 	}
-	// The published prefix holds every slot ever published, the current
-	// one included; beyond it lie only never-published slots: free, with
-	// no buffer. A fixed-buffer slot owns its MaxValueSize buffer from
-	// the write that brought it into the prefix on.
+	// The published prefix holds the current slot and every slot a
+	// reader holds; beyond it lie only free slots with zeroed counters
+	// and no buffer. A fixed-buffer slot owns its MaxValueSize buffer
+	// while it is in the prefix.
 	used := r.used.Load()
 	if int(used) > len(r.slots) || idx >= used {
 		return fmt.Errorf("arc: published prefix %d out of range (current index %d, %d slots)", used, idx, len(r.slots))

@@ -525,11 +525,11 @@ func TestConcurrentIntegrity(t *testing.T) {
 		}(rd)
 	}
 	// A Stats walker beside them: slots_used is the writer's published
-	// prefix, which only ever grows and never past the slot count.
+	// prefix, which grows and shrinks as readers come and go but always
+	// holds the current slot and never exceeds the slot count.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var last uint64
 		for {
 			select {
 			case <-stop:
@@ -537,11 +537,10 @@ func TestConcurrentIntegrity(t *testing.T) {
 			default:
 			}
 			used, _ := r.Stats().Get("slots_used")
-			if used < last || used > uint64(r.SlotCount()) {
-				t.Errorf("slots_used %d after %d (%d slots)", used, last, r.SlotCount())
+			if used < 1 || used > uint64(r.SlotCount()) {
+				t.Errorf("slots_used %d, want 1..%d", used, r.SlotCount())
 				return
 			}
-			last = used
 		}
 	}()
 
@@ -560,6 +559,9 @@ func TestConcurrentIntegrity(t *testing.T) {
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if got, held := r.FixedBuffers(), liveBuffers(r); got != held {
+		t.Fatalf("FixedBuffers = %d, but %d slots hold a buffer", got, held)
 	}
 }
 

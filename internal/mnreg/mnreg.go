@@ -92,7 +92,8 @@
 //
 // All operations are wait-free with O(M) time and at most M·(N+M+2)
 // buffers total — inherited directly from ARC's N+2 bound per component,
-// whose buffers are allocated only as its published prefix grows.
+// whose buffers follow its published prefix: allocated as it grows and
+// released as it shrinks.
 package mnreg
 
 import (

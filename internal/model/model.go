@@ -16,8 +16,9 @@
 //     started (per-process order is the special case of a reader's own
 //     previous read);
 //   - No use after drop — under DynamicBuffers, W3 releases a retired
-//     slot's buffer when the presence count the W2 swap returned is 0,
-//     and no reader may load a released buffer.
+//     slot's buffer when the presence count the W2 swap returned is 0;
+//     with Trim, W1 takes free slots out of the published prefix; no
+//     reader may load a released or trimmed slot's buffer.
 //
 // Where the package-level tests of internal/arc sample schedules, the
 // model checker covers all of them — for a bounded configuration. It also
@@ -46,6 +47,15 @@
 //     load that follows R1 (fast path) or R4 (slow path) reaches a
 //     slot's buffer, and that load is rReadBeg, so rReadBeg is where a
 //     dropped slot is a use-after-drop.
+//   - The trim is part of the W1 step, and it branches over every set
+//     of eligible slots: it may take any free slot other than last_slot
+//     and the one W1 chose, where the implementation takes only free
+//     slots off the prefix's top. A trimmed slot gets zeroed counters
+//     and the version dropped, as its buffer is released: no reader may
+//     load it before a write refills it.
+//     Folding the trim into W1 is sound for the reason the scan's
+//     collapse is: no reader can hold or acquire a free slot that is
+//     not last_slot, so no reader step can observe the trim half done.
 //
 // The visited set stores states packed to the configuration (see
 // layout): for R = 2 a state is two words, where the fixed arrays the
@@ -83,6 +93,11 @@ type Config struct {
 	// count the W2 swap returned is 0, and the slot holds no value until
 	// a write reuses it.
 	DynamicBuffers bool
+	// Trim explores the published prefix's shrink: W1 may also take any
+	// set of free slots other than last_slot and the slot it chose out
+	// of the prefix, zeroing their counters and leaving them no value
+	// until a write reuses them.
+	Trim bool
 	// MaxStates aborts exploration beyond this many states (safety net;
 	// 0 means a generous default; state numbers are 32-bit).
 	MaxStates int
@@ -120,6 +135,14 @@ const (
 	// before the W2 swap, missing a reader whose R4 lands between that
 	// load and the swap. Requires DynamicBuffers.
 	MutDropStaleCount
+	// MutTrimHeld trims slots without checking r_start == r_end, taking
+	// slots readers still hold out of the prefix. Requires Trim.
+	MutTrimHeld
+	// MutTrimCurrent trims without excluding last_slot: the published
+	// slot's r_start stays 0 until W3 and its r_end counts no release,
+	// so it reads free (0 = 0) while readers hold or can acquire it.
+	// Requires Trim.
+	MutTrimCurrent
 )
 
 // String implements fmt.Stringer.
@@ -139,6 +162,10 @@ func (m Mutation) String() string {
 		return "drop-always"
 	case MutDropStaleCount:
 		return "drop-stale-count"
+	case MutTrimHeld:
+		return "trim-held"
+	case MutTrimCurrent:
+		return "trim-current"
 	}
 	return "unknown"
 }
@@ -247,7 +274,9 @@ type Result struct {
 	Transitions int
 	// Drops counts the transitions whose W3 released a buffer, so a
 	// DynamicBuffers run can show its use-after-drop check was armed.
-	Drops     int
+	Drops int
+	// Trims counts the W1 transitions that trimmed at least one slot.
+	Trims     int
 	Violation *Violation // nil when every reachable state is safe
 }
 
@@ -268,6 +297,9 @@ func Check(cfg Config) (Result, error) {
 	}
 	if (cfg.Mutation == MutDropAlways || cfg.Mutation == MutDropStaleCount) && !cfg.DynamicBuffers {
 		return Result{}, fmt.Errorf("model: mutation %s requires DynamicBuffers", cfg.Mutation)
+	}
+	if (cfg.Mutation == MutTrimHeld || cfg.Mutation == MutTrimCurrent) && !cfg.Trim {
+		return Result{}, fmt.Errorf("model: mutation %s requires Trim", cfg.Mutation)
 	}
 	if cfg.MaxStates < 0 || int64(cfg.MaxStates) >= math.MaxUint32 {
 		return Result{}, fmt.Errorf("model: MaxStates must be in [0,%d)", uint32(math.MaxUint32))
@@ -299,7 +331,7 @@ func Check(cfg Config) (Result, error) {
 			l.unpack(set.at(i), &s)
 			succs, viol := e.successors(s, depth)
 			if viol != nil {
-				return Result{States: set.n, Transitions: e.transitions, Drops: e.drops, Violation: viol}, nil
+				return Result{States: set.n, Transitions: e.transitions, Drops: e.drops, Trims: e.trims, Violation: viol}, nil
 			}
 			for j := range succs {
 				l.pack(&succs[j], packed)
@@ -315,7 +347,7 @@ func Check(cfg Config) (Result, error) {
 		}
 		depth++
 	}
-	return Result{States: set.n, Transitions: e.transitions, Drops: e.drops}, nil
+	return Result{States: set.n, Transitions: e.transitions, Drops: e.drops, Trims: e.trims}, nil
 }
 
 type explorer struct {
@@ -323,6 +355,7 @@ type explorer struct {
 	nslots      int
 	transitions int
 	drops       int
+	trims       int
 	out         []state // successors' result, reused across calls
 }
 
@@ -599,6 +632,52 @@ func (e *explorer) dropsAt(s state) bool {
 	return s.wOldCnt == 0
 }
 
+// trimmable reports whether the trim in the W1 step that chose idx may
+// take slot j out of the prefix from s. The faithful rule takes a free
+// slot other than last_slot and idx; a slot already trimmed is skipped,
+// since trimming it again changes nothing.
+func (e *explorer) trimmable(s state, idx, j int) bool {
+	sl := s.slots[j]
+	if j == idx || sl.rStart == 0 && sl.rEnd == 0 && sl.ver == dropped {
+		return false
+	}
+	switch e.cfg.Mutation {
+	case MutTrimHeld:
+		return uint8(j) != s.lastSlot
+	case MutTrimCurrent:
+		return sl.rStart == sl.rEnd
+	}
+	return uint8(j) != s.lastSlot && sl.rStart == sl.rEnd
+}
+
+// trim adds, beside the W1 successor ns that chose idx, one successor
+// per non-empty set of slots the trim may take out of the prefix.
+func (e *explorer) trim(ns state, idx int) {
+	if !e.cfg.Trim {
+		return
+	}
+	var cand [maxSlots]int
+	n := 0
+	for j := 0; j < e.nslots; j++ {
+		if e.trimmable(ns, idx, j) {
+			cand[n] = j
+			n++
+		}
+	}
+	for set := 1; set < 1<<n; set++ {
+		ts := ns
+		for b, j := range cand[:n] {
+			if set&(1<<b) != 0 {
+				ts.slots[j].rStart = 0
+				ts.slots[j].rEnd = 0
+				ts.slots[j].ver = dropped
+			}
+		}
+		e.trims++
+		e.add(ts)
+	}
+}
+
 // successors enumerates every enabled atomic step from s.
 func (e *explorer) successors(s state, depth int) ([]state, *Violation) {
 	e.out = e.out[:0]
@@ -632,6 +711,7 @@ func (e *explorer) successors(s state, depth int) ([]state, *Violation) {
 				ns.slots[idx].writing = true // copy begins
 				ns.writer = wCopyEnd
 				e.add(ns)
+				e.trim(ns, idx)
 			}
 			if !found {
 				return nil, &Violation{
@@ -770,7 +850,7 @@ func (e *explorer) successors(s state, depth int) ([]state, *Violation) {
 				return nil, &Violation{
 					Kind:  "use-after-drop",
 					Depth: depth,
-					Desc:  fmt.Sprintf("reader %d loaded slot %d after W3 released its buffer", ri, r.lastIndex),
+					Desc:  fmt.Sprintf("reader %d loaded slot %d after W3 or a trim released its buffer", ri, r.lastIndex),
 				}
 			}
 			ns := s

@@ -26,7 +26,8 @@ func TestFaithfulARCSafe(t *testing.T) {
 }
 
 // checkSafe checks cfg with fixed buffers, pinning the state and
-// transition counts, and again with DynamicBuffers.
+// transition counts, and again with DynamicBuffers. A Trim
+// configuration must also have trimmed.
 func checkSafe(t *testing.T, cfg Config, states, transitions int) {
 	t.Helper()
 	for _, dynamic := range []bool{false, true} {
@@ -45,12 +46,41 @@ func checkSafe(t *testing.T, cfg Config, states, transitions int) {
 			t.Fatalf("R=%d W=%d RD=%d: no W3 released a buffer, so use-after-drop was never armed",
 				cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader)
 		}
+		if cfg.Trim && res.Trims == 0 {
+			t.Fatalf("R=%d W=%d RD=%d dynamic=%v: no W1 trimmed a slot", cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, dynamic)
+		}
 		if !dynamic && (res.States != states || res.Transitions != transitions) {
 			t.Fatalf("R=%d W=%d RD=%d: %d states, %d transitions; want %d, %d",
 				cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, res.States, res.Transitions, states, transitions)
 		}
-		t.Logf("R=%d W=%d RD=%d nofast=%v dynamic=%v: %d states, %d transitions, %d drops — safe",
-			cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, cfg.DisableFastPath, dynamic, res.States, res.Transitions, res.Drops)
+		t.Logf("R=%d W=%d RD=%d nofast=%v dynamic=%v trim=%v: %d states, %d transitions, %d drops, %d trims — safe",
+			cfg.Readers, cfg.MaxWrites, cfg.MaxReadsPerReader, cfg.DisableFastPath, dynamic, cfg.Trim,
+			res.States, res.Transitions, res.Drops, res.Trims)
+	}
+}
+
+// The published prefix's trim must be safe as well: W1 may take any set
+// of free slots other than last_slot and the slot it chose out of the
+// prefix, which covers every set the implementation's top-down trim
+// takes. The trim-off counts above are unchanged; these pin the trim-on
+// state spaces. The trim about triples a state space (R=2 W=3: 2.16M →
+// 6.38M states), so the deep configuration below runs without it and
+// W=4 is checked with one read per reader here. The deep configuration
+// with the trim (34.9M states, 93.6M transitions, ~0.94 GB, 60 s) is
+// safe too, but needs MaxStates raised and would more than double this
+// package's run time.
+func TestTrimSafe(t *testing.T) {
+	configs := []struct {
+		cfg                 Config
+		states, transitions int
+	}{
+		{Config{Readers: 1, MaxWrites: 3, MaxReadsPerReader: 3, Trim: true}, 16214, 29835},
+		{Config{Readers: 2, MaxWrites: 2, MaxReadsPerReader: 2, Trim: true}, 702412, 1691160},
+		{Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 2, Trim: true}, 6380950, 16385325},
+		{Config{Readers: 2, MaxWrites: 4, MaxReadsPerReader: 1, Trim: true}, 2379594, 6264201},
+	}
+	for _, c := range configs {
+		checkSafe(t, c.cfg, c.states, c.transitions)
 	}
 }
 
@@ -128,6 +158,20 @@ func TestMutationsCaught(t *testing.T) {
 			wantKind: []string{"use-after-drop"},
 			cfg:      Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 3, DynamicBuffers: true},
 		},
+		{
+			// A trim without the free check takes a slot a reader
+			// acquired just before W2 retired it, mid-read.
+			mutation: MutTrimHeld,
+			wantKind: []string{"use-after-drop", "lemma-4.2"},
+			cfg:      Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 3, Trim: true},
+		},
+		{
+			// A trim without the last_slot exclusion takes the
+			// published slot, which reads free (0 = 0) until W3.
+			mutation: MutTrimCurrent,
+			wantKind: []string{"use-after-drop", "lemma-4.2"},
+			cfg:      Config{Readers: 2, MaxWrites: 3, MaxReadsPerReader: 3, Trim: true},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.mutation.String(), func(t *testing.T) {
@@ -163,6 +207,7 @@ func TestConfigValidation(t *testing.T) {
 		{Readers: 1, MaxWrites: 0, MaxReadsPerReader: 1},
 		{Readers: 1, MaxWrites: 1, MaxReadsPerReader: 0},
 		{Readers: 1, MaxWrites: 1, MaxReadsPerReader: 1, Mutation: MutDropAlways},
+		{Readers: 1, MaxWrites: 1, MaxReadsPerReader: 1, Mutation: MutTrimHeld},
 	}
 	for _, cfg := range bad {
 		if _, err := Check(cfg); err == nil {
@@ -189,7 +234,7 @@ func TestViolationError(t *testing.T) {
 }
 
 func TestMutationStrings(t *testing.T) {
-	for m := MutNone; m <= MutDropStaleCount; m++ {
+	for m := MutNone; m <= MutTrimCurrent; m++ {
 		if m.String() == "unknown" {
 			t.Fatalf("mutation %d has no name", m)
 		}

@@ -97,10 +97,14 @@ func TestPerKeyFootprint(t *testing.T) {
 // directory logs — must add up to within 15% of what building the map
 // allocated. The fixed-buffer case also rewrites every key 8 times and
 // reads it through one reader after every second rewrite, as
-// TestPerKeyFootprint does, then closes the reader: each key's register
-// grows its published prefix to 3 slots (the current one, the one the
-// reader held, and one more for the write in between), so it holds 3
-// buffers, not N+2 = 4, and the node must count exactly those.
+// TestPerKeyFootprint does, which grows each key's published prefix to
+// 3 slots. Then a spike: a second reader pins a version the first does
+// not, and each prefix grows to N+2 = 4 slots, which the node must count
+// as 4 buffers per key. Then both readers read after every write for 8
+// writes, and trims take two free slots off each prefix's top, so each
+// key keeps 2 slots (the current one and the one the writer alternates
+// with) and 2 buffers, which the node must count exactly, where counting
+// only growth would read 4.
 func TestMapStatsMem(t *testing.T) {
 	const nkeys = 10_000
 	for _, tc := range []struct {
@@ -110,12 +114,13 @@ func TestMapStatsMem(t *testing.T) {
 	}{
 		{cfg: Config{Shards: 8, MaxReaders: 2, DynamicValues: true}},
 		{cfg: Config{Shards: 8, MaxReaders: 4, DynamicValues: true}},
-		{cfg: Config{Shards: 8, MaxReaders: 2, MaxValueSize: 32}, rewrites: 8, buffers: 3},
+		{cfg: Config{Shards: 8, MaxReaders: 2, MaxValueSize: 32}, rewrites: 8, buffers: 2},
 	} {
 		cfg := tc.cfg
 		t.Run(fmt.Sprintf("readers=%d,dynamic=%v", cfg.MaxReaders, cfg.DynamicValues), func(t *testing.T) {
 			keys := footprintKeys(nkeys)
 			var m *Map
+			var peak uint64
 			grew := heapGrowth(func() {
 				m = newMap(t, cfg)
 				setAll := func() {
@@ -134,15 +139,39 @@ func TestMapStatsMem(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer rd.Close()
+				getAll := func(rd *Reader) {
+					for _, k := range keys {
+						if _, err := rd.Get(k); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				for i := range tc.rewrites {
 					setAll()
 					if i%2 == 1 {
-						for _, k := range keys {
-							if _, err := rd.Get(k); err != nil {
-								t.Fatal(err)
-							}
-						}
+						getAll(rd)
 					}
+				}
+				// The spike: a second reader pins a version the first
+				// does not, and two more writes need slots past both, so
+				// every key's prefix grows to N+2 = 4 slots. Then both
+				// read after every write, and the prefixes shrink back.
+				rd2, err := m.NewReader()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rd2.Close()
+				setAll()
+				getAll(rd)
+				setAll()
+				getAll(rd2)
+				setAll()
+				setAll()
+				peak = valueBuffers(t, m)
+				for range 8 {
+					setAll()
+					getAll(rd)
+					getAll(rd2)
 				}
 			})
 			sn := m.Stats()
@@ -164,8 +193,16 @@ func TestMapStatsMem(t *testing.T) {
 			}
 			_, buf := arc.Footprint(register.Config{MaxReaders: cfg.MaxReaders, MaxValueSize: cfg.MaxValueSize},
 				arc.Options{DynamicBuffers: cfg.DynamicValues})
-			if bufs, _ := mem.Get("value_buffers"); bufs != tc.buffers*nkeys*uint64(buf) {
+			bufs, _ := mem.Get("value_buffers")
+			if bufs != tc.buffers*nkeys*uint64(buf) {
 				t.Fatalf("value_buffers = %d B, want %d keys × %d buffers × %d B", bufs, nkeys, tc.buffers, buf)
+			}
+			if tc.rewrites > 0 {
+				t.Logf("value_buffers %d B at the spike, %d B once the readers moved on", peak, bufs)
+				if peak != 4*nkeys*uint64(buf) || bufs >= peak {
+					t.Fatalf("value_buffers = %d B at the spike and %d B after it, want %d keys × 4 buffers × %d B and then less",
+						peak, bufs, nkeys, buf)
+				}
 			}
 			ratio := float64(total) / float64(grew)
 			t.Logf("mem total %d B vs heap growth %d B (%.3f)\n%s", total, grew, ratio, mem.String())
@@ -176,6 +213,17 @@ func TestMapStatsMem(t *testing.T) {
 			runtime.KeepAlive(m)
 		})
 	}
+}
+
+// valueBuffers reads the mem node's value_buffers.
+func valueBuffers(t *testing.T, m *Map) uint64 {
+	t.Helper()
+	sn := m.Stats()
+	v, ok := sn.Child("mem").Get("value_buffers")
+	if !ok {
+		t.Fatal("mem node lacks value_buffers")
+	}
+	return v
 }
 
 // TestStatsInstallNoGate: a key's notify gate belongs to the first

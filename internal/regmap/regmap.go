@@ -498,11 +498,11 @@ func (m *Map) Set(key string, val []byte) error {
 		sh.beginPub()
 		faultValuePublish.Hit()
 		err := reg.WriteStamped(val, stamp)
-		if grown := reg.FixedBuffers() - held; grown > 0 {
-			// A fixed-buffer write that grew the register's published
-			// prefix allocated a buffer: count it, inside the window
-			// like every stat cell.
-			sh.buffers += uint64(grown)
+		if d := reg.FixedBuffers() - held; d != 0 {
+			// A fixed-buffer write that grew or trimmed the register's
+			// published prefix changed its buffer count: apply the
+			// change, inside the window like every stat cell.
+			sh.buffers += uint64(d)
 			sh.stats.buffers.Store(sh.buffers)
 		}
 		sh.endPub()
@@ -834,8 +834,8 @@ const (
 // component, from the sums Stats already collects out of the shard
 // cells (slots, fixed value buffers, live keys, directory bytes) and
 // from the registers' type sizes — O(shards) in all, with no walk. The
-// only per-Set bookkeeping is the buffer count a fixed-buffer Set adds
-// when it grows its register's published prefix.
+// only per-Set bookkeeping is the change in buffer count a fixed-buffer
+// Set makes when it grows or trims its register's published prefix.
 // Every component but key_index_est is counted from sizes and counts;
 // total includes that one estimate. Values stored under DynamicValues,
 // key strings and reader-side state are not counted: they follow the
