@@ -14,12 +14,15 @@ type Register = register.Register
 // a time.
 type Writer = register.Writer
 
-// Reader retrieves values. One handle per goroutine; handles carry the
-// per-process protocol state.
+// Reader retrieves values: Read, View, Fresh, ReadStats and Close on
+// every algorithm, with View returning ErrNoView and Fresh false where
+// the register's Caps say it lacks them. One handle per goroutine;
+// handles carry the per-process protocol state.
 type Reader = register.Reader
 
-// Viewer is implemented by readers supporting zero-copy views (ARC, RF and
-// the lock register; Peterson reads inherently copy).
+// Viewer is the zero-copy part of Reader: View works on ARC, RF, the
+// lock register and Left-Right (Caps.ZeroCopyView); Peterson and seqlock
+// reads copy.
 type Viewer = register.Viewer
 
 // ReadStats counts per-handle read work (operations, RMW instructions,
@@ -52,9 +55,3 @@ const MaxARCReaders = 1<<32 - 2
 
 // MaxRFReaders is the RF baseline's architectural bound: 58.
 const MaxRFReaders = rf.MaxReaders
-
-// FreshnessProber is implemented by readers that can report, without
-// performing a read, whether their last-returned value is still current.
-// ARC and RF support it; for ARC the probe is a single atomic load with
-// no RMW instruction.
-type FreshnessProber = register.FreshnessProber

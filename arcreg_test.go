@@ -77,21 +77,24 @@ func TestPublicRoundTripAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestPublicViewSupport: Caps.ZeroCopyView says which algorithms view,
+// and a byte handle of one that does not returns ErrNoView.
 func TestPublicViewSupport(t *testing.T) {
 	for _, f := range factories() {
 		reg := byteRegister(t, f.alg, 2, 64)
+		if got := reg.Caps().ZeroCopyView; got != f.hasView {
+			t.Fatalf("%s: Caps.ZeroCopyView = %v, want %v", f.alg, got, f.hasView)
+		}
 		if err := reg.Writer().Write([]byte("zero-copy")); err != nil {
 			t.Fatal(err)
 		}
 		rd, _ := reg.NewReader()
-		viewer, ok := rd.(arcreg.Viewer)
-		if ok != f.hasView {
-			t.Fatalf("%s: View support = %v, want %v", f.alg, ok, f.hasView)
-		}
-		if ok {
-			if v, err := viewer.View(); err != nil || string(v) != "zero-copy" {
-				t.Fatalf("%s: view = %q, %v", f.alg, v, err)
-			}
+		v, err := rd.View()
+		switch {
+		case f.hasView && (err != nil || string(v) != "zero-copy"):
+			t.Fatalf("%s: view = %q, %v", f.alg, v, err)
+		case !f.hasView && !errors.Is(err, arcreg.ErrNoView):
+			t.Fatalf("%s: View err = %v, want ErrNoView", f.alg, err)
 		}
 		rd.Close()
 	}
@@ -125,10 +128,10 @@ func TestPublicStats(t *testing.T) {
 		w.Write([]byte("v"))
 		rd.Read(make([]byte, 64))
 	}
-	if st := rd.(interface{ ReadStats() arcreg.ReadStats }).ReadStats(); st.Ops != 5 {
+	if st := rd.ReadStats(); st.Ops != 5 {
 		t.Fatalf("read ops = %d", st.Ops)
 	}
-	if ws := w.(interface{ WriteStats() arcreg.WriteStats }).WriteStats(); ws.Ops != 5 {
+	if ws := w.WriteStats(); ws.Ops != 5 {
 		t.Fatalf("write ops = %d", ws.Ops)
 	}
 }
@@ -185,30 +188,37 @@ func TestPublicConcurrentSmoke(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPublicFreshness: ARC's Caps promise the probe and its byte handle
+// keeps the promise; Peterson's deny it and its handle reports false
+// even right after a read.
 func TestPublicFreshness(t *testing.T) {
 	reg := byteRegister(t, arcreg.ARC, 1, 32)
-	rd, _ := reg.NewReader()
-	probe, ok := rd.(arcreg.FreshnessProber)
-	if !ok {
-		t.Fatal("ARC reader is not a FreshnessProber")
+	if !reg.Caps().FreshProbe {
+		t.Fatal("ARC Caps.FreshProbe = false")
 	}
-	if probe.Fresh() {
+	rd, _ := reg.NewReader()
+	if rd.Fresh() {
 		t.Fatal("unread ARC handle reports fresh")
 	}
 	reg.Writer().Write([]byte("v1"))
 	rd.Read(make([]byte, 32))
-	if !probe.Fresh() {
+	if !rd.Fresh() {
 		t.Fatal("just-read handle reports stale")
 	}
 	reg.Writer().Write([]byte("v2"))
-	if probe.Fresh() {
+	if rd.Fresh() {
 		t.Fatal("stale handle reports fresh")
 	}
 
 	// Peterson cannot answer without a read.
-	prd, _ := byteRegister(t, arcreg.Peterson, 1, 32).NewReader()
-	if _, ok := prd.(arcreg.FreshnessProber); ok {
-		t.Fatal("Peterson claimed freshness support")
+	preg := byteRegister(t, arcreg.Peterson, 1, 32)
+	if preg.Caps().FreshProbe {
+		t.Fatal("Peterson Caps.FreshProbe = true")
+	}
+	prd, _ := preg.NewReader()
+	prd.Read(make([]byte, 32))
+	if prd.Fresh() {
+		t.Fatal("Peterson handle reports fresh")
 	}
 }
 
@@ -225,7 +235,7 @@ func TestPublicDynamicBuffers(t *testing.T) {
 		if err := reg.Writer().Write(val); err != nil {
 			t.Fatal(err)
 		}
-		v, err := rd.(arcreg.Viewer).View()
+		v, err := rd.View()
 		if err != nil || !bytes.Equal(v, val) {
 			t.Fatalf("view %d bytes, %v; want %d", len(v), err, len(val))
 		}

@@ -240,15 +240,14 @@ func benchReadUncontended(b *testing.B, alg harness.Algorithm, size int) {
 }
 
 func benchViewUncontended(b *testing.B, alg harness.Algorithm, size int) {
-	_, rd := mkRegister(b, alg, size)
-	v, ok := rd.(arcreg.Viewer)
-	if !ok {
+	reg, rd := mkRegister(b, alg, size)
+	if !reg.Caps().ZeroCopyView {
 		b.Skip("algorithm has no zero-copy view")
 	}
 	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.View(); err != nil {
+		if _, err := rd.View(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -497,7 +496,7 @@ func benchContendedReads(b *testing.B, alg harness.Algorithm, size int) {
 			return
 		}
 		defer rd.Close()
-		rw := workload.NewReaderWork(rd, workload.Dummy, size)
+		rw := workload.NewReaderWork(rd, reg.Caps().ZeroCopyView, workload.Dummy, size)
 		for pb.Next() {
 			if err := rw.Do(); err != nil {
 				b.Error(err)

@@ -123,6 +123,7 @@ func run() int {
 
 	// Readers: each performs *reads operations (they overlap the writes
 	// and keep reading after the writer finishes — both regimes matter).
+	view := reg.Caps().ZeroCopyView
 	for r := 0; r < readers; r++ {
 		rd, err := reg.NewReader()
 		if err != nil {
@@ -133,7 +134,7 @@ func run() int {
 		go func(proc int, rd register.Reader) {
 			defer wg.Done()
 			defer rd.Close()
-			vr := workload.NewVerifiedReader(rd, proc, *size, clock, logs[1+proc])
+			vr := workload.NewVerifiedReader(rd, view, proc, *size, clock, logs[1+proc])
 			vcpu := inj.VCPU(1 + proc)
 			for i := 0; i < *reads; i++ {
 				if err := vr.Do(); err != nil {

@@ -204,6 +204,7 @@ func runRegister(alg, scenario string, threads, size int, duration time.Duration
 	}()
 
 	// Steady readers (with optional stalling behaviour).
+	view := reg.Caps().ZeroCopyView
 	for i := 0; i < threads; i++ {
 		rd, err := reg.NewReader()
 		if err != nil {
@@ -214,7 +215,6 @@ func runRegister(alg, scenario string, threads, size int, duration time.Duration
 		go func(id int, rd register.Reader) {
 			defer wg.Done()
 			defer rd.Close()
-			viewer, _ := rd.(register.Viewer)
 			scratch := make([]byte, size)
 			vcpu := inj.VCPU(1 + id)
 			var last uint64
@@ -224,8 +224,8 @@ func runRegister(alg, scenario string, threads, size int, duration time.Duration
 					val []byte
 					err error
 				)
-				if viewer != nil {
-					val, err = viewer.View()
+				if view {
+					val, err = rd.View()
 				} else {
 					var n int
 					n, err = rd.Read(scratch)
@@ -253,7 +253,7 @@ func runRegister(alg, scenario string, threads, size int, duration time.Duration
 					s.stalls.Add(1)
 					pinned := append([]byte(nil), val...)
 					time.Sleep(20 * time.Millisecond)
-					if viewer != nil {
+					if view {
 						// The pinned view must still verify bit-for-bit:
 						// the slot cannot have been recycled under us.
 						if _, verr := membuf.Verify(val); verr != nil {

@@ -113,32 +113,35 @@
 // register.Caps declares what each construction's handles support; New
 // and NewMap resolve it once at construction (Reg.Caps, Map.Caps), so
 // application code branches on fields instead of type-asserting. A true
-// field is a promise, a false one is advisory. Per algorithm:
+// field is a promise; a false one says what the method returns instead.
+// Per algorithm:
 //
 //   - ARC: the full set — ZeroCopyView, FreshProbe, FreshView,
-//     ReadStats, WriteStats, WaitFreeRead, WaitFreeWrite.
-//   - RF: ZeroCopyView, FreshProbe, stats and wait-freedom on both
-//     sides — everything but the combined FreshView probe-and-fetch
-//     (and every read costs one RMW, which Caps does not model; see
-//     the rmw figure).
-//   - Peterson: WaitFreeRead/WaitFreeWrite and stats only — reads copy
-//     (up to three times) and cannot probe freshness.
-//   - Lock: ZeroCopyView (a view pins the read lock) and stats, but
-//     neither side is wait-free: WaitFreeRead/WaitFreeWrite are false.
+//     WaitFreeRead, WaitFreeWrite.
+//   - RF: ZeroCopyView, FreshProbe and wait-freedom on both sides —
+//     everything but the combined FreshView probe-and-fetch (and every
+//     read costs one RMW, which Caps does not model; see the rmw
+//     figure).
+//   - Peterson: WaitFreeRead/WaitFreeWrite only — reads copy (up to
+//     three times) and cannot probe freshness.
+//   - Lock: ZeroCopyView (a view pins the read lock), but neither side
+//     is wait-free: WaitFreeRead/WaitFreeWrite are false.
 //     Get therefore decodes a copy: a view held by an idle handle
 //     would block the writer.
 //   - Seqlock: WaitFreeWrite but not WaitFreeRead (reads retry while a
 //     write overlaps); no views (reads copy under the seqcount).
 //   - LeftRight: ZeroCopyView and WaitFreeRead, but writes block on
 //     readers (WaitFreeWrite false), so Get decodes a copy as on Lock.
-//   - The (M,N) composite and the Map inherit ARC's full set; the
-//     map-level Fresh probe spans the directory and the key register.
+//   - The (M,N) composite inherits ARC's full set, and the Map all of it
+//     but FreshView; the map-level Fresh probe spans the directory and
+//     the key register.
 //
 // Every construction is watchable: each carries a publication
-// sequencer, so Caps has no field for it. Handles degrade
-// conservatively where a capability is absent: Fresh reports false
-// (forcing a re-read), stats report zero, ViewBytes returns ErrNoView,
-// and Watch compares copies where it cannot probe. The harness summary
+// sequencer, so Caps has no field for it. Every handle has every method
+// and counts its work (ReadStats, WriteStats); where a capability is
+// absent the method answers as Caps says: Fresh reports false (forcing
+// a re-read), View and ViewBytes return ErrNoView, and Watch compares
+// copies where it cannot probe. The harness summary
 // tables (cmd/arcbench -figure rmw/latency) print the WaitFree
 // capabilities per row, so measured numbers and progress guarantees
 // read side by side.
@@ -182,10 +185,10 @@
 // the construction), and NewByteMap is the byte-level keyed store.
 // TypedReader.ViewBytes/ReadBytes and TypedWriter.SetBytes bypass the
 // codec per call. TypedReader.Reader and TypedWriter.Writer expose the
-// byte handles underneath, for either shape, and a byte Reader exposes
-// its optional capabilities by assertion: rd.(Viewer) for zero-copy
-// views, rd.(FreshnessProber) for the freshness probe, and on the (M,N)
-// shape interface{ LastTag() MNTag } for the version tag. Reg.Register
+// byte handles underneath, for either shape. A byte Reader has the same
+// methods on every algorithm — Read, View, Fresh, ReadStats, Close —
+// answering as Reg.Caps says, and on the (M,N) shape
+// interface{ LastTag() MNTag } reports the version tag. Reg.Register
 // exposes the (1,N) byte register itself. A byte user who relied on the
 // old constructors' one-zero-byte initial value passes
 // WithInitialBytes([]byte{0}); New otherwise seeds the register with

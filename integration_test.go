@@ -78,7 +78,7 @@ func checkAtomic(t *testing.T, alg harness.Algorithm, readers, writes, readsPer,
 		go func(proc int, rd register.Reader) {
 			defer wg.Done()
 			defer rd.Close()
-			vr := workload.NewVerifiedReader(rd, proc, size, clock, logs[1+proc])
+			vr := workload.NewVerifiedReader(rd, reg.Caps().ZeroCopyView, proc, size, clock, logs[1+proc])
 			vcpu := inj.VCPU(1 + proc)
 			for i := 0; i < readsPer; i++ {
 				if err := vr.Do(); err != nil {

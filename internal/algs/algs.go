@@ -19,11 +19,10 @@ import (
 )
 
 // Register is what every construction in the table builds: a (1,N)
-// register that reports its capabilities and carries a publication
-// sequencer, so watchers park on every algorithm alike.
+// register that carries a publication sequencer, so watchers park on
+// every algorithm alike.
 type Register interface {
 	register.Register
-	register.CapabilityReporter
 	Notifier() *notify.Sequencer
 }
 

@@ -200,14 +200,10 @@ type Register struct {
 
 // Compile-time interface conformance checks.
 var (
-	_ register.Register        = (*Register)(nil)
-	_ register.Writer          = (*Register)(nil)
-	_ register.StatWriter      = (*Register)(nil)
-	_ register.Reader          = (*Reader)(nil)
-	_ register.Viewer          = (*Reader)(nil)
-	_ register.FreshViewer     = (*Reader)(nil)
-	_ register.StatReader      = (*Reader)(nil)
-	_ register.FreshnessProber = (*Reader)(nil)
+	_ register.Register    = (*Register)(nil)
+	_ register.Writer      = (*Register)(nil)
+	_ register.Reader      = (*Reader)(nil)
+	_ register.FreshViewer = (*Reader)(nil)
 )
 
 // New constructs an ARC register from cfg. opts tunes paper ablations; use
@@ -255,17 +251,14 @@ func New(cfg register.Config, opts Options) (*Register, error) {
 // Name implements register.Register.
 func (r *Register) Name() string { return "arc" }
 
-// Caps implements register.CapabilityReporter: ARC has the full set —
-// zero-copy views, the one-load freshness probe behind the R1–R2 fast
-// path, combined probe-and-fetch, stats on both sides, and wait-free
-// progress for every operation.
+// Caps implements register.Register: ARC has the full set — zero-copy
+// views, the one-load freshness probe behind the R1–R2 fast path,
+// combined probe-and-fetch, and wait-free progress for every operation.
 func (r *Register) Caps() register.Caps {
 	return register.Caps{
 		ZeroCopyView:  true,
 		FreshProbe:    true,
 		FreshView:     true,
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
 	}
@@ -309,7 +302,7 @@ func Footprint(cfg register.Config, opts Options) (reg, buf int) {
 // endpoint; the single-writer contract is the caller's to uphold.
 func (r *Register) Writer() register.Writer { return r }
 
-// WriteStats implements register.StatWriter. Call only while no write is
+// WriteStats implements register.Writer. Call only while no write is
 // in flight.
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
@@ -613,7 +606,7 @@ func (r *Register) LiveReaders() int {
 	return r.liveReaders
 }
 
-// ReadStats implements register.StatReader. Collect after the owning
+// ReadStats implements register.Reader. Collect after the owning
 // goroutine has quiesced.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
 
@@ -693,9 +686,9 @@ func (rd *Reader) release() {
 	rd.lastIndex = noSlot
 }
 
-// Fresh implements register.FreshnessProber: it reports whether the slot
-// this handle holds is still the freshest publication — the R1 comparison
-// of the fast path, exposed as a standalone probe. One atomic load, zero
+// Fresh implements register.Reader: it reports whether the slot this
+// handle holds is still the freshest publication — the R1 comparison of
+// the fast path, exposed as a standalone probe. One atomic load, zero
 // RMW instructions, making "has anything changed?" polls essentially
 // free.
 func (rd *Reader) Fresh() bool {

@@ -6,8 +6,6 @@ import (
 	"arcreg/internal/register"
 )
 
-var _ register.FreshnessProber = (*Reader)(nil)
-
 func TestFreshLifecycle(t *testing.T) {
 	r := newReg(t, 2, 64, Options{})
 	rd, _ := r.NewReaderHandle()

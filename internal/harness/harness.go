@@ -103,8 +103,8 @@ func (a Algorithm) MaxReaders() int {
 
 // Caps reports the named algorithm's capability set (register.Caps).
 // Capabilities are constants per implementation, published through
-// CapabilityReporter; this constructs a minimal instance to read them,
-// so the summary tables surface Caps.WaitFree* without hand-maintained
+// Register.Caps; this constructs a minimal instance to read them, so
+// the summary tables surface Caps.WaitFree* without hand-maintained
 // duplicates.
 func (a Algorithm) Caps() register.Caps {
 	cfg := register.Config{MaxReaders: 1, MaxValueSize: 64}
@@ -119,7 +119,7 @@ func (a Algorithm) Caps() register.Caps {
 	if err != nil {
 		return register.Caps{}
 	}
-	return register.CapsOf(r)
+	return r.Caps()
 }
 
 // WaitFreeLabel renders the algorithm's wait-freedom capabilities for
@@ -219,13 +219,13 @@ func (c *RunConfig) defaults() error {
 }
 
 // deployment abstracts the register under test over the (1,N) and (M,N)
-// shapes: the writer endpoints (one per writer worker) and a reader
-// factory. Writer endpoints that implement register.StatWriter and reader
-// handles that implement register.StatReader contribute to the Result's
-// aggregate stats.
+// shapes: the writer endpoints (one per writer worker), a reader factory,
+// and whether readers view (Caps.ZeroCopyView) or copy. Every endpoint's
+// counters contribute to the Result's aggregate stats.
 type deployment struct {
 	writers   []register.Writer
 	newReader func() (register.Reader, error)
+	view      bool
 }
 
 func newDeployment(cfg RunConfig, seed []byte) (*deployment, error) {
@@ -240,7 +240,10 @@ func newDeployment(cfg RunConfig, seed []byte) (*deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := &deployment{newReader: func() (register.Reader, error) { return reg.NewReader() }}
+		d := &deployment{
+			newReader: func() (register.Reader, error) { return reg.NewReader() },
+			view:      reg.Caps().ZeroCopyView,
+		}
 		for i := 0; i < cfg.Writers; i++ {
 			w, err := reg.NewWriter()
 			if err != nil {
@@ -258,7 +261,11 @@ func newDeployment(cfg RunConfig, seed []byte) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &deployment{writers: []register.Writer{reg.Writer()}, newReader: reg.NewReader}, nil
+	return &deployment{
+		writers:   []register.Writer{reg.Writer()},
+		newReader: reg.NewReader,
+		view:      reg.Caps().ZeroCopyView,
+	}, nil
 }
 
 // Result aggregates one run.
@@ -440,9 +447,7 @@ func Run(cfg RunConfig) (Result, error) {
 			res.Steal.Steals += vs.Steals
 			res.Steal.Stolen += vs.Stolen
 			res.Steal.Ticks += vs.Ticks
-			if sw, ok := wr.(register.StatWriter); ok {
-				res.WriteStat.Add(sw.WriteStats())
-			}
+			res.WriteStat.Add(wr.WriteStats())
 		})
 	}
 
@@ -455,7 +460,7 @@ func Run(cfg RunConfig) (Result, error) {
 			wg.Wait()
 			return Result{}, fmt.Errorf("harness: reader %d: %w", i, err)
 		}
-		rw := workload.NewReaderWork(rd, cfg.Mode, cfg.ValueSize)
+		rw := workload.NewReaderWork(rd, dep.view, cfg.Mode, cfg.ValueSize)
 		wg.Add(1)
 		go worker(cfg.Writers+i, rw.Do,
 			func() {
@@ -474,9 +479,7 @@ func Run(cfg RunConfig) (Result, error) {
 				res.Steal.Steals += vs.Steals
 				res.Steal.Stolen += vs.Stolen
 				res.Steal.Ticks += vs.Ticks
-				if sr, ok := rd.(register.StatReader); ok {
-					res.ReadStat.Add(sr.ReadStats())
-				}
+				res.ReadStat.Add(rd.ReadStats())
 			})
 	}
 

@@ -66,12 +66,9 @@ type Register struct {
 }
 
 var (
-	_ register.Register   = (*Register)(nil)
-	_ register.Writer     = (*Register)(nil)
-	_ register.StatWriter = (*Register)(nil)
-	_ register.Reader     = (*Reader)(nil)
-	_ register.Viewer     = (*Reader)(nil)
-	_ register.StatReader = (*Reader)(nil)
+	_ register.Register = (*Register)(nil)
+	_ register.Writer   = (*Register)(nil)
+	_ register.Reader   = (*Reader)(nil)
 )
 
 // New constructs a Left-Right register.
@@ -97,16 +94,10 @@ func New(cfg register.Config) (*Register, error) {
 // Name implements register.Register.
 func (r *Register) Name() string { return "leftright" }
 
-// Caps implements register.CapabilityReporter: Left-Right reads are
-// wait-free with zero-copy views, but writes block until reader
-// versions drain.
+// Caps implements register.Register: Left-Right reads are wait-free
+// with zero-copy views, but writes block until reader versions drain.
 func (r *Register) Caps() register.Caps {
-	return register.Caps{
-		ZeroCopyView: true,
-		ReadStats:    true,
-		WriteStats:   true,
-		WaitFreeRead: true,
-	}
+	return register.Caps{ZeroCopyView: true, WaitFreeRead: true}
 }
 
 // MaxReaders implements register.Register.
@@ -118,7 +109,7 @@ func (r *Register) MaxValueSize() int { return r.maxValueSize }
 // Writer implements register.Register.
 func (r *Register) Writer() register.Writer { return r }
 
-// WriteStats implements register.StatWriter. LockSpins counts drain-wait
+// WriteStats implements register.Writer. LockSpins counts drain-wait
 // rounds — the blocking component of Left-Right writes.
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
@@ -206,8 +197,12 @@ func (r *Register) LiveReaders() int {
 	return r.liveReaders
 }
 
-// ReadStats implements register.StatReader.
+// ReadStats implements register.Reader.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
+
+// Fresh reports false: Left-Right has no freshness probe
+// (Caps.FreshProbe false).
+func (rd *Reader) Fresh() bool { return false }
 
 // arrive registers presence on the current version and returns the
 // instance to read.

@@ -52,12 +52,9 @@ type Register struct {
 }
 
 var (
-	_ register.Register   = (*Register)(nil)
-	_ register.Writer     = (*Register)(nil)
-	_ register.StatWriter = (*Register)(nil)
-	_ register.Reader     = (*Reader)(nil)
-	_ register.Viewer     = (*Reader)(nil)
-	_ register.StatReader = (*Reader)(nil)
+	_ register.Register = (*Register)(nil)
+	_ register.Writer   = (*Register)(nil)
+	_ register.Reader   = (*Reader)(nil)
 )
 
 // New constructs a lock-based register.
@@ -81,15 +78,11 @@ func New(cfg register.Config) (*Register, error) {
 // Name implements register.Register.
 func (r *Register) Name() string { return "lock" }
 
-// Caps implements register.CapabilityReporter: the lock register views
-// without copying (a live view holds the read lock) but is not
-// wait-free in either direction — the comparator's defining weakness.
+// Caps implements register.Register: the lock register views without
+// copying (a live view holds the read lock) but is not wait-free in
+// either direction — the comparator's defining weakness.
 func (r *Register) Caps() register.Caps {
-	return register.Caps{
-		ZeroCopyView: true,
-		ReadStats:    true,
-		WriteStats:   true,
-	}
+	return register.Caps{ZeroCopyView: true}
 }
 
 // MaxReaders implements register.Register.
@@ -101,7 +94,7 @@ func (r *Register) MaxValueSize() int { return r.maxValueSize }
 // Writer implements register.Register.
 func (r *Register) Writer() register.Writer { return r }
 
-// WriteStats implements register.StatWriter.
+// WriteStats implements register.Writer.
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
 // Write stores a new value under the exclusive lock. Blocking: it spins
@@ -162,8 +155,12 @@ func (r *Register) LiveReaders() int {
 	return r.liveReaders
 }
 
-// ReadStats implements register.StatReader.
+// ReadStats implements register.Reader.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
+
+// Fresh reports false: the lock register has no freshness probe
+// (Caps.FreshProbe false).
+func (rd *Reader) Fresh() bool { return false }
 
 // unpin releases a held read lock, if any.
 func (rd *Reader) unpin() {

@@ -248,17 +248,15 @@ func New(cfg Config, opts Options) (*Register, error) {
 	return r, nil
 }
 
-// Caps implements register.CapabilityReporter for the composite: the
-// freshness probe, the combined probe-and-fetch and zero-copy views
-// survive the (M,N) composition, and every operation stays wait-free
-// (O(M) component operations each).
+// Caps reports the composite's capabilities: the freshness probe, the
+// combined probe-and-fetch and zero-copy views survive the (M,N)
+// composition, and every operation stays wait-free (O(M) component
+// operations each).
 func (r *Register) Caps() register.Caps {
 	return register.Caps{
 		ZeroCopyView:  true,
 		FreshProbe:    true,
 		FreshView:     true,
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
 	}
@@ -627,7 +625,7 @@ func (r *Register) epochCounters() bool {
 	return !r.opts.DisableFreshGate && !r.opts.DisableEpochGate
 }
 
-// WriteStats implements register.StatWriter for the composite: the own
+// WriteStats implements register.Writer for the composite: the own
 // component's publish-side counters (this handle's share — a recycled
 // identity does not inherit its predecessor's) plus the RMW instructions
 // the tag collect spent on the other components. Collect only after the
@@ -670,13 +668,9 @@ type Reader struct {
 // Compile-time interface conformance checks against the shared register
 // contract (the composite reader is plugged into the harness unchanged).
 var (
-	_ register.Reader          = (*Reader)(nil)
-	_ register.Viewer          = (*Reader)(nil)
-	_ register.FreshnessProber = (*Reader)(nil)
-	_ register.FreshViewer     = (*Reader)(nil)
-	_ register.StatReader      = (*Reader)(nil)
-	_ register.StatWriter      = (*Writer)(nil)
-	_ register.Writer          = (*Writer)(nil)
+	_ register.Reader      = (*Reader)(nil)
+	_ register.FreshViewer = (*Reader)(nil)
+	_ register.Writer      = (*Writer)(nil)
 )
 
 // NewReader allocates a reader handle.
@@ -731,7 +725,7 @@ func (rd *Reader) Read(dst []byte) (int, error) {
 // composite's version, used by tests to assert monotonicity.
 func (rd *Reader) LastTag() Tag { return rd.lastTag }
 
-// Fresh implements register.FreshnessProber at the composite level: it
+// Fresh implements register.Reader at the composite level: it
 // reports whether the last View/Read still returns the composite's
 // current value, without advancing the handle's cache. A validated
 // quiescent epoch answers in one atomic load; otherwise the probe costs
@@ -779,7 +773,7 @@ func (rd *Reader) ViewFresh() (view []byte, changed bool, err error) {
 	return view, first || rd.lastTag != prev, nil
 }
 
-// ReadStats implements register.StatReader at the composite level: Ops
+// ReadStats implements register.Reader at the composite level: Ops
 // counts composite reads, FastPath counts all-fresh collects (served
 // entirely from the per-component cache with zero RMW), and RMW sums the
 // RMW instructions the component handles executed. Collect only after the

@@ -80,7 +80,6 @@ package notify
 
 import (
 	"context"
-	"reflect"
 	"sync/atomic"
 
 	"arcreg/internal/obs"
@@ -246,19 +245,17 @@ func (g *Gate) WakeStamp() int64 { return g.stamp.Load() }
 // Test and diagnostics hook; the answer is immediately stale.
 func (g *Gate) Armed() bool { return g.armed.Load() != nil }
 
-// Await parks on one or more gates until changed reports true or ctx
-// is done, packaging the arm → recheck → block protocol. changed must
-// be monotone over the caller's wait (once true it stays true until
-// the caller acts) and is evaluated under no lock; its loads of
-// published state are what the arm-then-recheck ordering protects.
+// Await parks on one or two gates until changed reports true or ctx is
+// done, packaging the arm → recheck → block protocol. changed must be
+// monotone over the caller's wait (once true it stays true until the
+// caller acts) and is evaluated under no lock; its loads of published
+// state are what the arm-then-recheck ordering protects.
 //
-// One and two gates — every steady-state composition in this
-// repository (a keyed watch parks on the key's value gate and the
-// shard's directory gate at once; tree watchers park on a single leaf)
-// — take an unrolled allocation-free select. Three or more gates fall
-// back to reflect.Select, which allocates per park; that path exists
-// for multi-source compositions and tests, not hot loops. Await panics
-// on zero gates rather than silently never waking.
+// Two gates is the most any composition in this repository parks on (a
+// keyed watch parks on the key's value gate and the shard's directory
+// gate at once; tree watchers park on a single leaf), and the park is an
+// unrolled allocation-free select. Await panics on zero gates, which
+// could never wake, and on more than two.
 func Await(ctx context.Context, changed func() bool, gates ...*Gate) error {
 	return AwaitStats(ctx, changed, nil, gates...)
 }
@@ -271,19 +268,11 @@ func Await(ctx context.Context, changed func() bool, gates ...*Gate) error {
 // is untouched beyond the stamp it already writes when a waiter is
 // parked.
 func AwaitStats(ctx context.Context, changed func() bool, ws *WatchStats, gates ...*Gate) error {
-	switch len(gates) {
-	case 0:
-		panic("notify: Await needs at least one gate")
-	case 1, 2:
-		return await2(ctx, changed, ws, gates)
-	default:
-		return awaitN(ctx, changed, ws, gates)
+	if len(gates) == 0 || len(gates) > 2 {
+		panic("notify: Await parks on one or two gates")
 	}
-}
-
-// await2 is the unrolled 1-or-2-gate park loop — no per-iteration
-// allocation beyond the shared broadcast channel Arm may create.
-func await2(ctx context.Context, changed func() bool, ws *WatchStats, gates []*Gate) error {
+	// No per-iteration allocation beyond the shared broadcast channel
+	// Arm may create.
 	for {
 		if changed() {
 			return nil
@@ -311,38 +300,6 @@ func await2(ctx context.Context, changed func() bool, ws *WatchStats, gates []*G
 			return ctx.Err()
 		}
 		noteWake(ws, woke, changed)
-	}
-}
-
-// awaitN is the general N-gate park loop (N ≥ 3) built on
-// reflect.Select. Same protocol, same recheck ordering; the price is
-// one case-slice build and reflect's per-call allocations per park.
-func awaitN(ctx context.Context, changed func() bool, ws *WatchStats, gates []*Gate) error {
-	cases := make([]reflect.SelectCase, len(gates)+1)
-	cases[len(gates)] = reflect.SelectCase{
-		Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done()),
-	}
-	for {
-		if changed() {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i, g := range gates {
-			cases[i] = reflect.SelectCase{
-				Dir: reflect.SelectRecv, Chan: reflect.ValueOf(g.Arm()),
-			}
-		}
-		// The decisive recheck, after every gate is armed.
-		if changed() {
-			return nil
-		}
-		chosen, _, _ := reflect.Select(cases)
-		if chosen == len(gates) {
-			return ctx.Err()
-		}
-		noteWake(ws, gates[chosen], changed)
 	}
 }
 

@@ -30,19 +30,16 @@
 // Snapshot is a named node of counters, histograms and children —
 // the one shape that unifies the register, (M,N), shard and map stats
 // the packages used to expose through three divergent structs. Sources
-// produce Snapshots on demand; a Registry composes many named Sources
-// into one tree; Var adapts any Source to expvar.Var, so a process
-// exports its whole tree through the stdlib /debug/vars endpoint with
-// no dependencies.
+// produce Snapshots on demand; Var adapts any Source to expvar.Var, so a
+// process exports its whole tree through the stdlib /debug/vars
+// endpoint with no dependencies.
 package obs
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"arcreg/internal/metrics"
@@ -354,59 +351,4 @@ func (v Var) String() string {
 		return "{}"
 	}
 	return v.Source.Stats().JSON()
-}
-
-// Registry composes named Sources into one tree: Stats returns a root
-// whose children are the registered sources' snapshots in name order.
-// Registration is mutex-guarded wiring-time work; Stats holds the lock
-// only to copy the source list, never while snapshotting.
-type Registry struct {
-	mu      sync.Mutex
-	sources map[string]Source
-}
-
-// Register binds src under name; registering a taken name is a wiring
-// bug and returns an error.
-func (r *Registry) Register(name string, src Source) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sources == nil {
-		r.sources = make(map[string]Source)
-	}
-	if _, dup := r.sources[name]; dup {
-		return fmt.Errorf("obs: source %q already registered", name)
-	}
-	r.sources[name] = src
-	return nil
-}
-
-// Unregister removes the named source (a no-op when absent).
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	delete(r.sources, name)
-	r.mu.Unlock()
-}
-
-// Stats implements Source: the root node's children are every
-// registered source's snapshot, renamed to its registered name, in
-// name order.
-func (r *Registry) Stats() Snapshot {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.sources))
-	for name := range r.sources {
-		names = append(names, name)
-	}
-	srcs := make([]Source, len(names))
-	sort.Strings(names)
-	for i, name := range names {
-		srcs[i] = r.sources[name]
-	}
-	r.mu.Unlock()
-	root := Snapshot{Name: "arcreg"}
-	for i, name := range names {
-		child := srcs[i].Stats()
-		child.Name = name
-		root.Children = append(root.Children, child)
-	}
-	return root
 }

@@ -132,34 +132,6 @@ func TestSnapshotTree(t *testing.T) {
 	}
 }
 
-func TestRegistryComposesSorted(t *testing.T) {
-	var r Registry
-	mk := func(name string, v uint64) Source {
-		return SourceFunc(func() Snapshot {
-			s := Snapshot{Name: "ignored"}
-			s.Put("v", v)
-			return s
-		})
-	}
-	if err := r.Register("zeta", mk("zeta", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("alpha", mk("alpha", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("alpha", mk("alpha", 3)); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	s := r.Stats()
-	if len(s.Children) != 2 || s.Children[0].Name != "alpha" || s.Children[1].Name != "zeta" {
-		t.Fatalf("children = %+v", s.Children)
-	}
-	r.Unregister("zeta")
-	if s := r.Stats(); len(s.Children) != 1 {
-		t.Fatalf("after unregister: %+v", s.Children)
-	}
-}
-
 func TestVarIsExpvarCompatible(t *testing.T) {
 	src := SourceFunc(func() Snapshot {
 		s := Snapshot{Name: "reg"}

@@ -104,11 +104,9 @@ type Register struct {
 }
 
 var (
-	_ register.Register   = (*Register)(nil)
-	_ register.Writer     = (*Register)(nil)
-	_ register.StatWriter = (*Register)(nil)
-	_ register.Reader     = (*Reader)(nil)
-	_ register.StatReader = (*Reader)(nil)
+	_ register.Register = (*Register)(nil)
+	_ register.Writer   = (*Register)(nil)
+	_ register.Reader   = (*Reader)(nil)
 )
 
 // New constructs a Peterson register.
@@ -149,12 +147,10 @@ func New(cfg register.Config) (*Register, error) {
 // Name implements register.Register.
 func (r *Register) Name() string { return "peterson" }
 
-// Caps implements register.CapabilityReporter: Peterson reads inherently
-// copy (no views, no freshness probe) but every operation is wait-free.
+// Caps implements register.Register: Peterson reads inherently copy (no
+// views, no freshness probe) but every operation is wait-free.
 func (r *Register) Caps() register.Caps {
 	return register.Caps{
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
 	}
@@ -172,7 +168,7 @@ func (r *Register) BufferCount() int { return 2 + len(r.copybuf) }
 // Writer implements register.Register.
 func (r *Register) Writer() register.Writer { return r }
 
-// WriteStats implements register.StatWriter.
+// WriteStats implements register.Writer.
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
 // Write publishes a new value: one full copy into the off buffer, a
@@ -248,8 +244,15 @@ func (r *Register) newReader() (*Reader, error) {
 // ID reports the reader's slot index, for tests.
 func (rd *Reader) ID() int { return rd.id }
 
-// ReadStats implements register.StatReader.
+// ReadStats implements register.Reader.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
+
+// View returns ErrNoView: Peterson reads copy (Caps.ZeroCopyView false).
+func (rd *Reader) View() ([]byte, error) { return nil, register.ErrNoView }
+
+// Fresh reports false: Peterson cannot probe without reading
+// (Caps.FreshProbe false).
+func (rd *Reader) Fresh() bool { return false }
 
 // Read copies the freshest value into dst — Peterson reads are inherently
 // copying (there is no zero-copy View). If dst is too small the needed

@@ -5,6 +5,12 @@
 // examples all program against these interfaces, so each algorithm plugs
 // into every experiment unchanged.
 //
+// Every handle has the whole method set. A register declares in its Caps
+// which of those methods do their job, and a handle of a register that
+// lacks one answers as Caps says: View returns ErrNoView, Fresh reports
+// false. FreshViewer is the one optional extension, implemented by the
+// readers whose Caps.FreshView is true.
+//
 // Terminology follows the paper (§3.1): a register holds one multi-word
 // value at a time; one distinguished writer process stores new values; up
 // to N reader processes retrieve the freshest value. Reads and writes by
@@ -31,6 +37,9 @@ var (
 	// ErrBufferTooSmall is returned by Read when dst cannot hold the
 	// current value.
 	ErrBufferTooSmall = errors.New("register: destination buffer too small")
+	// ErrNoView is returned by View on registers that cannot expose a
+	// value without copying it (Caps.ZeroCopyView false).
+	ErrNoView = errors.New("register: register does not support zero-copy views")
 )
 
 // Writer stores new values into the register. Exactly one goroutine may
@@ -42,6 +51,9 @@ type Writer interface {
 	// into an internal slot; the caller keeps ownership of p. Values may
 	// have different lengths on every call, up to the configured maximum.
 	Write(p []byte) error
+	// WriteStats reports the writer's counters. Call only while no write
+	// is in flight.
+	WriteStats() WriteStats
 }
 
 // Reader retrieves register values. A Reader handle is owned by a single
@@ -52,18 +64,31 @@ type Reader interface {
 	// If dst is too small, it returns ErrBufferTooSmall (and the required
 	// length).
 	Read(dst []byte) (int, error)
+	Viewer
+	// Fresh reports, without performing a read, whether the handle's
+	// last View/Read still returns the register's current value. ARC
+	// answers with a single atomic load and no RMW instruction (the R1
+	// comparison of its fast path, exposed); RF with a load of its sync
+	// word. Pollers use it to skip deserialization when nothing changed.
+	// A handle that has never read, and every handle of a register
+	// whose Caps.FreshProbe is false, reports false.
+	Fresh() bool
+	// ReadStats reports the handle's counters. Collect after the owning
+	// goroutine has quiesced.
+	ReadStats() ReadStats
 	// Close releases the handle and any slot it pins. After Close the
 	// handle is invalid; its identity may be reused by a future
 	// NewReader.
 	Close() error
 }
 
-// Viewer is implemented by readers that can expose the freshest value
-// without copying it (ARC's headline structural property: no intermediate
-// copies on either operation; the read returns the slot buffer itself).
+// Viewer is the zero-copy part of Reader (ARC's headline structural
+// property: no intermediate copies on either operation; the read returns
+// the slot buffer itself).
 type Viewer interface {
-	// View returns a read-only view of the freshest value. The view is
-	// valid only until the handle's next Read, View or Close call: the
+	// View returns a read-only view of the freshest value, or ErrNoView
+	// when the register's Caps.ZeroCopyView is false. The view is valid
+	// only until the handle's next Read, View or Close call: the
 	// protocol pins the underlying slot exactly that long. Callers must
 	// not modify the returned slice.
 	View() ([]byte, error)
@@ -84,6 +109,9 @@ type Register interface {
 	MaxValueSize() int
 	// Name identifies the algorithm ("arc", "rf", "peterson", "lock").
 	Name() string
+	// Caps reports which of the handles' methods do their job on this
+	// algorithm, and its progress guarantees.
+	Caps() Caps
 }
 
 // Config parametrizes register construction. The zero value is not valid:
@@ -229,32 +257,15 @@ func (s WriteStats) Snapshot() obs.Snapshot {
 	return sn
 }
 
-// StatReader is implemented by reader handles that expose ReadStats.
-type StatReader interface {
-	ReadStats() ReadStats
-}
-
-// FreshnessProber is implemented by readers that can report, without
-// performing a read, whether the value they last returned is still the
-// freshest one. ARC answers this with a single atomic load and no RMW
-// instruction (the R1 comparison of its fast path, exposed); RF answers
-// it with a load of its sync word. Pollers use it to skip deserialization
-// when nothing changed.
-type FreshnessProber interface {
-	// Fresh reports whether the handle's last View/Read still returns
-	// the register's current value. A handle that has never read reports
-	// false.
-	Fresh() bool
-}
-
 // FreshViewer is implemented by readers whose zero-copy View can also
 // report whether it returned a different publication than the handle's
-// previous read — a combined probe-and-fetch. For ARC the unchanged case
-// is the R1–R2 fast path: one atomic load, zero RMW instructions, and the
-// caller learns it may keep using whatever it derived from the previous
-// view (decoded headers, parsed structures). Compositions over several
-// registers (internal/mnreg) use this to skip re-decoding components that
-// did not change, paying one load per unchanged component.
+// previous read — a combined probe-and-fetch (Caps.FreshView). For ARC
+// the unchanged case is the R1–R2 fast path: one atomic load, zero RMW
+// instructions, and the caller learns it may keep using whatever it
+// derived from the previous view (decoded headers, parsed structures).
+// Compositions over several registers (internal/mnreg) use this to skip
+// re-decoding components that did not change, paying one load per
+// unchanged component.
 type FreshViewer interface {
 	// ViewFresh returns the freshest value without copying, like
 	// Viewer.View, plus changed: false when the view is the same
@@ -264,49 +275,21 @@ type FreshViewer interface {
 	ViewFresh() (view []byte, changed bool, err error)
 }
 
-// StatWriter is implemented by writers that expose WriteStats.
-type StatWriter interface {
-	WriteStats() WriteStats
-}
-
-// Caps declares which optional capabilities a register's handles
-// implement, making capability discovery a first-class constant of each
-// algorithm instead of per-handle interface assertions. The facade
-// (package arcreg) reads it once at construction; the optional
-// interfaces above remain the operational contract the handles satisfy.
+// Caps declares what a register's handles do, so callers branch on
+// fields, read once per register, instead of asserting per handle. A
+// true field is a promise; a false one says what the method returns
+// instead: View returns ErrNoView, Fresh reports false.
 type Caps struct {
-	// ZeroCopyView: readers implement Viewer.
+	// ZeroCopyView: View returns the value without copying it.
 	ZeroCopyView bool
-	// FreshProbe: readers implement FreshnessProber.
+	// FreshProbe: Fresh probes the register without reading it.
 	FreshProbe bool
 	// FreshView: readers implement FreshViewer.
 	FreshView bool
-	// ReadStats: readers implement StatReader.
-	ReadStats bool
-	// WriteStats: the writer implements StatWriter.
-	WriteStats bool
 	// WaitFreeRead / WaitFreeWrite: the operation completes in a bounded
 	// number of its own steps regardless of other processes (false for
 	// the lock register on both sides, for seqlock reads, and for
 	// Left-Right writes).
 	WaitFreeRead  bool
 	WaitFreeWrite bool
-}
-
-// CapabilityReporter is implemented by registers that publish their
-// Caps. Every register in this repository implements it; CapsOf guards
-// the assertion for out-of-tree implementations.
-type CapabilityReporter interface {
-	Caps() Caps
-}
-
-// CapsOf reports r's capabilities, or the zero (most conservative) Caps
-// when r does not implement CapabilityReporter. Callers holding handles
-// may still discover capabilities by interface assertion; a false Caps
-// field is advisory, a true one is a promise.
-func CapsOf(r Register) Caps {
-	if cr, ok := r.(CapabilityReporter); ok {
-		return cr.Caps()
-	}
-	return Caps{}
 }

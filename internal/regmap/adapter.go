@@ -41,27 +41,21 @@ func NewSingleKeyRegister(cfg register.Config) (register.Register, error) {
 
 // Compile-time conformance to the shared contract.
 var (
-	_ register.Register        = (*keyRegister)(nil)
-	_ register.Writer          = (*keyRegister)(nil)
-	_ register.StatWriter      = (*keyRegister)(nil)
-	_ register.Reader          = (*keyReader)(nil)
-	_ register.Viewer          = (*keyReader)(nil)
-	_ register.FreshnessProber = (*keyReader)(nil)
-	_ register.StatReader      = (*keyReader)(nil)
+	_ register.Register = (*keyRegister)(nil)
+	_ register.Writer   = (*keyRegister)(nil)
+	_ register.Reader   = (*keyReader)(nil)
 )
 
 func (k *keyRegister) Name() string      { return "map" }
 func (k *keyRegister) MaxReaders() int   { return k.m.MaxReaders() }
 func (k *keyRegister) MaxValueSize() int { return k.m.MaxValueSize() }
 
-// Caps implements register.CapabilityReporter: the map's Get/Set path
-// inherits the per-key ARC registers' full capability set.
+// Caps implements register.Register: the map's Get/Set path inherits
+// the per-key ARC registers' views, freshness probe and wait-freedom.
 func (k *keyRegister) Caps() register.Caps {
 	return register.Caps{
 		ZeroCopyView:  true,
 		FreshProbe:    true,
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
 	}
@@ -74,7 +68,7 @@ func (k *keyRegister) Writer() register.Writer { return k }
 // Write implements register.Writer via Map.Set.
 func (k *keyRegister) Write(p []byte) error { return k.m.Set(k.key, p) }
 
-// WriteStats implements register.StatWriter: the key's value publishes
+// WriteStats implements register.Writer: the key's value publishes
 // plus the directory publications the key creation cost.
 func (k *keyRegister) WriteStats() register.WriteStats {
 	ws := k.m.WriteStats()

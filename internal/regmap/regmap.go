@@ -1468,7 +1468,7 @@ func (r *Reader) GetCopy(key string, dst []byte) (int, error) {
 // same publication again — the map-level freshness probe: true only when
 // the shard directory is unchanged, the key is known, and its register
 // still holds the handle's slot. A key this handle never Get was not
-// read, so it reports false (matching register.FreshnessProber).
+// read, so it reports false (matching register.Reader.Fresh).
 func (r *Reader) Fresh(key string) bool {
 	if r.closed {
 		return false

@@ -482,7 +482,7 @@ func TestConcurrentKeyCreation(t *testing.T) {
 }
 
 // TestMapFreshProbe pins Reader.Fresh's contract (mirrors the register
-// FreshnessProber conformance clause at map level, per key).
+// Reader.Fresh conformance clause at map level, per key).
 func TestMapFreshProbe(t *testing.T) {
 	m := newMap(t, Config{Shards: 2, MaxReaders: 1, MaxValueSize: 32})
 	m.Set("k", []byte("v1"))

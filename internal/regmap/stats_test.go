@@ -181,19 +181,19 @@ func TestWatchStatsLedgerOnMap(t *testing.T) {
 
 	got := make(chan []byte)
 	go func() {
+		// Closed only once the iterator has returned, so the session's
+		// ledger is detached by the time the drain below ends.
+		defer close(got)
 		for v, err := range rd.Watch(ctx, "k") {
 			if err != nil {
-				close(got)
 				return
 			}
 			select {
 			case got <- append([]byte(nil), v...):
 			case <-ctx.Done():
-				close(got)
 				return
 			}
 		}
-		close(got)
 	}()
 
 	if v := <-got; string(v) != "v0" {

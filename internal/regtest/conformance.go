@@ -191,19 +191,18 @@ func ConformanceConstructor(t *testing.T, mk Constructor) {
 
 	t.Run("view-consistency", func(t *testing.T) {
 		r := mk(t, 1, 64, nil)
-		rd, _ := r.NewReader()
-		defer rd.Close()
-		v, ok := rd.(register.Viewer)
-		if !ok {
+		if !r.Caps().ZeroCopyView {
 			t.Skip("no zero-copy view")
 		}
+		rd, _ := r.NewReader()
+		defer rd.Close()
 		scratch := make([]byte, 64)
 		for i := 0; i < 16; i++ {
 			val := []byte(fmt.Sprintf("view-%02d", i))
 			if err := r.Writer().Write(val); err != nil {
 				t.Fatal(err)
 			}
-			got, err := v.View()
+			got, err := rd.View()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,22 +222,60 @@ func ConformanceConstructor(t *testing.T, mk Constructor) {
 
 	t.Run("freshness-contract", func(t *testing.T) {
 		r := mk(t, 1, 32, nil)
-		rd, _ := r.NewReader()
-		defer rd.Close()
-		p, ok := rd.(register.FreshnessProber)
-		if !ok {
+		if !r.Caps().FreshProbe {
 			t.Skip("no freshness probe")
 		}
-		if p.Fresh() {
+		rd, _ := r.NewReader()
+		defer rd.Close()
+		if rd.Fresh() {
 			t.Error("unread handle fresh")
 		}
 		rd.Read(make([]byte, 32))
-		if !p.Fresh() {
+		if !rd.Fresh() {
 			t.Error("just-read handle not fresh")
 		}
 		r.Writer().Write([]byte("new"))
-		if p.Fresh() {
+		if rd.Fresh() {
 			t.Error("stale handle fresh")
+		}
+	})
+
+	// Every handle has the whole method set; a capability the register's
+	// Caps deny answers as Caps says, and the counters count either way.
+	t.Run("degraded-methods", func(t *testing.T) {
+		r := mk(t, 1, 32, []byte("genesis"))
+		caps := r.Caps()
+		rd, _ := r.NewReader()
+		defer rd.Close()
+		const reads = 3
+		for i := 0; i < reads; i++ {
+			if _, err := rd.Read(make([]byte, 32)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := rd.Fresh(); got != caps.FreshProbe {
+			t.Errorf("Fresh after a read = %v, want Caps.FreshProbe = %v", got, caps.FreshProbe)
+		}
+		if st := rd.ReadStats(); st.Ops != reads {
+			t.Errorf("ReadStats().Ops = %d after %d reads", st.Ops, reads)
+		}
+		v, err := rd.View()
+		switch {
+		case !caps.ZeroCopyView && !errors.Is(err, register.ErrNoView):
+			t.Errorf("View without Caps.ZeroCopyView: err = %v, want ErrNoView", err)
+		case caps.ZeroCopyView && (err != nil || string(v) != "genesis"):
+			t.Errorf("View = %q, %v; want %q", v, err, "genesis")
+		}
+		// Release a view's pin (lock, Left-Right) before the write.
+		if _, err := rd.Read(make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+		w := r.Writer()
+		if err := w.Write([]byte("next")); err != nil {
+			t.Fatal(err)
+		}
+		if st := w.WriteStats(); st.Ops == 0 {
+			t.Error("WriteStats().Ops = 0 after a write")
 		}
 	})
 

@@ -74,12 +74,9 @@ type Register struct {
 const noTrace = ^uint32(0)
 
 var (
-	_ register.Register   = (*Register)(nil)
-	_ register.Writer     = (*Register)(nil)
-	_ register.StatWriter = (*Register)(nil)
-	_ register.Reader     = (*Reader)(nil)
-	_ register.Viewer     = (*Reader)(nil)
-	_ register.StatReader = (*Reader)(nil)
+	_ register.Register = (*Register)(nil)
+	_ register.Writer   = (*Register)(nil)
+	_ register.Reader   = (*Reader)(nil)
 )
 
 // New constructs an RF register. cfg.MaxReaders must be ≤ 58.
@@ -116,15 +113,13 @@ func New(cfg register.Config) (*Register, error) {
 // Name implements register.Register.
 func (r *Register) Name() string { return "rf" }
 
-// Caps implements register.CapabilityReporter: RF views without copying
-// and probes freshness (via its sync word), but has no combined
+// Caps implements register.Register: RF views without copying and
+// probes freshness (via its sync word), but has no combined
 // probe-and-fetch; all operations are wait-free.
 func (r *Register) Caps() register.Caps {
 	return register.Caps{
 		ZeroCopyView:  true,
 		FreshProbe:    true,
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
 	}
@@ -142,7 +137,7 @@ func (r *Register) BufferCount() int { return len(r.bufs) }
 // Writer implements register.Register.
 func (r *Register) Writer() register.Writer { return r }
 
-// WriteStats implements register.StatWriter.
+// WriteStats implements register.Writer.
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
 // Write publishes a new value. Wait-free; O(N) due to the trace scan.
@@ -237,7 +232,7 @@ func (r *Register) newReader() (*Reader, error) {
 // ID reports the reader's bit position, for tests.
 func (rd *Reader) ID() int { return rd.id }
 
-// ReadStats implements register.StatReader.
+// ReadStats implements register.Reader.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
 
 // View returns the freshest value without copying. Unlike ARC, obtaining
@@ -259,8 +254,7 @@ func (rd *Reader) View() ([]byte, error) {
 	return reg.bufs[idx][:reg.sizes[idx]], nil
 }
 
-// Fresh implements register.FreshnessProber with a plain load of the sync
-// word. Note the asymmetry with ARC: RF can PROBE freshness cheaply, but
+// Fresh implements register.Reader with a plain load of the sync word. Note the asymmetry with ARC: RF can PROBE freshness cheaply, but
 // acting on it (re-reading) still costs a FetchAndOr, whereas ARC's whole
 // re-read is RMW-free.
 func (rd *Reader) Fresh() bool {

@@ -356,8 +356,6 @@ func TestName(t *testing.T) {
 	}
 }
 
-var _ register.FreshnessProber = (*Reader)(nil)
-
 func TestFreshProbe(t *testing.T) {
 	r := newReg(t, 1, 32)
 	rd, _ := r.NewReaderHandle()

@@ -63,11 +63,9 @@ type Register struct {
 }
 
 var (
-	_ register.Register   = (*Register)(nil)
-	_ register.Writer     = (*Register)(nil)
-	_ register.StatWriter = (*Register)(nil)
-	_ register.Reader     = (*Reader)(nil)
-	_ register.StatReader = (*Reader)(nil)
+	_ register.Register = (*Register)(nil)
+	_ register.Writer   = (*Register)(nil)
+	_ register.Reader   = (*Reader)(nil)
 )
 
 // New constructs a seqlock register.
@@ -91,13 +89,11 @@ func New(cfg register.Config) (*Register, error) {
 // Name implements register.Register.
 func (r *Register) Name() string { return "seqlock" }
 
-// Caps implements register.CapabilityReporter: seqlock writes are
-// wait-free over a single buffer, but reads retry unboundedly while a
-// write is in flight (lock-free only) and must copy out to validate.
+// Caps implements register.Register: seqlock writes are wait-free over a
+// single buffer, but reads retry unboundedly while a write is in flight
+// (lock-free only) and must copy out to validate.
 func (r *Register) Caps() register.Caps {
 	return register.Caps{
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeWrite: true,
 	}
 }
@@ -111,7 +107,7 @@ func (r *Register) MaxValueSize() int { return r.maxValueSize }
 // Writer implements register.Register.
 func (r *Register) Writer() register.Writer { return r }
 
-// WriteStats implements register.StatWriter.
+// WriteStats implements register.Writer.
 func (r *Register) WriteStats() register.WriteStats { return r.wstats }
 
 // Write publishes a new value in place. Wait-free; single buffer; the
@@ -170,9 +166,17 @@ func (r *Register) LiveReaders() int {
 	return r.liveReaders
 }
 
-// ReadStats implements register.StatReader. Retries counts discarded
+// ReadStats implements register.Reader. Retries counts discarded
 // collection attempts — the lock-free (not wait-free) cost of seqlock.
 func (rd *Reader) ReadStats() register.ReadStats { return rd.stats }
+
+// View returns ErrNoView: a seqlock read copies out to validate
+// (Caps.ZeroCopyView false).
+func (rd *Reader) View() ([]byte, error) { return nil, register.ErrNoView }
+
+// Fresh reports false: seqlock has no freshness probe (Caps.FreshProbe
+// false).
+func (rd *Reader) Fresh() bool { return false }
 
 // Read copies the freshest stable value into dst. Lock-free: it retries
 // until a collect is undisturbed, with no upper bound on attempts.

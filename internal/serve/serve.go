@@ -60,12 +60,22 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultReaders         = 8
-	DefaultWatchStreams    = 64
-	DefaultQueueDepth      = 128
+	DefaultReaders      = 8
+	DefaultWatchStreams = 64
+	DefaultQueueDepth   = 128
+)
+
+// DefaultRetryAfter is the hint sent with every shed response (the
+// Retry-After header, in whole seconds), and DefaultLongPollTimeout caps
+// a long-poll park; expiry returns 204 No Content, and ?poll= may only
+// shorten it.
+const (
 	DefaultRetryAfter      = time.Second
 	DefaultLongPollTimeout = 30 * time.Second
 )
+
+// retryAfter is DefaultRetryAfter as the Retry-After header value.
+var retryAfter = strconv.Itoa(int(DefaultRetryAfter / time.Second))
 
 // Config describes one Server over one map.
 type Config struct {
@@ -87,12 +97,6 @@ type Config struct {
 	// QueueDepth is the per-shard write-queue bound (default
 	// DefaultQueueDepth). A full queue sheds with 503 + Retry-After.
 	QueueDepth int
-	// RetryAfter is the hint sent with shed responses (default
-	// DefaultRetryAfter, rounded up to whole seconds).
-	RetryAfter time.Duration
-	// LongPollTimeout caps a long-poll park (default
-	// DefaultLongPollTimeout); expiry returns 204 No Content.
-	LongPollTimeout time.Duration
 	// ExpvarName, when non-empty, publishes the server's combined
 	// stats tree (serve + map) in the process-wide expvar registry
 	// under that name. Like expvar.Publish, a duplicate name panics —
@@ -131,8 +135,6 @@ type Server struct {
 	writers sync.WaitGroup
 	closed  atomic.Bool
 
-	retryAfter  string // precomputed whole-seconds header value
-	longPoll    time.Duration
 	maxValue    int
 	watchBudget int
 	start       time.Time // process-info anchor for /statz uptime
@@ -240,12 +242,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.LongPollTimeout <= 0 {
-		cfg.LongPollTimeout = DefaultLongPollTimeout
-	}
 	m := cfg.Map
 	spare := m.MaxReaders() - m.LiveReaders()
 	if cfg.Readers+cfg.WatchStreams > spare {
@@ -261,8 +257,6 @@ func New(cfg Config) (*Server, error) {
 		queues:      make([]chan *writeReq, m.Shards()),
 		baseCtx:     ctx,
 		cancel:      cancel,
-		retryAfter:  strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second)),
-		longPoll:    cfg.LongPollTimeout,
 		maxValue:    m.MaxValueSize(),
 		watchBudget: cfg.WatchStreams,
 		start:       time.Now(),
@@ -666,18 +660,18 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 
 func (s *Server) shedWrite(w http.ResponseWriter) {
 	s.st.shedWrites.Add(1)
-	w.Header().Set("Retry-After", s.retryAfter)
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, "write queue full", http.StatusServiceUnavailable)
 }
 
 func (s *Server) shedRead(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", s.retryAfter)
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, "no reader available", http.StatusServiceUnavailable)
 }
 
 func (s *Server) degradedResp(w http.ResponseWriter) {
 	s.st.degraded.Add(1)
-	w.Header().Set("Retry-After", s.retryAfter)
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, "shard degraded; repair pending", http.StatusServiceUnavailable)
 }
 
@@ -715,7 +709,7 @@ func (s *Server) acquireWatch(w http.ResponseWriter) (*regmap.Reader, func(), bo
 	case s.watchSem <- struct{}{}:
 	default:
 		s.st.shedWatch.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, "watch streams exhausted", http.StatusServiceUnavailable)
 		return nil, nil, false
 	}
@@ -723,7 +717,7 @@ func (s *Server) acquireWatch(w http.ResponseWriter) (*regmap.Reader, func(), bo
 	if err != nil {
 		<-s.watchSem
 		s.st.shedWatch.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return nil, nil, false
 	}
@@ -803,7 +797,7 @@ func (s *Server) handleWatchKey(w http.ResponseWriter, r *http.Request) {
 // timeout.
 func (s *Server) longPollKey(w http.ResponseWriter, r *http.Request, key, pollArg string) {
 	s.st.longPolls.Add(1)
-	timeout := s.longPoll
+	timeout := DefaultLongPollTimeout
 	if d, err := time.ParseDuration(pollArg); err == nil && d > 0 && d < timeout {
 		timeout = d
 	}

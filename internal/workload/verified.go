@@ -12,19 +12,18 @@ import (
 // history checker later judges against the paper's atomicity criterion.
 type VerifiedReader struct {
 	reader  register.Reader
-	viewer  register.Viewer
-	scratch []byte
+	scratch []byte // Read's destination; nil when the handle views
 	proc    int
 	clock   *history.Clock
 	log     *history.Log
 }
 
-// NewVerifiedReader builds a verified read body for process id proc.
-func NewVerifiedReader(rd register.Reader, proc int, maxSize int, clock *history.Clock, log *history.Log) *VerifiedReader {
+// NewVerifiedReader builds a verified read body for process id proc,
+// viewing when view is set (the register's Caps.ZeroCopyView) and
+// copying into a maxSize scratch buffer otherwise.
+func NewVerifiedReader(rd register.Reader, view bool, proc int, maxSize int, clock *history.Clock, log *history.Log) *VerifiedReader {
 	v := &VerifiedReader{reader: rd, proc: proc, clock: clock, log: log}
-	if vw, ok := rd.(register.Viewer); ok {
-		v.viewer = vw
-	} else {
+	if !view {
 		v.scratch = make([]byte, maxSize)
 	}
 	return v
@@ -38,8 +37,8 @@ func (v *VerifiedReader) Do() error {
 		val []byte
 		err error
 	)
-	if v.viewer != nil {
-		val, err = v.viewer.View()
+	if v.scratch == nil {
+		val, err = v.reader.View()
 	} else {
 		var n int
 		n, err = v.reader.Read(v.scratch)

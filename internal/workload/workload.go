@@ -62,18 +62,17 @@ func ParseMode(s string) (Mode, error) {
 // instance per goroutine.
 type ReaderWork struct {
 	reader  register.Reader
-	viewer  register.Viewer // non-nil when the handle supports views
-	scratch []byte
+	scratch []byte // Read's destination; nil when the handle views
 	mode    Mode
 	sink    uint64
 }
 
-// NewReaderWork prepares the read operation body for rd.
-func NewReaderWork(rd register.Reader, mode Mode, maxSize int) *ReaderWork {
+// NewReaderWork prepares the read operation body for rd: a zero-copy
+// View when view is set (the register's Caps.ZeroCopyView), else a Read
+// into a maxSize scratch buffer.
+func NewReaderWork(rd register.Reader, view bool, mode Mode, maxSize int) *ReaderWork {
 	w := &ReaderWork{reader: rd, mode: mode}
-	if v, ok := rd.(register.Viewer); ok {
-		w.viewer = v
-	} else {
+	if !view {
 		w.scratch = make([]byte, maxSize)
 	}
 	return w
@@ -85,8 +84,8 @@ func (w *ReaderWork) Do() error {
 		val []byte
 		err error
 	)
-	if w.viewer != nil {
-		val, err = w.viewer.View()
+	if w.scratch == nil {
+		val, err = w.reader.View()
 		if err != nil {
 			return err
 		}

@@ -39,10 +39,7 @@ func TestModeParse(t *testing.T) {
 func TestReaderWorkUsesViewForViewers(t *testing.T) {
 	r := newARC(t, 1, 64)
 	rd, _ := r.NewReader()
-	w := NewReaderWork(rd, Dummy, 64)
-	if w.viewer == nil {
-		t.Fatal("ARC reader not recognized as a Viewer")
-	}
+	w := NewReaderWork(rd, r.Caps().ZeroCopyView, Dummy, 64)
 	if w.scratch != nil {
 		t.Fatal("viewer path should not allocate scratch")
 	}
@@ -62,10 +59,7 @@ func TestReaderWorkCopiesForNonViewers(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd, _ := p.NewReader()
-	w := NewReaderWork(rd, Dummy, 64)
-	if w.viewer != nil {
-		t.Fatal("Peterson reader wrongly treated as Viewer")
-	}
+	w := NewReaderWork(rd, p.Caps().ZeroCopyView, Dummy, 64)
 	if len(w.scratch) != 64 {
 		t.Fatalf("scratch size %d", len(w.scratch))
 	}
@@ -78,7 +72,7 @@ func TestProcessingModeScans(t *testing.T) {
 	r := newARC(t, 1, 256)
 	wr := NewWriterWork(r.Writer(), Processing, 256)
 	rd, _ := r.NewReader()
-	w := NewReaderWork(rd, Processing, 256)
+	w := NewReaderWork(rd, r.Caps().ZeroCopyView, Processing, 256)
 	if err := wr.Do(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +141,7 @@ func TestVerifiedRoundTrip(t *testing.T) {
 
 	vw := NewVerifiedWriter(r.Writer(), size, clock, wlog)
 	rd, _ := r.NewReader()
-	vr := NewVerifiedReader(rd, 0, size, clock, rlog)
+	vr := NewVerifiedReader(rd, r.Caps().ZeroCopyView, 0, size, clock, rlog)
 
 	for i := 0; i < 20; i++ {
 		if err := vw.Do(); err != nil {
@@ -195,7 +189,7 @@ func TestVerifiedReaderNonViewer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd, _ := p.NewReader()
-	vr := NewVerifiedReader(rd, 0, size, clock, rlog)
+	vr := NewVerifiedReader(rd, p.Caps().ZeroCopyView, 0, size, clock, rlog)
 	if err := vr.Do(); err != nil {
 		t.Fatal(err)
 	}

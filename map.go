@@ -133,16 +133,14 @@ func (m *Map) MaxReaders() int { return m.m.MaxReaders() }
 func (m *Map) MaxValueSize() int { return m.m.MaxValueSize() }
 
 // Caps reports the map's capability set — the per-key ARC registers'
-// full surface: zero-copy views, freshness probing, stats on both
-// sides, wait-free reads and writes. Snapshot is the one operation with
+// surface: zero-copy views, freshness probing, wait-free reads and
+// writes. Snapshot is the one operation with
 // a weaker progress property (retries on observed concurrent
 // publications; see MapReader.Snapshot).
 func (m *Map) Caps() Caps {
 	return Caps{
 		ZeroCopyView:  true,
 		FreshProbe:    true,
-		ReadStats:     true,
-		WriteStats:    true,
 		WaitFreeRead:  true,
 		WaitFreeWrite: true,
 	}

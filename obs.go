@@ -39,8 +39,7 @@ type HistStat = obs.HistStat
 type Histogram = metrics.Histogram
 
 // StatsSource is anything that produces a Stats tree on demand —
-// Reg[T], Map and MapOf[T] all implement it, as does
-// StatsRegistry for composing several of them.
+// Reg[T], Map and MapOf[T] all implement it.
 type StatsSource = obs.Source
 
 // StatsSourceFunc adapts a plain function to StatsSource.
@@ -50,12 +49,6 @@ type StatsSourceFunc = obs.SourceFunc
 // live tree as JSON, so the stdlib /debug/vars endpoint serves it
 // with no additional dependencies. Observe wraps the common case.
 type StatsVar = obs.Var
-
-// StatsRegistry composes named StatsSources into one tree: Stats
-// returns a root node whose children are the registered sources'
-// snapshots in name order. Use one registry per process to export
-// several registers and maps under a single expvar name.
-type StatsRegistry = obs.Registry
 
 // StatInfo is one named string annotation in a Stats node — build
 // revision, Go version, listen address: facts that are not counters.

@@ -3,7 +3,7 @@ package arcreg_test
 // Facade-level tests for the observability surface: the Stats tree
 // across the (1,N), (M,N) and map shapes, the watcher backpressure
 // ledger recorded by parked Watch iterators, and the expvar export
-// path (Observe / StatsVar / StatsRegistry).
+// path (Observe / StatsVar).
 
 import (
 	"context"
@@ -177,13 +177,8 @@ func TestRegWatchLedger(t *testing.T) {
 }
 
 // TestObserveServesJSON pins the export path: Observe publishes a
-// StatsVar whose String() is the JSON rendering of the live tree, and
-// a StatsRegistry composes several sources under one root.
+// StatsVar whose String() is the JSON rendering of the live tree.
 func TestObserveServesJSON(t *testing.T) {
-	reg, err := arcreg.New[int](arcreg.WithReaders(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := arcreg.NewMap[int](arcreg.WithShards(2), arcreg.WithReaders(2))
 	if err != nil {
 		t.Fatal(err)
@@ -192,18 +187,10 @@ func TestObserveServesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var root arcreg.StatsRegistry
-	if err := root.Register("register", reg); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.Register("map", m); err != nil {
-		t.Fatal(err)
-	}
-
 	// expvar's registry is process-global and Publish panics on
 	// duplicates, so use a name unique to this test binary run.
 	name := fmt.Sprintf("arcreg-test-%d", time.Now().UnixNano())
-	arcreg.Observe(name, &root)
+	arcreg.Observe(name, m)
 	v := expvar.Get(name)
 	if v == nil {
 		t.Fatalf("expvar.Get(%q) = nil", name)
@@ -217,17 +204,13 @@ func TestObserveServesJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
 		t.Fatalf("expvar output is not JSON: %v\n%s", err, v.String())
 	}
-	var names []string
-	for _, c := range decoded.Children {
-		names = append(names, c.Name)
-	}
-	if len(names) != 2 || names[0] != "map" || names[1] != "register" {
-		t.Fatalf("registry children = %v, want [map register]", names)
+	if decoded.Name != "map" || len(decoded.Children) == 0 {
+		t.Fatalf("expvar tree = %q with %d children, want the map's root", decoded.Name, len(decoded.Children))
 	}
 
 	// The text dump is the human-readable view of the same tree.
 	var sb strings.Builder
-	root.Stats().WriteText(&sb)
+	m.Stats().WriteText(&sb)
 	if !strings.Contains(sb.String(), "live_keys") {
 		t.Fatalf("text dump missing map counters:\n%s", sb.String())
 	}

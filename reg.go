@@ -58,16 +58,17 @@ func (a AlgorithmID) String() string {
 
 func (a AlgorithmID) valid() bool { return a >= 0 && int(a) < algs.Facade }
 
-// Caps declares which optional capabilities a register's handles
-// implement. New resolves it once at construction (see Reg.Caps), so
-// application code branches on fields instead of type-asserting
-// handles. A false field is advisory, a true one is a promise.
+// Caps declares what a register's handles do. New resolves it once at
+// construction (see Reg.Caps), so application code branches on fields
+// instead of type-asserting handles. A true field is a promise; a false
+// one says what the method returns instead: View and ViewBytes return
+// ErrNoView, Fresh reports false.
 type Caps = register.Caps
 
-// ErrNoView is returned by TypedReader.ViewBytes when the underlying
-// register cannot expose values without copying (Peterson and seqlock;
-// see Caps.ZeroCopyView).
-var ErrNoView = errors.New("arcreg: register does not support zero-copy views")
+// ErrNoView is returned by View and TypedReader.ViewBytes when the
+// underlying register cannot expose values without copying (Peterson and
+// seqlock; see Caps.ZeroCopyView).
+var ErrNoView = register.ErrNoView
 
 // config collects the functional options of New and NewMap.
 type config struct {
@@ -358,8 +359,8 @@ func New[T any](opts ...Option) (*Reg[T], error) {
 func (r *Reg[T]) Algorithm() AlgorithmID { return r.alg }
 
 // Caps reports the capability set New resolved at construction —
-// zero-copy views, freshness probing, stats, wait-freedom — so callers
-// branch on fields instead of type-asserting handles.
+// zero-copy views, freshness probing, wait-freedom — so callers branch
+// on fields instead of type-asserting handles.
 func (r *Reg[T]) Caps() Caps { return r.caps }
 
 // Codec reports the encoding in use.
@@ -408,9 +409,7 @@ func (r *Reg[T]) NewWriter() (*TypedWriter[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	tw := &TypedWriter[T]{c: r.c, w: w}
-	tw.statw, _ = w.(register.StatWriter)
-	return tw, nil
+	return &TypedWriter[T]{c: r.c, w: w}, nil
 }
 
 // NewReader allocates a typed reader handle (one per goroutine, counted
@@ -420,19 +419,15 @@ func (r *Reg[T]) NewReader() (*TypedReader[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &TypedReader[T]{c: r.c, rd: rd, reg: r}
-	tr.viewer, _ = rd.(Viewer)
+	tr := &TypedReader[T]{reg: r, rd: rd}
 	// Get decodes straight from the slot only where a live view cannot
 	// hold the writer back: on the lock and Left-Right registers a view
 	// pins the read lock or reader indicator until the handle's next
 	// operation, so a reader that Gets once and idles would wedge every
 	// later Set. Those copy through Read, which releases before returning.
-	if tr.viewer == nil || !r.caps.WaitFreeWrite {
+	if !r.caps.ZeroCopyView || !r.caps.WaitFreeWrite {
 		tr.buf = make([]byte, r.maxValueSize)
 	}
-	tr.prober, _ = rd.(FreshnessProber)
-	tr.fviewer, _ = rd.(register.FreshViewer)
-	tr.statr, _ = rd.(register.StatReader)
 	return tr, nil
 }
 
@@ -519,9 +514,8 @@ func (r *Reg[T]) Stats() Stats {
 // one of the M identities of the (M,N) composition. One goroutine per
 // handle.
 type TypedWriter[T any] struct {
-	c     Codec[T]
-	w     Writer
-	statw register.StatWriter
+	c Codec[T]
+	w Writer
 }
 
 // Set encodes and publishes a new value. In the (M,N) shape the write
@@ -545,14 +539,8 @@ func (w *TypedWriter[T]) ID() int {
 	return 0
 }
 
-// WriteStats reports the writer's counters, or the zero value when the
-// register does not expose them (see Caps.WriteStats).
-func (w *TypedWriter[T]) WriteStats() WriteStats {
-	if w.statw != nil {
-		return w.statw.WriteStats()
-	}
-	return WriteStats{}
-}
+// WriteStats reports the writer's counters. Collect at quiescence.
+func (w *TypedWriter[T]) WriteStats() WriteStats { return w.w.WriteStats() }
 
 // Writer exposes the underlying byte endpoint: the (1,N) register's
 // single writer, or this handle's (M,N) writer identity.
@@ -571,24 +559,15 @@ func (w *TypedWriter[T]) Close() error {
 // capability surface: decoding reads (Get), zero-copy byte views
 // (ViewBytes), freshness probing (Fresh), stats (ReadStats) and change
 // delivery (Watch). Capabilities the underlying register lacks degrade
-// conservatively (see Caps) instead of requiring type assertions.
+// as its Caps say, with no type assertion on the caller's side.
 type TypedReader[T any] struct {
-	c       Codec[T]
-	rd      Reader
-	viewer  Viewer
-	prober  FreshnessProber
-	fviewer register.FreshViewer
-	statr   register.StatReader
+	// reg is the owning register: its codec decodes, Watch parks on its
+	// sequencer and attaches its ledger to reg's watcher population.
+	reg *Reg[T]
+	rd  Reader
 	// buf is Get's copy-read scratch, allocated where Get must not
 	// decode from a view (see NewReader); nil means Get views.
 	buf []byte
-	// pollLast is the last value Watch yielded on registers with neither
-	// a freshness probe nor a combined probe-and-fetch, which compare
-	// copies instead.
-	pollLast []byte
-	// reg is the owning register: Watch parks on its sequencer and
-	// attaches its ledger to reg's watcher population.
-	reg *Reg[T]
 }
 
 // Get returns the freshest value, decoding straight from the register
@@ -597,17 +576,17 @@ type TypedReader[T any] struct {
 func (r *TypedReader[T]) Get() (T, error) {
 	var zero T
 	if r.buf == nil {
-		v, err := r.viewer.View()
+		v, err := r.rd.View()
 		if err != nil {
 			return zero, err
 		}
-		return r.c.Decode(v)
+		return r.reg.c.Decode(v)
 	}
 	n, err := r.rd.Read(r.buf)
 	if err != nil {
 		return zero, err
 	}
-	return r.c.Decode(r.buf[:n])
+	return r.reg.c.Decode(r.buf[:n])
 }
 
 // ViewBytes returns a zero-copy view of the freshest encoded value, or
@@ -615,12 +594,7 @@ func (r *TypedReader[T]) Get() (T, error) {
 // The view is valid until this handle's next operation and must not be
 // modified. On registers whose writer is not wait-free (Lock,
 // LeftRight) a live view holds the writer back until then.
-func (r *TypedReader[T]) ViewBytes() ([]byte, error) {
-	if r.viewer != nil {
-		return r.viewer.View()
-	}
-	return nil, ErrNoView
-}
+func (r *TypedReader[T]) ViewBytes() ([]byte, error) { return r.rd.View() }
 
 // ReadBytes copies the freshest encoded value into dst, bypassing the
 // codec (ErrBufferTooSmall with the required length if dst cannot hold
@@ -630,23 +604,12 @@ func (r *TypedReader[T]) ReadBytes(dst []byte) (int, error) { return r.rd.Read(d
 // Fresh reports whether the handle's last read still returns the
 // register's current value — for ARC a single atomic load with no RMW
 // instruction. Registers without a freshness probe (Caps.FreshProbe
-// false) conservatively report false, so callers re-read. A handle that
-// has never read reports false.
-func (r *TypedReader[T]) Fresh() bool {
-	if r.prober != nil {
-		return r.prober.Fresh()
-	}
-	return false
-}
+// false) report false, so callers re-read. A handle that has never read
+// reports false.
+func (r *TypedReader[T]) Fresh() bool { return r.rd.Fresh() }
 
-// ReadStats reports the handle's counters, or the zero value when the
-// register does not expose them (see Caps.ReadStats).
-func (r *TypedReader[T]) ReadStats() ReadStats {
-	if r.statr != nil {
-		return r.statr.ReadStats()
-	}
-	return ReadStats{}
-}
+// ReadStats reports the handle's counters. Collect at quiescence.
+func (r *TypedReader[T]) ReadStats() ReadStats { return r.rd.ReadStats() }
 
 // Reader exposes the underlying byte handle. An (M,N) handle also
 // reports the tag of the value it last returned:
@@ -700,6 +663,10 @@ func (r *TypedReader[T]) Watch(ctx context.Context) iter.Seq2[T, error] {
 		// the sequencer's lazy gate.
 		sub := r.reg.gate().Fan(notify.DefaultFanArity, notify.DefaultFanDepth).Subscribe()
 		defer sub.Close()
+		// The session's change test: the combined probe-and-fetch where
+		// the handle has one (ARC, (M,N)), else what poll falls back to.
+		fv, _ := r.rd.(register.FreshViewer)
+		var last []byte
 		for first := true; ; first = false {
 			if err := ctx.Err(); err != nil {
 				yield(zero, err)
@@ -711,7 +678,7 @@ func (r *TypedReader[T]) Watch(ctx context.Context) iter.Seq2[T, error] {
 			// at-least-once, never a lost change.
 			seen := r.reg.epoch()
 			ws.NoteSeen(seen)
-			v, changed, err := r.poll(first)
+			v, changed, err := r.poll(first, fv, &last)
 			if err != nil {
 				yield(zero, err)
 				return
@@ -736,24 +703,26 @@ func (r *TypedReader[T]) Watch(ctx context.Context) iter.Seq2[T, error] {
 
 // poll performs one Watch step: report whether a publication other
 // than the last one yielded is visible, and decode it if so. The first
-// step always reports a change.
-func (r *TypedReader[T]) poll(first bool) (v T, changed bool, err error) {
+// step always reports a change. fv is the handle's probe-and-fetch, nil
+// where it has none; last holds the value the previous step yielded on
+// registers that compare copies.
+func (r *TypedReader[T]) poll(first bool, fv register.FreshViewer, last *[]byte) (v T, changed bool, err error) {
 	var zero T
 	switch {
-	case r.fviewer != nil:
+	case fv != nil:
 		// Combined probe-and-fetch (ARC, (M,N)): one call answers both.
-		view, viewChanged, err := r.fviewer.ViewFresh()
+		view, viewChanged, err := fv.ViewFresh()
 		if err != nil {
 			return zero, false, err
 		}
 		if !viewChanged && !first {
 			return zero, false, nil
 		}
-		v, err := r.c.Decode(view)
+		v, err := r.reg.c.Decode(view)
 		return v, true, err
-	case r.prober != nil:
+	case r.reg.caps.FreshProbe:
 		// Probe, then fetch only on change (RF's probe is exact).
-		if !first && r.prober.Fresh() {
+		if !first && r.rd.Fresh() {
 			return zero, false, nil
 		}
 		v, err := r.Get()
@@ -770,11 +739,11 @@ func (r *TypedReader[T]) poll(first bool) (v T, changed bool, err error) {
 			return zero, false, err
 		}
 		cur := r.buf[:n]
-		if !first && bytes.Equal(cur, r.pollLast) {
+		if !first && bytes.Equal(cur, *last) {
 			return zero, false, nil
 		}
-		r.pollLast = append(r.pollLast[:0], cur...)
-		v, err := r.c.Decode(cur)
+		*last = append((*last)[:0], cur...)
+		v, err := r.reg.c.Decode(cur)
 		return v, true, err
 	}
 }

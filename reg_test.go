@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"arcreg"
 	"arcreg/internal/register"
@@ -42,6 +43,7 @@ type handleRegister struct {
 func (h *handleRegister) Name() string            { return h.reg.Algorithm().String() }
 func (h *handleRegister) MaxReaders() int         { return h.reg.Readers() }
 func (h *handleRegister) MaxValueSize() int       { return h.reg.MaxValueSize() }
+func (h *handleRegister) Caps() register.Caps     { return h.reg.Caps() }
 func (h *handleRegister) Writer() register.Writer { return (*handleWriter)(h) }
 
 func (h *handleRegister) NewReader() (register.Reader, error) {
@@ -49,41 +51,27 @@ func (h *handleRegister) NewReader() (register.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	caps := h.reg.Caps()
-	base := handleReader{tr: tr}
-	switch {
-	case caps.ZeroCopyView && caps.FreshProbe:
-		return &freshViewerReader{viewerReader{base}}, nil
-	case caps.ZeroCopyView:
-		return &viewerReader{base}, nil
-	default:
-		return &base, nil
-	}
+	return &handleReader{tr: tr}, nil
 }
 
 // handleWriter funnels battery writes through TypedWriter.SetBytes.
 type handleWriter handleRegister
 
-func (h *handleWriter) Write(p []byte) error { return h.w.SetBytes(p) }
+func (h *handleWriter) Write(p []byte) error            { return h.w.SetBytes(p) }
+func (h *handleWriter) WriteStats() register.WriteStats { return h.w.WriteStats() }
 
+// handleReader routes every battery read through the TypedReader's
+// byte methods; the battery's capability subtests follow the facade's
+// Caps.
 type handleReader struct {
 	tr *arcreg.TypedReader[[]byte]
 }
 
-func (r *handleReader) Read(dst []byte) (int, error) { return r.tr.ReadBytes(dst) }
-func (r *handleReader) Close() error                 { return r.tr.Close() }
-
-// viewerReader adds Viewer for algorithms whose Caps promise it, and
-// freshViewerReader adds FreshnessProber on top — the battery's
-// capability subtests run exactly when the facade's Caps say they
-// should.
-type viewerReader struct{ handleReader }
-
-func (r *viewerReader) View() ([]byte, error) { return r.tr.ViewBytes() }
-
-type freshViewerReader struct{ viewerReader }
-
-func (r *freshViewerReader) Fresh() bool { return r.tr.Fresh() }
+func (r *handleReader) Read(dst []byte) (int, error)  { return r.tr.ReadBytes(dst) }
+func (r *handleReader) View() ([]byte, error)         { return r.tr.ViewBytes() }
+func (r *handleReader) Fresh() bool                   { return r.tr.Fresh() }
+func (r *handleReader) ReadStats() register.ReadStats { return r.tr.ReadStats() }
+func (r *handleReader) Close() error                  { return r.tr.Close() }
 
 // TestFacadeConformance runs the cross-algorithm battery through the
 // facade handles for every algorithm New constructs.
@@ -109,6 +97,19 @@ func TestFacadeConformance(t *testing.T) {
 				return &handleRegister{reg: reg, w: w}
 			})
 		})
+	}
+}
+
+// TestTypedHandleSize pins the typed handles' footprint: a reader is its
+// register, its byte handle and Get's copy buffer, a writer its codec
+// and its byte endpoint. Capabilities are reached through the byte
+// handle, so no per-capability interface is cached beside it.
+func TestTypedHandleSize(t *testing.T) {
+	if got := unsafe.Sizeof(arcreg.TypedReader[[]byte]{}); got > 48 {
+		t.Errorf("TypedReader[[]byte] is %d B, want at most 48", got)
+	}
+	if got := unsafe.Sizeof(arcreg.TypedWriter[[]byte]{}); got > 32 {
+		t.Errorf("TypedWriter[[]byte] is %d B, want at most 32", got)
 	}
 }
 

@@ -14,14 +14,14 @@ package arcreg
 import (
 	"net"
 	"net/http"
-	"time"
 
 	"arcreg/internal/serve"
 )
 
 // HTTPOptions tunes an HTTP handler over a Map. The zero value is
-// usable: 8 pooled readers, 64 watch streams, 128-deep write queues,
-// 1s Retry-After, 30s long-poll cap, no expvar registration.
+// usable: 8 pooled readers, 64 watch streams, 128-deep write queues, no
+// expvar registration. Sheds carry a 1s Retry-After, and a long-poll
+// waits at most 30s (?poll= shortens it).
 type HTTPOptions struct {
 	// Readers is the pooled GET reader-handle count (default 8). Pool
 	// handles plus watch streams must fit the Map's MaxReaders budget.
@@ -32,10 +32,6 @@ type HTTPOptions struct {
 	// QueueDepth bounds each shard's write queue (default 128); beyond
 	// it, writes shed with 503 + Retry-After.
 	QueueDepth int
-	// RetryAfter is the hint attached to every shed (default 1s).
-	RetryAfter time.Duration
-	// LongPollTimeout caps ?poll= waits (default 30s).
-	LongPollTimeout time.Duration
 	// ExpvarName, when set, publishes the handler's stats tree under
 	// this expvar name (GET /debug/vars).
 	ExpvarName string
@@ -67,13 +63,11 @@ type HTTPHandler struct {
 // against m's MaxReaders; NewHTTPHandler fails if they do not fit.
 func NewHTTPHandler(m *Map, o HTTPOptions) (*HTTPHandler, error) {
 	s, err := serve.New(serve.Config{
-		Map:             m.m,
-		Readers:         o.Readers,
-		WatchStreams:    o.WatchStreams,
-		QueueDepth:      o.QueueDepth,
-		RetryAfter:      o.RetryAfter,
-		LongPollTimeout: o.LongPollTimeout,
-		ExpvarName:      o.ExpvarName,
+		Map:          m.m,
+		Readers:      o.Readers,
+		WatchStreams: o.WatchStreams,
+		QueueDepth:   o.QueueDepth,
+		ExpvarName:   o.ExpvarName,
 	})
 	if err != nil {
 		return nil, err
