@@ -182,7 +182,10 @@
 //
 // Code that works in raw bytes uses the same constructors: New over the
 // Raw codec builds every register (WithAlgorithm and WithWriters pick
-// the construction), and NewByteMap is the byte-level keyed store.
+// the construction), and NewMap over it the byte map, Map, an alias of
+// MapOf[[]byte] (NewByteMap takes a MapConfig instead of options).
+// Under Raw, MapOfReader.Get returns the stored bytes zero-copy, and
+// ReadBytes copies them out for any T.
 // TypedReader.ViewBytes/ReadBytes and TypedWriter.SetBytes bypass the
 // codec per call. TypedReader.Reader and TypedWriter.Writer expose the
 // byte handles underneath, for either shape. A byte Reader has the same
@@ -218,14 +221,14 @@
 //
 // # The sharded snapshot map
 //
-// Map scales the register to an addressable store: keys are partitioned
+// MapOf scales the register to an addressable store: keys are partitioned
 // over shards, each key owns an ARC register, and each shard publishes
 // its key directory — an append-only log of add and tombstone entries —
 // through a further ARC register, so key lookup, enumeration, and value
 // reads are all wait-free zero-copy register reads. Per-reader handles
 // cache the decoded directory behind ARC's freshness probe: a Get of an
 // unchanged hot key is two atomic loads with zero RMW instructions
-// regardless of map size, observable through MapReader.ReadStats
+// regardless of map size, observable through MapOfReader.ReadStats
 // (BenchmarkMapGet; cmd/arcbench -figure map sweeps key counts ×
 // threads under Zipf popularity, with -delete-every and -snapshot-every
 // mixing in the lifecycle operations).
@@ -234,7 +237,7 @@
 // directory register (the hot-key read path is untouched — still two
 // loads, zero RMW), the key's slot is recycled, and a re-created key
 // gets a fresh value register so deleted values can never resurrect.
-// MapReader.Snapshot returns an atomic point-in-time copy of every live
+// MapOfReader.Snapshot returns an atomic point-in-time copy of every live
 // key across all shards, built on per-shard validated publish counters
 // (the mnreg epoch-gate technique): no RMW instructions, one pass at
 // steady state, re-collecting only shards observed to move (DESIGN.md

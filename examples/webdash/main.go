@@ -53,7 +53,7 @@ func main() {
 	// queues, preserving the one-writer-per-shard contract.
 	// Pool handles and watch streams are counted against the map's
 	// reader budget (16 above): 8 pooled GET readers, 4 streams.
-	h, err := arcreg.NewHTTPHandler(store.Map(), arcreg.HTTPOptions{
+	h, err := arcreg.NewHTTPHandler(store, arcreg.HTTPOptions{
 		Readers:      8,
 		WatchStreams: 4,
 		ExpvarName:   "webdash",

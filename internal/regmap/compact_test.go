@@ -278,7 +278,16 @@ func TestCorruptRepair(t *testing.T) {
 			if rd.Fresh("a") {
 				t.Fatal("corrupt shard reports fresh")
 			}
-			want := "v1"
+			// A Set of an existing key publishes only that key's value
+			// register, not the directory, so it is no repair
+			// opportunity: the latch survives it.
+			if err := m.Set("a", []byte("v1b")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rd.Get("a"); !errors.Is(err, ErrShardCorrupt) {
+				t.Fatalf("Get after an existing-key Set = %v, want the latch", err)
+			}
+			want := "v1b"
 			switch heal {
 			case "compact":
 				if err := m.Compact(); err != nil {

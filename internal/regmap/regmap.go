@@ -1548,8 +1548,26 @@ func (r *Reader) Len() (int, error) {
 // re-collected only when its publish counter is observed to move, so
 // retries are bounded by the publications that actually race the call.
 func (r *Reader) Snapshot() (map[string][]byte, error) {
+	parts, n, err := r.SnapshotParts()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]byte, n)
+	for _, p := range parts {
+		for k, v := range p {
+			out[k] = v
+		}
+	}
+	return out, nil
+}
+
+// SnapshotParts is Snapshot before the merge: one certified part per
+// shard (the parts' keys are disjoint) and their total entry count, for
+// a caller that builds its own map from them. The parts and their
+// values are the caller's.
+func (r *Reader) SnapshotParts() ([]map[string][]byte, int, error) {
 	if r.closed {
-		return nil, register.ErrReaderClosed
+		return nil, 0, register.ErrReaderClosed
 	}
 	nsh := len(r.m.shards)
 	parts := make([]map[string][]byte, nsh)
@@ -1558,12 +1576,11 @@ func (r *Reader) Snapshot() (map[string][]byte, error) {
 	for i := range pending {
 		pending[i] = i
 	}
-	total := 0
 	for len(pending) > 0 {
 		for _, si := range pending {
 			part, ep, err := r.collectShard(si)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			parts[si], epochs[si] = part, ep
 		}
@@ -1579,17 +1596,12 @@ func (r *Reader) Snapshot() (map[string][]byte, error) {
 			}
 		}
 	}
+	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
-	out := make(map[string][]byte, total)
-	for _, p := range parts {
-		for k, v := range p {
-			out[k] = v
-		}
-	}
 	r.snapshots++
-	return out, nil
+	return parts, total, nil
 }
 
 // collectShard performs one validated collect of shard si: a counter

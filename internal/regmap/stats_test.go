@@ -161,10 +161,18 @@ func TestMapStatsDuringCompact(t *testing.T) {
 }
 
 // TestWatchStatsLedgerOnMap drives a single-key watch through a burst
-// of publications consumed in one wakeup and checks the backpressure
+// of publications consumed in one delivery and checks the backpressure
 // ledger: observed ≤ published always, conflation counts the skipped
 // publications, and the tracker exposes the population while the watch
 // is live.
+//
+// The schedule is fixed, not raced: the consumer holds each delivery
+// until the test acks it. With the watcher parked, one Set wakes it and
+// it delivers v1; the other 49 Sets land while it is held inside that
+// yield, so its next delivery is v50 and the 48 publications between
+// are conflated. The count can read 49: Map.Set wakes the key's gate
+// before it bumps the shard epoch, so the watcher may charge v1 to the
+// frame before it, and v50's epoch jump then spans 49.
 func TestWatchStatsLedgerOnMap(t *testing.T) {
 	m := newMap(t, Config{Shards: 1, MaxReaders: 2, MaxValueSize: 64})
 	if err := m.Set("k", []byte("v0")); err != nil {
@@ -177,13 +185,11 @@ func TestWatchStatsLedgerOnMap(t *testing.T) {
 	defer rd.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
 	got := make(chan []byte)
+	ack := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		// Closed only once the iterator has returned, so the session's
-		// ledger is detached by the time the drain below ends.
-		defer close(got)
+		defer close(done)
 		for v, err := range rd.Watch(ctx, "k") {
 			if err != nil {
 				return
@@ -193,23 +199,45 @@ func TestWatchStatsLedgerOnMap(t *testing.T) {
 			case <-ctx.Done():
 				return
 			}
+			select {
+			case <-ack:
+			case <-ctx.Done():
+				return
+			}
 		}
 	}()
+	// Runs before the deferred rd.Close, on failure too: the watcher
+	// must be gone before its handle closes.
+	defer func() {
+		cancel()
+		<-done
+	}()
+	next := func(want string) {
+		t.Helper()
+		select {
+		case v := <-got:
+			if string(v) != want {
+				t.Fatalf("delivered %q, want %q", v, want)
+			}
+		case <-done:
+			t.Fatalf("watch ended before delivering %q", want)
+		}
+	}
+	release := func() {
+		t.Helper()
+		select {
+		case ack <- struct{}{}:
+		case <-done:
+			t.Fatal("watch ended while holding a delivery")
+		}
+	}
 
-	if v := <-got; string(v) != "v0" {
-		t.Fatalf("first delivery %q", v)
-	}
-	// The watcher is between deliveries; its ledger is attached.
-	for m.WatchTracker().Watchers() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	// The ledger attaches at session start, before the watcher has
-	// parked — and a watcher that is not yet parked when the burst
-	// lands consumes it through the freshness probe alone, with no
-	// wakeup to count. Wait for the watcher's leaf to arm on the key
-	// register's wakeup tree before bursting, so the burst provably
-	// races a parked watcher. (Reading the writer-side index here is
-	// safe: this goroutine is the shard writer.)
+	next("v0")
+	release()
+	// Wait for the watcher's leaf to arm on the key register's wakeup
+	// tree, so the first Set wakes a parked watcher. (Reading the
+	// writer-side index here is safe: this goroutine is the shard
+	// writer.)
 	sh := m.shards[m.ShardOf("k")]
 	vtree := sh.wregs[sh.index["k"]].Notifier().Fan(keyFanArity, keyFanDepth)
 	for {
@@ -218,51 +246,51 @@ func TestWatchStatsLedgerOnMap(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	// Publish a burst while the consumer is blocked in the unbuffered
-	// channel send (it cannot deliver until we receive): at least the
-	// intermediate publications conflate.
 	const burst = 50
-	for i := 0; i < burst; i++ {
-		if err := m.Set("k", []byte(fmt.Sprintf("v%d", i+1))); err != nil {
+	set := func(i int) {
+		t.Helper()
+		if err := m.Set("k", []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Drain until the final value arrives.
-	for v := range got {
-		if string(v) == fmt.Sprintf("v%d", burst) {
-			break
-		}
+	set(1)
+	next("v1")
+	for i := 2; i <= burst; i++ {
+		set(i)
 	}
+	release()
+	next(fmt.Sprintf("v%d", burst))
 
-	sn := m.WatchTracker().Stats()
-	if v, _ := sn.Get("live"); v != 1 {
-		t.Fatalf("live watchers = %d, want 1", v)
+	// The watcher is held inside its third yield: live, its ledger
+	// attached.
+	if n := m.WatchTracker().Watchers(); n != 1 {
+		t.Fatalf("live watchers = %d, want 1", n)
 	}
-	if v, _ := sn.Get("delivered"); v < 2 {
-		t.Fatalf("delivered = %d, want ≥ 2", v)
-	}
-	conflated, _ := sn.Get("conflated")
-	wakeups, _ := sn.Get("wakeups")
-	if conflated == 0 {
-		t.Fatalf("burst of %d conflated nothing (wakeups=%d):\n%s", burst, wakeups, sn.String())
-	}
-	if wakeups == 0 {
-		t.Fatal("watcher parked through a burst without a wakeup")
-	}
-
-	// Per-watcher invariant: observed ≤ published in every live ledger.
 	m.WatchTracker().Each(func(ws *notify.WatchStats) {
 		if o, p := ws.Observed(), ws.Published(); o > p {
 			t.Errorf("observed %d > published %d", o, p)
 		}
 	})
-
+	// Ack the last delivery so the ledger records it, then end the
+	// session: its totals fold into the tracker's retired sums.
+	release()
 	cancel()
-	for range got {
+	<-done
+	if n := m.WatchTracker().Watchers(); n != 0 {
+		t.Fatalf("watchers after exit = %d", n)
 	}
-	if m.WatchTracker().Watchers() != 0 {
-		t.Fatalf("watchers after exit = %d", m.WatchTracker().Watchers())
+	sn := m.WatchTracker().Stats()
+	delivered, _ := sn.Get("delivered")
+	conflated, _ := sn.Get("conflated")
+	wakeups, _ := sn.Get("wakeups")
+	if delivered != 3 {
+		t.Fatalf("delivered = %d, want 3:\n%s", delivered, sn.String())
+	}
+	if conflated < burst-2 || conflated > burst-1 {
+		t.Fatalf("conflated = %d, want %d or %d:\n%s", conflated, burst-2, burst-1, sn.String())
+	}
+	if wakeups == 0 {
+		t.Fatal("watcher parked through a burst without a wakeup")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"arcreg/internal/regmap"
 )
 
-// TestMapBasic covers the public Map surface: Set/Get/GetCopy round
+// TestMapBasic covers the byte map's surface: Set/Get/ReadBytes round
 // trips, key enumeration, shard routing, misses, freshness probes.
 func TestMapBasic(t *testing.T) {
 	m, err := arcreg.NewByteMap(arcreg.MapConfig{Shards: 4, MaxReaders: 2, MaxValueSize: 128})
@@ -51,13 +51,13 @@ func TestMapBasic(t *testing.T) {
 		t.Error("just-read key not fresh")
 	}
 	dst := make([]byte, 4)
-	if n, err := rd.GetCopy("cfg/7", dst); !errors.Is(err, arcreg.ErrBufferTooSmall) || n != len("value-7") {
-		t.Fatalf("short GetCopy = %d, %v", n, err)
+	if n, err := rd.ReadBytes("cfg/7", dst); !errors.Is(err, arcreg.ErrBufferTooSmall) || n != len("value-7") {
+		t.Fatalf("short ReadBytes = %d, %v", n, err)
 	}
 	dst = make([]byte, 64)
-	n, err := rd.GetCopy("cfg/7", dst)
+	n, err := rd.ReadBytes("cfg/7", dst)
 	if err != nil || string(dst[:n]) != "value-7" {
-		t.Fatalf("GetCopy = %q, %v", dst[:n], err)
+		t.Fatalf("ReadBytes = %q, %v", dst[:n], err)
 	}
 	keys, err := rd.Keys()
 	if err != nil || len(keys) != 32 {
@@ -150,10 +150,10 @@ func TestMapOfJSON(t *testing.T) {
 	if err != nil || got.Host != "10.0.0.9" {
 		t.Fatalf("typed Get after update = %+v, %v", got, err)
 	}
-	if tm.Map().Len() != 2 {
-		t.Fatalf("underlying Len = %d", tm.Map().Len())
+	if tm.Len() != 2 {
+		t.Fatalf("Len = %d", tm.Len())
 	}
-	if rd.Reader().ReadStats().Ops == 0 {
+	if rd.ReadStats().Ops == 0 {
 		t.Error("typed reads not counted in map ReadStats")
 	}
 }
@@ -331,8 +331,8 @@ func TestNewMapOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.Shards() != 4 || tm.Map().MaxReaders() != 2 || tm.Map().MaxValueSize() != 256 {
-		t.Fatalf("config round-trip: %d/%d/%d", tm.Shards(), tm.Map().MaxReaders(), tm.Map().MaxValueSize())
+	if tm.Shards() != 4 || tm.MaxReaders() != 2 || tm.MaxValueSize() != 256 {
+		t.Fatalf("config round-trip: %d/%d/%d", tm.Shards(), tm.MaxReaders(), tm.MaxValueSize())
 	}
 	if tm.Codec().Name() != "json" {
 		t.Fatalf("default codec = %q", tm.Codec().Name())
@@ -470,6 +470,153 @@ func TestMapValuesNoSpuriousYields(t *testing.T) {
 	}
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Fatalf("observed %v, want [1 2] — directory churn fabricated yields", seen)
+	}
+}
+
+// TestMapValuesSurviveCorruptShard pins Watch across a corrupt-shard
+// episode, typed and byte: each watch yields the episode once as
+// ErrShardCorrupt and then the repaired value. An existing-key Set
+// inside the episode publishes no directory, so the watches stay
+// parked until Compact repairs the shard.
+func TestMapValuesSurviveCorruptShard(t *testing.T) {
+	tm, err := arcreg.NewMap[int](arcreg.WithShards(1), arcreg.WithReaders(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Set("k", 1); err != nil {
+		t.Fatal(err)
+	}
+	typedRd, err := tm.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer typedRd.Close()
+	byteRd, err := tm.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byteRd.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	type event struct {
+		v   string
+		err error
+	}
+	watch := func(seq func(func(string, error) bool)) <-chan event {
+		ch := make(chan event)
+		go func() {
+			defer close(ch)
+			for v, err := range seq {
+				if ctx.Err() != nil {
+					return
+				}
+				select {
+				case ch <- event{v, err}:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+		return ch
+	}
+	var streams map[string]<-chan event
+	// Runs before the deferred Closes, on failure too: both watchers
+	// must be gone before their handles close.
+	defer func() {
+		cancel()
+		for _, ch := range streams {
+			for range ch {
+			}
+		}
+	}()
+	streams = map[string]<-chan event{
+		"typed": watch(func(yield func(string, error) bool) {
+			for v, err := range typedRd.Watch(ctx, "k") {
+				if !yield(fmt.Sprint(v), err) {
+					return
+				}
+			}
+		}),
+		"byte": watch(func(yield func(string, error) bool) {
+			for v, err := range byteRd.Reader().Watch(ctx, "k") {
+				if !yield(string(v), err) {
+					return
+				}
+			}
+		}),
+	}
+	expect := func(want event) {
+		t.Helper()
+		for name, ch := range streams {
+			select {
+			case ev, ok := <-ch:
+				if !ok {
+					t.Fatalf("%s watch ended, want %v", name, want)
+				}
+				if want.err != nil && !errors.Is(ev.err, want.err) || want.err == nil && (ev.err != nil || ev.v != want.v) {
+					t.Fatalf("%s watch yielded (%q, %v), want (%q, %v)", name, ev.v, ev.err, want.v, want.err)
+				}
+			case <-ctx.Done():
+				t.Fatalf("%s watch: no event, want %v", name, want)
+			}
+		}
+	}
+	expect(event{v: "1"})
+	if err := arcreg.InjectShardCorruption(tm, "k"); err != nil {
+		t.Fatal(err)
+	}
+	expect(event{err: arcreg.ErrShardCorrupt})
+	if err := tm.Set("k", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	expect(event{v: "2"})
+	for name, ch := range streams {
+		select {
+		case ev, ok := <-ch:
+			if ok {
+				t.Fatalf("%s watch yielded (%q, %v) after the repaired value", name, ev.v, ev.err)
+			}
+		default:
+		}
+	}
+}
+
+// TestMapByteViews pins the Raw views of a typed map: a Set through
+// Map() stores an encoding typed readers decode, Reader() reads the
+// stored bytes through the same handle, and closing the view closes
+// the typed handle.
+func TestMapByteViews(t *testing.T) {
+	tm, err := arcreg.NewMap[int](arcreg.WithReaders(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Map().Set("n", []byte("7")); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := tm.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := rd.Get("n"); err != nil || v != 7 {
+		t.Fatalf("typed Get of a byte-view Set = %d, %v", v, err)
+	}
+	raw := rd.Reader()
+	if v, err := raw.Get("n"); err != nil || string(v) != "7" {
+		t.Fatalf("byte-view Get = %q, %v", v, err)
+	}
+	if !rd.Fresh("n") {
+		t.Fatal("typed handle does not share the byte view's read")
+	}
+	if err := raw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Get("n"); !errors.Is(err, arcreg.ErrReaderClosed) {
+		t.Fatalf("typed Get after the view's Close = %v, want ErrReaderClosed", err)
+	}
+	if _, err := tm.NewReader(); err != nil {
+		t.Fatalf("the view's Close did not free the reader slot: %v", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 package arcreg
 
-// The HTTP serving facade: Map over the wire, preserving the register's
+// The HTTP serving facade: a MapOf over the wire, preserving the register's
 // contracts at the network edge. GETs ride pooled wait-free readers
 // (zero RMW, zero allocation for an unchanged value), writes are
 // serialized per shard through bounded single-writer queues (overload
@@ -18,13 +18,13 @@ import (
 	"arcreg/internal/serve"
 )
 
-// HTTPOptions tunes an HTTP handler over a Map. The zero value is
+// HTTPOptions tunes an HTTP handler over a map. The zero value is
 // usable: 8 pooled readers, 64 watch streams, 128-deep write queues, no
 // expvar registration. Sheds carry a 1s Retry-After, and a long-poll
 // waits at most 30s (?poll= shortens it).
 type HTTPOptions struct {
 	// Readers is the pooled GET reader-handle count (default 8). Pool
-	// handles plus watch streams must fit the Map's MaxReaders budget.
+	// handles plus watch streams must fit the map's MaxReaders budget.
 	Readers int
 	// WatchStreams caps concurrent watch streams (default 64); beyond
 	// it, watch requests shed with 503 + Retry-After.
@@ -37,7 +37,7 @@ type HTTPOptions struct {
 	ExpvarName string
 }
 
-// HTTPHandler serves a Map over HTTP:
+// HTTPHandler serves a map over HTTP:
 //
 //	GET    /k/{key}        value bytes (404 absent, 503+Retry-After degraded)
 //	PUT    /k/{key}        store body (204; 503 queue full, 413 too large)
@@ -48,11 +48,11 @@ type HTTPOptions struct {
 //	POST   /compact        compact every shard through the writer queues
 //	GET    /statz          stats tree (text; ?format=json)
 //
-// The handler owns write access to the Map: route all writes through
+// The handler owns write access to the map: route all writes through
 // its Set/Delete/Compact (or HTTP), which serialize onto per-shard
-// writer goroutines — calling Map.Set directly beside a live handler
-// would put two writers on one shard. Readers are unaffected: the Map's
-// own MapReader handles stay valid alongside the handler's pool.
+// writer goroutines — calling MapOf.Set directly beside a live handler
+// would put two writers on one shard. Readers are unaffected: the map's
+// own MapOfReader handles stay valid alongside the handler's pool.
 type HTTPHandler struct {
 	s *serve.Server
 }
@@ -60,8 +60,10 @@ type HTTPHandler struct {
 // NewHTTPHandler builds the serving layer over m: a reader pool, one
 // writer goroutine per shard, and the route table above. Close releases
 // them. The handler's pooled readers and watch streams are counted
-// against m's MaxReaders; NewHTTPHandler fails if they do not fit.
-func NewHTTPHandler(m *Map, o HTTPOptions) (*HTTPHandler, error) {
+// against m's MaxReaders; NewHTTPHandler fails if they do not fit. It
+// serves the stored encodings whatever T is: GET and watch frames carry
+// a value's bytes under m's codec, and a PUT body must be one.
+func NewHTTPHandler[T any](m *MapOf[T], o HTTPOptions) (*HTTPHandler, error) {
 	s, err := serve.New(serve.Config{
 		Map:          m.m,
 		Readers:      o.Readers,
@@ -86,17 +88,17 @@ func (h *HTTPHandler) ConnState(c net.Conn, st http.ConnState) { h.s.ConnState(c
 // in-process counterpart of PUT /k/{key}, safe from any goroutine.
 func (h *HTTPHandler) Set(key string, val []byte) error { return h.s.Set(key, val) }
 
-// Delete removes key through its shard writer queue (see Map.Delete).
+// Delete removes key through its shard writer queue (see MapOf.Delete).
 func (h *HTTPHandler) Delete(key string) error { return h.s.Delete(key) }
 
 // Compact compacts every shard through the writer queues (see
-// Map.Compact).
+// MapOf.Compact).
 func (h *HTTPHandler) Compact() error { return h.s.Compact() }
 
 // Stats returns the serving layer's own stats node — request and shed
 // counters, reader-pool fold-ins (read_ops/read_fastpath/read_rmw),
 // per-shard apply counts, and the live watcher ledger roll-up. The
-// map's tree remains available via Map.Stats; /statz serves both.
+// map's tree remains available via MapOf.Stats; /statz serves both.
 func (h *HTTPHandler) Stats() Stats { return h.s.Stats() }
 
 // StatsTree returns the combined observability root /statz and /metricz

@@ -1,8 +1,9 @@
 package arcreg_test
 
 // The public HTTP facade, exercised end to end over real connections:
-// NewHTTPHandler on a Map, a PUT/GET round-trip, an in-process Set
-// visible over the wire, and the serve stats node. The serving layer's
+// NewHTTPHandler on a byte map and on a typed one, a PUT/GET
+// round-trip, an in-process Set visible over the wire, and the serve
+// stats node. The serving layer's
 // deep coverage lives in internal/serve; this pins the exported
 // surface.
 
@@ -95,5 +96,50 @@ func TestHTTPHandlerFacade(t *testing.T) {
 	sn.WriteText(&text)
 	if !strings.Contains(text.String(), "req_get") {
 		t.Fatalf("stats text missing req_get:\n%s", text.String())
+	}
+}
+
+// TestHTTPHandlerTypedMap serves a typed map: the wire carries the
+// stored encodings (JSON here), so a PUT body reaches typed readers
+// decoded and a GET returns the encoding.
+func TestHTTPHandlerTypedMap(t *testing.T) {
+	m, err := arcreg.NewMap[int](arcreg.WithShards(2), arcreg.WithReaders(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := arcreg.NewHTTPHandler(m, arcreg.HTTPOptions{Readers: 1, WatchStreams: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		h.Close()
+	})
+	req, _ := http.NewRequest("PUT", ts.URL+"/k/n", strings.NewReader("42"))
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("PUT: status %d", resp.StatusCode)
+	}
+	rd, err := m.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if v, err := rd.Get("n"); err != nil || v != 42 {
+		t.Fatalf("typed Get after PUT = %d, %v", v, err)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/k/n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "42" {
+		t.Fatalf("GET body %q, want the JSON encoding 42", body)
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // guardMaps builds a matched untraced/traced map pair in the same
 // steady state: 64 keys seeded, one reader warmed on a hot key.
-func guardTraceMap(t testing.TB, traced bool) (*arcreg.Map, *arcreg.MapReader) {
+func guardTraceMap(t testing.TB, traced bool) (*arcreg.Map, *arcreg.MapOfReader[[]byte]) {
 	t.Helper()
 	m, err := arcreg.NewByteMap(arcreg.MapConfig{
 		MaxReaders:   1,
