@@ -102,6 +102,10 @@ type Config struct {
 	// under that name. Like expvar.Publish, a duplicate name panics —
 	// one Server per name per process.
 	ExpvarName string
+	// Check, when set, vets a value before it is queued: a PUT body it
+	// rejects answers 400 and Set returns its error, so nothing the
+	// map's readers cannot decode is stored. Nil accepts any bytes.
+	Check func([]byte) error
 }
 
 // Server is the HTTP layer. It implements http.Handler; mount it at
@@ -136,6 +140,7 @@ type Server struct {
 	closed  atomic.Bool
 
 	maxValue    int
+	check       func([]byte) error
 	watchBudget int
 	start       time.Time // process-info anchor for /statz uptime
 
@@ -258,6 +263,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:     ctx,
 		cancel:      cancel,
 		maxValue:    m.MaxValueSize(),
+		check:       cfg.Check,
 		watchBudget: cfg.WatchStreams,
 		start:       time.Now(),
 		shards:      make([]shardCells, m.Shards()),
@@ -495,6 +501,11 @@ func (s *Server) Set(key string, val []byte) error {
 	if len(val) > s.maxValue {
 		return errTooLarge
 	}
+	if s.check != nil {
+		if err := s.check(val); err != nil {
+			return err
+		}
+	}
 	req := s.reqPool.Get().(*writeReq)
 	bp := s.bufPool.Get().(*[]byte)
 	n := copy((*bp)[:s.maxValue], val)
@@ -599,6 +610,13 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.bufPool.Put(bp)
 		http.Error(w, fmt.Sprintf("value exceeds MaxValueSize %d", s.maxValue), http.StatusRequestEntityTooLarge)
 		return
+	}
+	if s.check != nil {
+		if err := s.check(buf[:n]); err != nil {
+			s.bufPool.Put(bp)
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
 	req := s.reqPool.Get().(*writeReq)
 	req.op, req.key, req.val, req.bp = opSet, key, buf[:n], bp

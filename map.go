@@ -272,7 +272,6 @@ func (t *MapOf[T]) NewReader() (*MapOfReader[T], error) {
 		r:          r,
 		c:          t.c,
 		decodedCap: decodeCacheCap[T](),
-		raw:        any(t.c) == any(Raw()),
 	}, nil
 }
 
@@ -291,10 +290,6 @@ type MapOfReader[T any] struct {
 	// then decodes every time.
 	decoded    []decodedEntry[T]
 	decodedCap int
-	// raw is set when the codec is Raw, so T is []byte and decoding is
-	// the identity: Get then returns the view without the interface
-	// call to Decode, which would add ~4 ns to a ~30-ns byte Get.
-	raw bool
 }
 
 // decodedEntry is one cached decode: v decoded from the publication tok
@@ -362,10 +357,6 @@ func copySafe(t reflect.Type) bool {
 // most one decode per key and at most 4,096 in all, within 512 KiB;
 // Close drops them.
 func (r *MapOfReader[T]) Get(key string) (T, error) {
-	if r.raw {
-		v, err := r.r.Get(key)
-		return *any(&v).(*T), err
-	}
 	if r.decodedCap == 0 {
 		v, err := r.r.Get(key)
 		if err != nil {
@@ -552,7 +543,7 @@ func (r *MapOfReader[T]) WatchAll(ctx context.Context) iter.Seq2[MapDeltaOf[T], 
 // Reader returns the byte view of this handle: the same regmap handle
 // under the Raw codec, sharing its per-key state and its Close.
 func (r *MapOfReader[T]) Reader() *MapOfReader[[]byte] {
-	return &MapOfReader[[]byte]{r: r.r, c: Raw(), raw: true}
+	return &MapOfReader[[]byte]{r: r.r, c: Raw()}
 }
 
 // Close releases the handle, every register handle it cached and its

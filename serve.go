@@ -12,6 +12,7 @@ package arcreg
 // standalone binary.
 
 import (
+	"fmt"
 	"net"
 	"net/http"
 
@@ -62,7 +63,9 @@ type HTTPHandler struct {
 // them. The handler's pooled readers and watch streams are counted
 // against m's MaxReaders; NewHTTPHandler fails if they do not fit. It
 // serves the stored encodings whatever T is: GET and watch frames carry
-// a value's bytes under m's codec, and a PUT body must be one.
+// a value's bytes under m's codec, and a value written through the
+// handler must decode under it — a PUT body that does not answers 400
+// and is never stored (under Raw every body decodes).
 func NewHTTPHandler[T any](m *MapOf[T], o HTTPOptions) (*HTTPHandler, error) {
 	s, err := serve.New(serve.Config{
 		Map:          m.m,
@@ -70,6 +73,12 @@ func NewHTTPHandler[T any](m *MapOf[T], o HTTPOptions) (*HTTPHandler, error) {
 		WatchStreams: o.WatchStreams,
 		QueueDepth:   o.QueueDepth,
 		ExpvarName:   o.ExpvarName,
+		Check: func(p []byte) error {
+			if _, err := m.c.Decode(p); err != nil {
+				return fmt.Errorf("arcreg: value does not decode under codec %s: %w", m.c.Name(), err)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -85,7 +94,9 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.s.Se
 func (h *HTTPHandler) ConnState(c net.Conn, st http.ConnState) { h.s.ConnState(c, st) }
 
 // Set publishes val under key through key's shard writer queue — the
-// in-process counterpart of PUT /k/{key}, safe from any goroutine.
+// in-process counterpart of PUT /k/{key}, safe from any goroutine. val
+// is an encoding under the map's codec; one that does not decode is
+// refused with an error wrapping the codec's.
 func (h *HTTPHandler) Set(key string, val []byte) error { return h.s.Set(key, val) }
 
 // Delete removes key through its shard writer queue (see MapOf.Delete).

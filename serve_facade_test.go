@@ -9,11 +9,13 @@ package arcreg_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"arcreg"
 )
@@ -101,7 +103,9 @@ func TestHTTPHandlerFacade(t *testing.T) {
 
 // TestHTTPHandlerTypedMap serves a typed map: the wire carries the
 // stored encodings (JSON here), so a PUT body reaches typed readers
-// decoded and a GET returns the encoding.
+// decoded and a GET returns the encoding. A body the codec cannot
+// decode is refused with 400 and never stored, so a typed Get and a
+// typed Watch of the key carry on as if it had not been sent.
 func TestHTTPHandlerTypedMap(t *testing.T) {
 	m, err := arcreg.NewMap[int](arcreg.WithShards(2), arcreg.WithReaders(4))
 	if err != nil {
@@ -116,14 +120,18 @@ func TestHTTPHandlerTypedMap(t *testing.T) {
 		ts.Close()
 		h.Close()
 	})
-	req, _ := http.NewRequest("PUT", ts.URL+"/k/n", strings.NewReader("42"))
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	put := func(body string) int {
+		t.Helper()
+		req, _ := http.NewRequest("PUT", ts.URL+"/k/n", strings.NewReader(body))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT: status %d", resp.StatusCode)
+	if code := put("42"); code != http.StatusNoContent {
+		t.Fatalf("PUT: status %d", code)
 	}
 	rd, err := m.NewReader()
 	if err != nil {
@@ -133,7 +141,7 @@ func TestHTTPHandlerTypedMap(t *testing.T) {
 	if v, err := rd.Get("n"); err != nil || v != 42 {
 		t.Fatalf("typed Get after PUT = %d, %v", v, err)
 	}
-	resp, err = ts.Client().Get(ts.URL + "/k/n")
+	resp, err := ts.Client().Get(ts.URL + "/k/n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,5 +149,63 @@ func TestHTTPHandlerTypedMap(t *testing.T) {
 	resp.Body.Close()
 	if string(body) != "42" {
 		t.Fatalf("GET body %q, want the JSON encoding 42", body)
+	}
+
+	wr, err := m.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wr.Close()
+	type event struct {
+		v   int
+		err error
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	events := make(chan event)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v, err := range wr.Watch(ctx, "n") {
+			select {
+			case events <- event{v, err}:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	// next returns the watch's next event that is not a repeat of 42.
+	next := func() event {
+		t.Helper()
+		for {
+			select {
+			case e := <-events:
+				if e.err == nil && e.v == 42 {
+					continue
+				}
+				return e
+			case <-time.After(5 * time.Second):
+				t.Fatal("typed watch delivered nothing in 5s")
+			}
+		}
+	}
+
+	if code := put("not json"); code != http.StatusBadRequest {
+		t.Fatalf("PUT of a malformed body: status %d, want 400", code)
+	}
+	if err := h.Set("n", []byte("{")); err == nil {
+		t.Fatal("in-process Set of a malformed value succeeded")
+	}
+	if v, err := rd.Get("n"); err != nil || v != 42 {
+		t.Fatalf("typed Get after refused writes = %d, %v; want 42", v, err)
+	}
+	if code := put("43"); code != http.StatusNoContent {
+		t.Fatalf("PUT 43: status %d", code)
+	}
+	if e := next(); e.err != nil || e.v != 43 {
+		t.Fatalf("typed watch after refused writes yielded (%d, %v), want 43", e.v, e.err)
 	}
 }
