@@ -211,7 +211,6 @@ func runDirChurn(seed uint64, duration time.Duration) int {
 	sched, err := fault.NewSchedule(seed,
 		fault.Rule{Point: regmap.FaultValuePublish, Kind: fault.Yield, Every: 64},
 		fault.Rule{Point: regmap.FaultDirPublish, Kind: fault.Yield, Every: 64},
-		fault.Rule{Point: regmap.FaultSlotStore, Kind: fault.Yield, Every: 64},
 		fault.Rule{Point: regmap.FaultCompactPublish, Kind: fault.Yield, Every: 8},
 		fault.Rule{Point: regmap.FaultDirPrepublish, Kind: fault.Stall, Every: 4096, Stall: 50 * time.Microsecond},
 		fault.Rule{Point: regmap.FaultDeleteRecycle, Kind: fault.Crash, Every: 997},

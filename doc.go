@@ -223,18 +223,19 @@
 //
 // MapOf scales the register to an addressable store: keys are partitioned
 // over shards, each key owns an ARC register, and each shard publishes
-// its key directory — an append-only log of add and tombstone entries —
-// through a further ARC register, so key lookup, enumeration, and value
-// reads are all wait-free zero-copy register reads. Per-reader handles
-// cache the decoded directory behind ARC's freshness probe: a Get of an
+// its key directory — an append-only log of add and tombstone entries,
+// with the slot arrays it names — by one atomic pointer store per
+// change, so key lookup, enumeration, and value reads are all wait-free
+// loads and zero-copy register reads. Per-reader handles cache the
+// decoded directory behind a pointer comparison: a Get of an
 // unchanged hot key is two atomic loads with zero RMW instructions
 // regardless of map size, observable through MapOfReader.ReadStats
 // (BenchmarkMapGet; cmd/arcbench -figure map sweeps key counts ×
 // threads under Zipf popularity, with -delete-every and -snapshot-every
 // mixing in the lifecycle operations).
 //
-// The lifecycle is complete: Delete publishes a tombstone through the
-// directory register (the hot-key read path is untouched — still two
+// The lifecycle is complete: Delete publishes a tombstone in the
+// shard's directory (the hot-key read path is untouched — still two
 // loads, zero RMW), the key's slot is recycled, and a re-created key
 // gets a fresh value register so deleted values can never resurrect.
 // MapOfReader.Snapshot returns an atomic point-in-time copy of every live

@@ -68,7 +68,6 @@
 package arc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -340,24 +339,7 @@ func (r *Register) Write(p []byte) error { return r.WriteStamped(p, 0) }
 // self-stamps; on an untraced register it stays 0, so the plain Write
 // path never reads the clock and its instruction trace is unchanged
 // (see TestTraceZeroOverheadGuard).
-func (r *Register) WriteStamped(p []byte, stamp int64) error { return r.write(p, stamp, false) }
-
-// WriteOwned is WriteStamped without the copy, for DynamicBuffers
-// registers only: the slot takes p itself (capped at its length), so
-// views of this publication alias p. The caller hands over the bytes
-// p[:len(p)] for good — it must never write them again, though it may
-// keep appending past len(p) in the same backing array (no view can
-// reach those bytes). This is what lets an append-only log publish each
-// longer prefix in O(1) instead of copying the whole log per write.
-func (r *Register) WriteOwned(p []byte, stamp int64) error {
-	if !r.opts.DynamicBuffers {
-		return errors.New("arc: WriteOwned requires DynamicBuffers")
-	}
-	return r.write(p, stamp, true)
-}
-
-// write is Algorithm 3; owned selects WriteOwned's by-reference publish.
-func (r *Register) write(p []byte, stamp int64, owned bool) error {
+func (r *Register) WriteStamped(p []byte, stamp int64) error {
 	if len(p) > r.maxValueSize {
 		return fmt.Errorf("%w: %d > %d", register.ErrValueTooLarge, len(p), r.maxValueSize)
 	}
@@ -368,11 +350,7 @@ func (r *Register) write(p []byte, stamp int64, owned bool) error {
 		// buffer (if W3 did not already drop it) is unreferenced by the
 		// protocol once the slot was freed; the GC reclaims it when the
 		// last stale view drops it.
-		if owned {
-			s.content = p[:len(p):len(p)]
-		} else {
-			s.content = append(make([]byte, 0, len(p)), p...)
-		}
+		s.content = append(make([]byte, 0, len(p)), p...)
 		s.size = len(p)
 	} else {
 		s.size = copy(s.content, p) // single copy of the new content

@@ -5,7 +5,6 @@ package arc
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -260,74 +259,5 @@ func TestReadAllocations(t *testing.T) {
 			t.Errorf("DynamicBuffers=%v: views allocate %.1f times/op, want 0",
 				opts.DynamicBuffers, avg)
 		}
-	}
-}
-
-// WriteOwned publishes by reference: the next View aliases the caller's
-// buffer (same first byte, length, and a capacity capped at the length,
-// so appending to the view cannot reach the caller's later appends),
-// and it allocates nothing. WriteStamped on the same register still
-// copies.
-func TestWriteOwnedPublishesByReference(t *testing.T) {
-	r := newDyn(t, 1, 4096)
-	rd, _ := r.NewReaderHandle()
-	log := make([]byte, 0, 64)
-	log = append(log, "header+entry"...)
-	if err := r.WriteOwned(log, 0); err != nil {
-		t.Fatal(err)
-	}
-	v, err := rd.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &v[0] != &log[0] || len(v) != len(log) || cap(v) != len(log) {
-		t.Fatalf("WriteOwned view: len %d cap %d, aliases=%v; want the caller's %d bytes, capped",
-			len(v), cap(v), &v[0] == &log[0], len(log))
-	}
-	// The owner keeps appending past the published length: the held view
-	// is unchanged, and the next publication is the longer prefix.
-	log = append(log, "+next"...)
-	if string(v) != "header+entry" {
-		t.Fatalf("held view changed to %q", v)
-	}
-	if err := r.WriteOwned(log, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := rd.View(); &v[0] != &log[0] || string(v) != "header+entry+next" {
-		t.Fatalf("second WriteOwned view %q", v)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if err := r.WriteOwned(log, 0); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("WriteOwned allocates %.1f times/op, want 0", avg)
-	}
-
-	if err := r.WriteStamped(log, 0); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = rd.View()
-	if &v[0] == &log[0] || string(v) != string(log) {
-		t.Fatalf("WriteStamped view aliases the caller's buffer (or differs: %q)", v)
-	}
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// WriteOwned needs the dynamic-buffer variant: a pre-allocated register
-// copies into its own slots, so by-reference publication is refused
-// (and nothing is published).
-func TestWriteOwnedRequiresDynamicBuffers(t *testing.T) {
-	r := newReg(t, 1, 4096, Options{})
-	if err := r.WriteOwned([]byte("x"), 0); err == nil {
-		t.Fatal("WriteOwned on a pre-allocated register succeeded")
-	}
-	if ws := r.WriteStats(); ws.Ops != 0 {
-		t.Fatalf("refused WriteOwned published (%d ops)", ws.Ops)
-	}
-	if err := newDyn(t, 1, 16).WriteOwned(make([]byte, 17), 0); !errors.Is(err, register.ErrValueTooLarge) {
-		t.Fatalf("oversized WriteOwned on a dynamic register = %v, want ErrValueTooLarge", err)
 	}
 }

@@ -4,8 +4,8 @@
 //
 // A Point is declared once, at package init, at the exact line in the
 // production code where a fault is interesting (immediately before a
-// publication, inside a recycle window, between a slot-array store and
-// the directory write). The instrumentation call, Point.Hit, costs one
+// publication, inside a recycle window, inside a publication window).
+// The instrumentation call, Point.Hit, costs one
 // atomic pointer load while the point is disarmed — cheap enough to
 // leave compiled into release binaries, which is the whole trick: the
 // chaos suite exercises the same machine code production runs.

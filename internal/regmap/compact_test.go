@@ -341,9 +341,7 @@ func TestShorterLogRebases(t *testing.T) {
 	sh := m.shards[0]
 	garbage := append(bytes.Clone(sh.dirBuf), 1<<1|tombstoneFlag)
 	garbage = appendAdd(garbage, 1, 1, "impostor-key-with-a-long-name")
-	if err := sh.dir.Write(garbage); err != nil {
-		t.Fatal(err)
-	}
+	sh.publishDir(garbage, faultDirPublish)
 	if v, err := rd.Get("impostor-key-with-a-long-name"); err != nil || string(v) != "v-k1" {
 		t.Fatalf("garbage log not accepted as plausible: %q, %v", v, err)
 	}
@@ -669,7 +667,7 @@ func TestCrashRecoveryViaCompact(t *testing.T) {
 func TestFaultPointsExercised(t *testing.T) {
 	points := []*fault.Point{
 		faultValuePublish, faultDirPrepublish, faultDirPublish,
-		faultSlotStore, faultDeleteRecycle, faultCompactBuilt, faultCompactPublish,
+		faultDeleteRecycle, faultCompactBuilt, faultCompactPublish,
 	}
 	rules := make([]fault.Rule, len(points))
 	before := make([]uint64, len(points))

@@ -152,12 +152,9 @@ func FuzzDirectoryDecodeCorrupt(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer rd.Close()
-		// Publish the fuzzed bytes directly through the shard's directory
-		// register, bypassing the writer-side encoder.
-		sh := m.shards[0]
-		if err := sh.dir.Write(dir); err != nil {
-			t.Skip() // oversized for the register; not a decode concern
-		}
+		// Publish the fuzzed bytes directly as the shard's directory log,
+		// bypassing the writer-side encoder.
+		m.shards[0].publishDir(dir, faultDirPublish)
 		// The decode must either error cleanly or leave the reader in a
 		// self-consistent state (Get of any probed key terminates).
 		_, err = rd.Get("probe")

@@ -1,9 +1,9 @@
 package regmap
 
 // Key-creation cost and the invariant that makes it O(1): a shard's
-// published directory logs and slot snapshots are prefixes of the
-// writer's append-only buffers, so appends must never write into bytes
-// or elements a publication covers, and slot reuse must copy first.
+// published directory logs and slot arrays are prefixes of the writer's
+// append-only buffers, so appends must never write into bytes or
+// elements a publication covers, and slot reuse must copy first.
 
 import (
 	"bytes"
@@ -51,11 +51,11 @@ func TestAddKeyCostAmortizedConstant(t *testing.T) {
 	}
 }
 
-// TestPublishedStateImmutable captures a published directory log and
-// slot snapshot, then drives enough adds to move both backing arrays,
-// a delete/recreate that reuses a slot, and a compaction. Every captured
-// byte and element must stay as published: views and snapshots alias
-// the writer's buffers, so any in-place rewrite would show here.
+// TestPublishedStateImmutable captures a published directory state, then
+// drives enough adds to move both backing arrays, a delete/recreate that
+// reuses a slot, and a compaction. Every captured byte and element must
+// stay as published: published states alias the writer's buffers, so
+// any in-place rewrite would show here.
 func TestPublishedStateImmutable(t *testing.T) {
 	m := newMap(t, Config{Shards: 1, MaxReaders: 2, MaxValueSize: 64, DynamicValues: true})
 	sh := m.shards[0]
@@ -64,20 +64,13 @@ func TestPublishedStateImmutable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dirRd, err := sh.dir.NewReaderHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dirRd.Close()
-	view, err := dirRd.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(view) != len(view) {
-		t.Fatalf("directory view cap %d > len %d: a reader could append into the writer's log", cap(view), len(view))
+	el := sh.dir.Load()
+	view := el.log
+	if cap(view) != len(view) || cap(el.regs) != len(el.regs) || cap(el.gens) != len(el.gens) {
+		t.Fatalf("published state not capped (log %d/%d, regs %d/%d, gens %d/%d): a reader could append into the writer's buffers",
+			len(view), cap(view), len(el.regs), cap(el.regs), len(el.gens), cap(el.gens))
 	}
 	viewCopy := bytes.Clone(view)
-	el := sh.entries.Load()
 	regsCopy, gensCopy := slices.Clone(el.regs), slices.Clone(el.gens)
 
 	// Adds, in place at first, until both backing arrays have moved (an
@@ -96,7 +89,7 @@ func TestPublishedStateImmutable(t *testing.T) {
 	// Delete and recreate k3: the recreation reuses slot 3 at the next
 	// generation, which must not show through an earlier snapshot.
 	slot := sh.index["k3"]
-	before := sh.entries.Load()
+	before := sh.dir.Load()
 	oldReg, oldGen := before.regs[slot], before.gens[slot]
 	if err := m.Delete("k3"); err != nil {
 		t.Fatal(err)
@@ -107,13 +100,13 @@ func TestPublishedStateImmutable(t *testing.T) {
 	if sh.index["k3"] != slot {
 		t.Fatalf("recreated k3 at slot %d, want reuse of slot %d", sh.index["k3"], slot)
 	}
-	after := sh.entries.Load()
+	after := sh.dir.Load()
 	if after.regs[slot] == oldReg || after.gens[slot] != oldGen+1 {
-		t.Fatalf("reused slot %d: new snapshot has gen %d (want %d) and the old register: %v",
+		t.Fatalf("reused slot %d: new state has gen %d (want %d) and the old register: %v",
 			slot, after.gens[slot], oldGen+1, after.regs[slot] == oldReg)
 	}
 	if before.regs[slot] != oldReg || before.gens[slot] != oldGen {
-		t.Fatalf("slot reuse rewrote an earlier snapshot: slot %d gen %d -> %d", slot, oldGen, before.gens[slot])
+		t.Fatalf("slot reuse rewrote an earlier state: slot %d gen %d -> %d", slot, oldGen, before.gens[slot])
 	}
 	if err := m.Compact(); err != nil {
 		t.Fatal(err)
@@ -123,10 +116,10 @@ func TestPublishedStateImmutable(t *testing.T) {
 		t.Fatalf("published directory log changed after appends:\n got %x\nwant %x", view, viewCopy)
 	}
 	if !slices.Equal(el.regs, regsCopy) || !slices.Equal(el.gens, gensCopy) {
-		t.Fatal("published slot snapshot changed after appends, reuse or compaction")
+		t.Fatal("published slot arrays changed after appends, reuse or compaction")
 	}
 	if !slices.Equal(before.regs[:len(el.regs)], el.regs) {
-		t.Fatal("a later snapshot disagrees with an earlier one on the slots both cover")
+		t.Fatal("a later state disagrees with an earlier one on the slots both cover")
 	}
 
 	// The map still reads back correctly through a fresh reader.

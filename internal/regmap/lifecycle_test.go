@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"arcreg/internal/register"
@@ -146,6 +147,64 @@ func TestRecreateAfterDelete(t *testing.T) {
 	}
 	if v, err := rd.Get("other"); err != nil || string(v) != "third" {
 		t.Fatalf("Get of slot successor = %q, %v", v, err)
+	}
+}
+
+// TestSlotReuseNeverCrossesKeys is slot reuse under concurrency: on one
+// shard a writer deletes one of two keys and creates the other 20,000
+// times, so the two keys trade one slot, each incarnation seeded with
+// "<key>:<n>". Two readers Get both keys throughout and fail on any
+// value that names the other key — what a reader would return if it
+// decoded a log against slot arrays from another publication — and on
+// any error but a miss.
+func TestSlotReuseNeverCrossesKeys(t *testing.T) {
+	m := newMap(t, Config{Shards: 1, MaxReaders: 2, MaxValueSize: 64})
+	keys := [2]string{"left", "right"}
+	if err := m.Set(keys[0], []byte(keys[0]+":0")); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		rd, err := m.NewReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer rd.Close()
+			for !stop.Load() {
+				for _, k := range keys {
+					v, err := rd.Get(k)
+					if errors.Is(err, ErrKeyNotFound) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("Get(%q): %v", k, err)
+						return
+					}
+					if !bytes.HasPrefix(v, []byte(k+":")) {
+						t.Errorf("Get(%q) = %q: another key's incarnation", k, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for n := 1; n <= 20000; n++ {
+		gone, next := keys[(n+1)%2], keys[n%2]
+		if err := m.Delete(gone); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Set(next, []byte(fmt.Sprintf("%s:%d", next, n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := len(m.shards[0].wregs); n != 1 {
+		t.Fatalf("the keys used %d slots, want 1 traded slot", n)
 	}
 }
 

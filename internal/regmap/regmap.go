@@ -30,26 +30,26 @@
 //     full rebase when the directory publishes again, so poisoned shards
 //     heal instead of failing forever.
 //
-//   - The directory itself is published through a directory ARC register
-//     (one per shard, §3.3 dynamic-buffer variant, so its value can grow
-//     without bound while unchanged publications cost nothing). Adding or
-//     deleting a key is one log append plus one directory re-publish by
-//     that shard's writer. Published log bytes are never written again,
-//     so each publication hands the register a longer prefix of the same
-//     append-only buffer by reference, and the slot array grows by
-//     append too: key creation costs amortized O(1), not O(keys in the
-//     shard). Directory lookups, key enumeration and change detection on
-//     the reader side are all wait-free zero-copy register reads, never
-//     mutex acquisitions.
+//   - Each shard publishes its directory with one atomic pointer store
+//     of an immutable state: the log together with the slot arrays it
+//     names (per-key registers and their generations). Adding or
+//     deleting a key is one log append plus one such store by that
+//     shard's writer. Published log bytes and slot elements are never
+//     written again, so each state holds longer capped reslices of the
+//     same append-only buffers: key creation costs amortized O(1), not
+//     O(keys in the shard). Directory lookups, key enumeration and change
+//     detection on the reader side are all wait-free pointer loads and
+//     zero-copy reads, never mutex acquisitions.
 //
 // # The fresh-gated Get
 //
 // Every Reader handle caches, per shard, the decoded directory — a
-// (decode frontier, key→slot table, per-key ARC reader) tuple. A Get
-// probes the shard's directory register with arc.Reader.Fresh (one atomic
-// load, no RMW); only when the directory actually changed does it re-view
-// and re-decode — and the decode is incremental: the append-only log is
-// prefix-stable, so only the new tail entries are parsed. The key's
+// (publication, decode frontier, key→slot table, per-key ARC reader)
+// tuple. A Get probes the shard's directory by comparing the published
+// state pointer with the one it decoded (one atomic load, no RMW); only
+// when the directory actually changed does it re-decode — and the decode
+// is incremental: the append-only log is prefix-stable, so only the new
+// tail entries are parsed. The key's
 // own register is then read through arc.Reader.ViewFresh, whose unchanged
 // case is ARC's R1–R2 fast path. A Get of an unchanged key on an
 // unchanged directory therefore costs two atomic loads total — zero RMW
@@ -82,19 +82,14 @@
 // writes. Readers are one handle per goroutine, as everywhere in this
 // module.
 //
-// The writer-to-reader handoff of a new key needs no locks: the shard's
-// slot array is an immutable snapshot behind an atomic pointer, replaced
-// (by a longer capped reslice, or a copy on slot reuse) before the
-// directory register publishes the new entry.
-// A reader that observes the new directory through the register's RMW
-// chain therefore observes the updated slot array too. Slot reuse adds
-// one subtlety: the slot array can run ahead of the directory view a
-// reader decodes (the writer stores the array before publishing), so each
-// slot carries a generation — the number of add entries that targeted it
-// — and a reader that catches the array ahead of its view re-views the
-// directory. The retry is sound because a generation mismatch proves the
-// intervening tombstone was already fully published (never in flight), so
-// the re-view observes it; see DESIGN.md §7.
+// The writer-to-reader handoff of a new key needs no locks: the log
+// entry and the slot arrays that hold the key's register travel in the
+// same published state, so a reader decodes every log against exactly
+// the arrays the writer published with it. Slot reuse rewrites fresh
+// copies of the arrays (an older state keeps the slot's previous
+// incarnation), and each slot carries a generation — the incarnation
+// key add entries record — which the decode checks against the state's
+// own generations as a corruption check; see DESIGN.md §7.
 package regmap
 
 import (
@@ -109,6 +104,7 @@ import (
 	"unsafe"
 
 	"arcreg/internal/arc"
+	"arcreg/internal/fault"
 	"arcreg/internal/notify"
 	"arcreg/internal/obs"
 	"arcreg/internal/pad"
@@ -127,20 +123,21 @@ var ErrKeyNotFound = errors.New("regmap: key not found")
 var ErrDirectoryFull = errors.New("regmap: shard directory full")
 
 // ErrShardCorrupt is returned by reads of a shard whose directory decode
-// failed a structural or protocol check. The latch is per reader shard
-// and heals: the reader retries a full rebase decode when the writer
-// publishes again (Map.Compact guarantees a repairable publication).
-// Match with errors.Is.
+// failed a structural or protocol check. A publication is one pointer
+// store and is never torn, so the latch means the published state itself
+// is bad (the writer never publishes one; InjectDirectoryCorruption
+// does). The latch is per reader shard and heals: the reader retries a
+// full rebase decode when the writer publishes again (Map.Compact
+// guarantees a repairable publication). Match with errors.Is.
 var ErrShardCorrupt = errors.New("regmap: shard directory corrupt")
 
 // DefaultShards is the shard count when Config.Shards is zero.
 const DefaultShards = 8
 
 // dirMaxBytes bounds a shard directory log (1 GiB of entry material per
-// shard — an administrative ceiling, not a pre-allocation: the directory
-// register uses dynamic buffers). The log is append-only, so delete/
-// recreate churn consumes directory capacity; the ceiling is what makes
-// every directory refresh loop terminate absolutely.
+// shard — an administrative ceiling, not a pre-allocation: the log grows
+// by append). The log is append-only, so delete/recreate churn consumes
+// directory capacity until an append at the ceiling compacts it.
 const dirMaxBytes = 1 << 30
 
 // dirCapacity is the enforced log ceiling — a variable only so tests can
@@ -152,8 +149,8 @@ var dirCapacity = dirMaxBytes
 // bumps once per compaction and is the reader's rebase signal. The
 // publication's length delimits the log (there is no entry count), so a
 // published log's bytes are never written again: each publication is a
-// longer prefix of the same append-only buffer, published by reference
-// (arc.Register.WriteOwned), which is what keeps an append O(1).
+// longer prefix of the same append-only buffer, published by reference,
+// which is what keeps an append O(1).
 const dirHeaderSize = 4
 
 // Directory log entries are tagged with their target slot:
@@ -190,7 +187,7 @@ type Config struct {
 	// Shards is the number of key partitions, rounded up to a power of
 	// two (default DefaultShards). More shards mean more write
 	// parallelism headroom and smaller directories, at the cost of one
-	// directory register (and one per-reader handle) each.
+	// directory (and one decoded copy of it per Reader) each.
 	Shards int
 	// MaxReaders is N, the number of concurrently live Reader handles.
 	MaxReaders int
@@ -245,24 +242,24 @@ func Hash(key string) uint64 {
 	return h
 }
 
-// slots is an immutable snapshot of a shard's per-key registers and their
-// generations, in slot order: capped reslices (wregs[:n:n]) of the
-// writer's append-only slot arrays, so adding a slot is one append and
-// every snapshot shares the prefix it covers. Reusing a tombstoned slot
-// rewrites an element published snapshots can see, so reuse copies the
-// arrays first. Readers load the snapshot atomically after viewing the
-// directory and verify the generations against their decoded state.
-type slots struct {
+// dirState is one directory publication: the log and, in slot order, the
+// per-key registers and generations it names — capped reslices
+// (wregs[:n:n]) of the writer's append-only buffers, so a publication
+// costs one small allocation however long they are, and every state
+// shares the prefix it covers. Nothing a state covers is written again:
+// appends land past its lengths, and reusing a tombstoned slot rewrites
+// fresh copies of the slot arrays.
+type dirState struct {
+	log  []byte
 	regs []*arc.Register
 	gens []uint32
 }
 
-// shard owns one key partition: the directory register, the snapshot
+// shard owns one key partition: the published directory, the snapshot
 // publish counters, and the writer-side key table. All non-atomic fields
 // are owned by the shard's single writer.
 type shard struct {
-	dir     *arc.Register         // directory publications (dynamic buffers)
-	entries atomic.Pointer[slots] // reader-visible slot array snapshot
+	dir atomic.Pointer[dirState] // the latest directory publication
 	// pubStarted / pubDone bracket every publication on this shard
 	// (value write, directory append): the writer bumps pubStarted
 	// immediately before and pubDone immediately after. Snapshot's
@@ -275,16 +272,17 @@ type shard struct {
 	// notify is the per-shard publication sequencer: the shard writer
 	// publishes it after every publication on the shard (value write,
 	// key creation, tombstone), and its gate is chained to the map-level
-	// watch gate, so whole-map watchers park in one place. Per-key value
-	// changes additionally wake the key register's own sequencer (inside
-	// arc.Write), which single-key watchers park on — sibling-key
-	// traffic does not wake them. All of it is store+load only: the
-	// publish paths stay RMW- and allocation-free while nobody is
-	// parked.
-	notify notify.Sequencer
+	// watch gate, so whole-map watchers park in one place. Single-key
+	// watchers park instead on the key register's own sequencer (woken
+	// inside arc.Write) and on dirNotify, which every directory
+	// publication wakes — sibling-key value traffic wakes neither. All
+	// of it is store+load only: the publish paths stay RMW- and
+	// allocation-free while nobody is parked.
+	notify    notify.Sequencer
+	dirNotify notify.Sequencer
 
 	// rec is the shard writer's flight-recorder ring (nil = untraced):
-	// every value and directory register the shard owns records its
+	// the key registers and the directory publications record their
 	// StagePublish events here (they share the shard's single writer,
 	// so the ring stays single-writer), and stampNow reads the clock
 	// only when it is set.
@@ -423,29 +421,17 @@ func New(cfg Config) (*Map, error) {
 		m.tracer = trace.New(trace.Config{RingEvents: cfg.TraceRingEvents, Lanes: cfg.TraceLanes})
 		m.fanRing = m.tracer.Ring("fan-root")
 	}
-	genesis := make([]byte, dirHeaderSize) // cgen 0, no entries
 	for i := range m.shards {
-		dir, err := arc.New(register.Config{
-			MaxReaders:   cfg.MaxReaders,
-			MaxValueSize: dirMaxBytes,
-			Initial:      genesis,
-		}, arc.Options{DynamicBuffers: true})
-		if err != nil {
-			return nil, fmt.Errorf("regmap: shard %d directory: %w", i, err)
-		}
 		sh := &shard{
-			dir:    dir,
 			si:     i,
 			index:  make(map[string]int),
-			dirBuf: append([]byte(nil), genesis...),
+			dirBuf: make([]byte, dirHeaderSize), // cgen 0, no entries
 		}
-		sh.entries.Store(&slots{})
+		sh.dir.Store(&dirState{log: sh.dirBuf})
 		sh.notify.Chain(&m.watchGate)
 		if m.tracer != nil {
-			// One ring per shard writer; the directory register shares it
-			// (same single writer). Key registers join in addKey.
+			// One ring per shard writer; key registers join in addKey.
 			sh.rec = m.tracer.Ring(fmt.Sprintf("shard%d", i))
-			dir.Trace(sh.rec)
 		}
 		sh.flushStats() // seed the live cells before the shard is shared
 		m.shards[i] = sh
@@ -514,8 +500,8 @@ func (m *Map) Set(key string, val []byte) error {
 	return m.addKey(sh, key, val)
 }
 
-// Delete removes key from the map by publishing a tombstone through the
-// shard's directory register; the slot is recycled for a later creation.
+// Delete removes key from the map by publishing a tombstone in the
+// shard's directory; the slot is recycled for a later creation.
 // Returns ErrKeyNotFound when the key does not exist. Same single-writer-
 // per-shard contract as Set. Readers holding views of the deleted key's
 // value keep them (the retired register is never written again); readers
@@ -535,7 +521,8 @@ func (m *Map) Delete(key string) error {
 		// epoch — the fresh log simply omits the key, so Delete succeeds
 		// at any fill level and the map can always shrink.
 		sh.unbind(key, slot)
-		return sh.compact()
+		sh.compact()
+		return nil
 	}
 	sh.unbind(key, slot)
 	faultDeleteRecycle.Hit()
@@ -544,16 +531,8 @@ func (m *Map) Delete(key string) error {
 	sh.nentries++
 	sh.dirBuf = append(sh.dirBuf, tagBuf[:n]...)
 	faultDirPrepublish.Hit()
-	stamp := sh.stampNow()
-	sh.beginPub()
-	sh.flushStats()
-	faultDirPublish.Hit()
-	err := sh.dir.WriteOwned(sh.dirBuf, stamp)
-	sh.endPub()
-	if err == nil {
-		sh.notify.PublishAt(stamp)
-	}
-	return err
+	sh.publishDir(sh.dirBuf, faultDirPublish)
+	return nil
 }
 
 // unbind removes key (at slot) from the writer's live state; the
@@ -566,16 +545,34 @@ func (sh *shard) unbind(key string, slot int) {
 	sh.liveKeys.Add(-1)
 }
 
+// publishDir publishes log with the writer's slot arrays as one
+// dirState: a single pointer store inside the publication window, so a
+// reader that loads it decodes the log against exactly the registers
+// and generations published with it. pt is the caller's in-window fault
+// point. The wakes follow the window: the directory sequencer (the
+// lifecycle gate single-key watchers park on), then the shard's.
+func (sh *shard) publishDir(log []byte, pt *fault.Point) {
+	n := len(sh.wregs)
+	d := &dirState{log: log[:len(log):len(log)], regs: sh.wregs[:n:n], gens: sh.wgens[:n:n]}
+	stamp := sh.stampNow()
+	sh.beginPub()
+	sh.flushStats()
+	pt.Hit()
+	sh.dir.Store(d)
+	sh.rec.Record(trace.StagePublish, 0, stamp, uint64(len(log)))
+	sh.endPub()
+	sh.dirNotify.PublishAt(stamp)
+	sh.notify.PublishAt(stamp)
+}
+
 // addKey creates a fresh register for the key (seeded with the first
 // value, so the key is never visible without one — and so a re-created
 // key can never resurrect its predecessor's value), installs it into a
-// free slot (or appends one), publishes the new slot snapshot, and
-// appends an add entry to the directory log. The order — register ready,
-// slots stored, directory published — is what readers rely on: observing
-// the new entry through the register's RMW chain happens-after the slot
-// store. Appending a slot and publishing the longer log are both by
-// reference, so creating a key costs amortized O(1) however many keys
-// the shard holds; only reusing a slot copies the slot arrays.
+// free slot (or appends one), appends an add entry to the directory log,
+// and publishes both in one directory state. Appending a slot and
+// publishing the longer log are both by reference, so creating a key
+// costs amortized O(1) however many keys the shard holds; only reusing a
+// slot copies the slot arrays.
 func (m *Map) addKey(sh *shard, key string, val []byte) error {
 	initial := val
 	if initial == nil {
@@ -600,8 +597,8 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 	if n := len(sh.freeSlots); n > 0 {
 		slot = sh.freeSlots[n-1]
 		sh.freeSlots = sh.freeSlots[:n-1]
-		// Published snapshots alias the slot arrays, so rewrite a reused
-		// slot in fresh copies: a reader holding an older snapshot keeps
+		// Published states alias the slot arrays, so rewrite a reused
+		// slot in fresh copies: a reader decoding an older state keeps
 		// seeing the slot's previous incarnation.
 		sh.wregs = slices.Clone(sh.wregs)
 		sh.wgens = slices.Clone(sh.wgens)
@@ -616,7 +613,6 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 		sh.wkeys = append(sh.wkeys, key)
 	}
 	sh.buffers += uint64(reg.FixedBuffers())
-	next := sh.slotSnapshot()
 	sh.index[key] = slot
 	sh.creates++
 	sh.liveKeys.Add(1)
@@ -626,24 +622,8 @@ func (m *Map) addKey(sh *shard, key string, val []byte) error {
 	sh.nentries++
 	sh.dirBuf = appendAdd(sh.dirBuf, slot, sh.wgens[slot], key)
 	faultDirPrepublish.Hit()
-	stamp := sh.stampNow()
-	sh.beginPub()
-	sh.flushStats()
-	sh.entries.Store(next)
-	faultSlotStore.Hit()
-	err = sh.dir.WriteOwned(sh.dirBuf, stamp)
-	sh.endPub()
-	if err == nil {
-		sh.notify.PublishAt(stamp)
-	}
-	return err
-}
-
-// slotSnapshot returns the reader-visible snapshot of the writer's slot
-// arrays: capped reslices, so later appends can never reach into it.
-func (sh *shard) slotSnapshot() *slots {
-	n := len(sh.wregs)
-	return &slots{regs: sh.wregs[:n:n], gens: sh.wgens[:n:n]}
+	sh.publishDir(sh.dirBuf, faultDirPublish)
+	return nil
 }
 
 // ensureRoom guarantees the next append of up to need bytes fits under
@@ -656,9 +636,7 @@ func (sh *shard) ensureRoom(need int) error {
 		return nil
 	}
 	if sh.nentries > len(sh.index) {
-		if err := sh.compact(); err != nil {
-			return err
-		}
+		sh.compact()
 		if len(sh.dirBuf)+need <= dirCapacity {
 			return nil
 		}
@@ -678,9 +656,9 @@ func (sh *shard) ensureRoom(need int) error {
 // compact is also the universal repair publication: it is built purely
 // from the writer-side tables (index/wkeys/wgens), so after a crash that
 // left an append unpublished — or after a corruption was injected behind
-// the writer's back — one compact republishes the writer's truth and
-// every latched reader rebases onto it.
-func (sh *shard) compact() error {
+// the writer's back — one compact republishes the writer's truth, slot
+// arrays included, and every latched reader rebases onto it.
+func (sh *shard) compact() {
 	sh.cgen++
 	buf := make([]byte, dirHeaderSize, dirHeaderSize+len(sh.dirBuf)/2)
 	binary.LittleEndian.PutUint32(buf, sh.cgen)
@@ -696,24 +674,8 @@ func (sh *shard) compact() error {
 	sh.nentries = count
 	sh.dirBuf = buf
 	sh.compactions++
-	// Re-store the slot snapshot from the writer tables: normally the
-	// same contents, but after a crash that unwound addKey between its
-	// state mutation and its publication, the published pointer is
-	// stale — re-storing it here is what makes compact the universal
-	// crash repair (readers verify decoded generations against it).
-	next := sh.slotSnapshot()
 	faultCompactBuilt.Hit()
-	stamp := sh.stampNow()
-	sh.beginPub()
-	sh.flushStats()
-	sh.entries.Store(next)
-	faultCompactPublish.Hit()
-	err := sh.dir.WriteOwned(sh.dirBuf, stamp)
-	sh.endPub()
-	if err == nil {
-		sh.notify.PublishAt(stamp)
-	}
-	return err
+	sh.publishDir(sh.dirBuf, faultCompactPublish)
 }
 
 // Compact publishes a compaction epoch on every shard: directory logs
@@ -727,17 +689,18 @@ func (sh *shard) compact() error {
 // the goroutine that owns the whole map's writes, or use CompactShard
 // from partitioned writers.
 func (m *Map) Compact() error {
-	for si := range m.shards {
-		if err := m.CompactShard(si); err != nil {
-			return err
-		}
+	for _, sh := range m.shards {
+		sh.compact()
 	}
 	return nil
 }
 
 // CompactShard publishes a compaction epoch on one shard, under the same
 // single-writer-per-shard contract as Set and Delete.
-func (m *Map) CompactShard(si int) error { return m.shards[si].compact() }
+func (m *Map) CompactShard(si int) error {
+	m.shards[si].compact()
+	return nil
+}
 
 // WriteStats aggregates the map's publish-side counters. Collect only at
 // quiescence (no Set or Delete in flight), like every stats accessor in
@@ -745,7 +708,7 @@ func (m *Map) CompactShard(si int) error { return m.shards[si].compact() }
 func (m *Map) WriteStats() WriteStats {
 	var ws WriteStats
 	for _, sh := range m.shards {
-		ws.Directory.Add(sh.dir.WriteStats())
+		ws.Directory.Ops += sh.epoch
 		ws.Keys += sh.creates
 		ws.Deletes += sh.deletes
 		ws.Compactions += sh.compactions
@@ -844,8 +807,7 @@ func (m *Map) memStats(nslots, nbufs, liveKeys, dirBytes uint64) obs.Snapshot {
 	valReg, valBuf := arc.Footprint(register.Config{
 		MaxReaders: m.maxReaders, MaxValueSize: m.maxValueSize,
 	}, arc.Options{DynamicBuffers: m.dynamic})
-	dirReg, _ := arc.Footprint(register.Config{MaxReaders: m.maxReaders}, arc.Options{DynamicBuffers: true})
-	regs := nslots*uint64(valReg) + uint64(len(m.shards)*dirReg)
+	regs := nslots * uint64(valReg)
 	bufs := nbufs * uint64(valBuf)
 	tables := nslots * uint64(slotRowBytes)
 	index := liveKeys * indexEntryEstimate
@@ -896,7 +858,7 @@ func (m *Map) traceTree(t *notify.Tree, name string) {
 func (m *Map) FanRelays() int64 {
 	var n int64
 	for _, sh := range m.shards {
-		if t := sh.dir.Notifier().Fanned(); t != nil {
+		if t := sh.dirNotify.Fanned(); t != nil {
 			n += t.Relays()
 		}
 		for _, reg := range sh.wregs {
@@ -957,8 +919,9 @@ type WriteStats struct {
 	// Value aggregates the per-key value registers' write counters
 	// (live incarnations only; registers retired by Delete drop out).
 	Value register.WriteStats
-	// Directory aggregates the shard directory registers' write
-	// counters; Directory.Ops is the number of directory publications.
+	// Directory counts the shards' directory publications in Ops (key
+	// creations, tombstones and compactions: the summed dir_epoch). A
+	// publication is one pointer store, so its other counters read 0.
 	Directory register.WriteStats
 	// Keys is the number of keys created, including re-creations of
 	// deleted keys.
@@ -979,8 +942,9 @@ type WriteStats struct {
 type ReadStats struct {
 	// ReadStats: Ops counts Gets (hits and misses), FastPath counts Gets
 	// served with zero RMW instructions (unchanged directory and unchanged
-	// or absent key), RMW counts the RMW instructions the directory and
-	// per-key handles executed, Close's releases included.
+	// or absent key), RMW counts the RMW instructions the per-key handles
+	// executed, Close's releases included (a directory refresh executes
+	// none).
 	register.ReadStats
 	// Misses counts Gets of absent keys.
 	Misses uint64
@@ -997,20 +961,24 @@ type ReadStats struct {
 	Repairs uint64
 }
 
-// readerShard is a Reader's per-shard cache: the directory reader handle
-// plus the decoded (key→slot table, per-key handle) state.
+// readerShard is a Reader's per-shard cache: the directory publication
+// it decoded plus the decoded (key→slot table, per-key handle) state.
 type readerShard struct {
-	dirRd *arc.Reader
+	sh *shard
+	// dir is the publication the decoded state comes from (nil until the
+	// first refresh; the failing one while latched corrupt): the shard
+	// published since exactly when sh.dir no longer holds it. Its regs
+	// serve the live bindings.
+	dir *dirState
 	// table maps live keys to slots; keys, gens, live mirror the decoded
 	// log per slot (key bound to the slot, its generation — the count of
 	// add entries that targeted it — and whether the binding is live).
-	// regs is the slot snapshot the decode verified; handles are the
-	// lazily created per-key reader handles, nil until first Get.
+	// handles are the lazily created per-key reader handles, nil until
+	// first Get.
 	table   map[string]int
 	keys    []string
 	gens    []uint32
 	live    []bool
-	regs    []*arc.Register
 	handles []*arc.Reader
 	// displaced stages handles pulled off their slots mid-decode: the
 	// decode may yet fail (and a later rebase may prove the displacement
@@ -1042,9 +1010,9 @@ type readerShard struct {
 	// that is (without a rebase) means the protocol broke.
 	cgen    uint32
 	tailOff int
-	// corrupt latches a failed decode: the directory handle already
-	// holds the broken publication (so freshness probes would pass), and
-	// the decode may have half-applied the tail — serving that state
+	// corrupt latches a failed decode: dir already holds the broken
+	// publication (so freshness probes would pass), and the decode may
+	// have half-applied the tail — serving that state
 	// silently would be worse than failing, so operations on the shard
 	// return the original error until the latch heals: when the
 	// directory publishes again, the reader retries with a full rebase
@@ -1079,10 +1047,10 @@ type Reader struct {
 	laneFree func()
 	watchWS  *notify.WatchStats
 
-	// rmw is the running total of RMW instructions the directory and
-	// per-key handles executed, added where they execute them (refresh's
-	// directory View, a changed ViewFresh, Close's releases), so Stats
-	// reads it in O(1) however many keys the handle has touched.
+	// rmw is the running total of RMW instructions the per-key handles
+	// executed, added where they execute them (a changed ViewFresh, the
+	// releases of displaced handles and of Close), so Stats reads it in
+	// O(1) however many keys the handle has touched.
 	rmw         uint64
 	ops         uint64
 	fastPath    uint64
@@ -1093,8 +1061,8 @@ type Reader struct {
 	repairs     uint64
 }
 
-// NewReader allocates a reader handle (one directory handle per shard;
-// per-key handles are created lazily on first Get of each key).
+// NewReader allocates a reader handle (per-key handles are created
+// lazily on first Get of each key).
 func (m *Map) NewReader() (*Reader, error) {
 	m.mu.Lock()
 	if m.liveReaders >= m.maxReaders {
@@ -1106,17 +1074,18 @@ func (m *Map) NewReader() (*Reader, error) {
 	r := &Reader{m: m, shards: make([]readerShard, len(m.shards))}
 	r.lane, r.laneFree = m.tracer.AcquireLane()
 	for i, sh := range m.shards {
-		h, err := sh.dir.NewReaderHandle()
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("regmap: shard %d directory handle: %w", i, err)
-		}
-		r.shards[i].dirRd = h
-		r.shards[i].table = make(map[string]int)
-		r.shards[i].tailOff = dirHeaderSize
+		r.shards[i] = readerShard{sh: sh, table: make(map[string]int), tailOff: dirHeaderSize}
 	}
 	return r, nil
 }
+
+// moved reports whether the shard published a directory state since the
+// one rs decoded: one atomic load, no RMW.
+func (rs *readerShard) moved() bool { return rs.sh.dir.Load() != rs.dir }
+
+// current reports whether rs may serve reads as decoded: not latched
+// corrupt, and no directory publication since its decode.
+func (rs *readerShard) current() bool { return rs.corrupt == nil && !rs.moved() }
 
 // rebase discards the incremental-decode cursor for a new compaction
 // epoch (or a repair): every binding is dropped — the fresh log's
@@ -1134,215 +1103,167 @@ func (rs *readerShard) rebase(cgen uint32) {
 	rs.tailOff = dirHeaderSize
 }
 
-// refresh re-views and decodes shard si's directory log. Called when the
-// directory register reports a change, on first touch, and to retry a
-// corrupt latch after a new publication. The decode is incremental
-// within a compaction epoch (only the tail entries parse); a publication
-// carrying a different cgen — and any repair attempt — triggers a
-// rebase, after which the fresh log decodes from its start.
-//
-// The apply loop may run more than once: if the slot snapshot is
-// observed ahead of the viewed directory (a slot reuse raced in), the
-// directory is re-viewed — sound because the snapshot can only run
-// ahead of fully published recycles, so the re-view must decode at
-// least the recycle's already-published entries. A re-view that decodes
-// nothing new while the mismatch persists therefore proves the mismatch
-// is not a race, and the shard latches corrupt instead of spinning on a
-// log that can never verify.
+// refresh decodes shard si's latest directory publication. Called when
+// the shard published since the last decode, on first touch, and to
+// retry a corrupt latch after a new publication. The decode is
+// incremental within a compaction epoch (only the tail entries parse); a
+// publication carrying a different cgen — and any repair attempt —
+// triggers a rebase, after which the fresh log decodes from its start.
+// The log and the slot arrays it names arrive in one publication, so one
+// pass decides: a state that fails to verify is corrupt, never a race.
 func (r *Reader) refresh(si int) error {
 	rs := &r.shards[si]
-	repairing := false
-	if rs.corrupt != nil {
-		// The latch heals only through a later publication; the handle
-		// still holds the poisoned one, so freshness means there is
-		// nothing new to rebase onto yet.
-		if rs.dirRd.Fresh() {
-			return rs.corrupt
-		}
-		repairing = true
+	d := rs.sh.dir.Load()
+	repairing := rs.corrupt != nil
+	if repairing && d == rs.dir {
+		// The latch heals only through a later publication; rs.dir is
+		// the poisoned one, so there is nothing new to rebase onto yet.
+		return rs.corrupt
 	}
+	rs.dir = d
 	// fail latches a protocol/decode error (see readerShard.corrupt).
 	fail := func(err error) error {
 		rs.corrupt = err
 		return err
 	}
-	rebased := false
-	for {
-		rmw := rs.dirRd.ReadStats().RMW
-		v, err := rs.dirRd.View()
-		r.rmw += rs.dirRd.ReadStats().RMW - rmw
-		if err != nil {
-			return err
+	v := d.log
+	if len(v) < dirHeaderSize {
+		return fail(fmt.Errorf("%w: shard %d shorter than header (%d bytes)", ErrShardCorrupt, si, len(v)))
+	}
+	if cgen := binary.LittleEndian.Uint32(v); cgen != rs.cgen || repairing {
+		// A compaction epoch — or a repair, which re-decodes from
+		// scratch unconditionally because the incremental state may be
+		// poisoned. The rebase also re-baselines the frontier:
+		// monotonicity is a per-epoch invariant (DESIGN.md §9), and
+		// insisting on it across a repair would leave a shard whose
+		// reader once accepted garbage unrecoverable.
+		rs.rebase(cgen)
+	} else if len(v) < rs.tailOff {
+		// Within one compaction epoch every publication extends the
+		// last, so a log shorter than the decoded frontier means either
+		// the directory protocol broke or — indistinguishably from this
+		// side — the reader once accepted a plausible-garbage publication
+		// that poisoned its baseline. Latching here could be permanent
+		// (the broken baseline would condemn every future publication),
+		// so re-decode the current publication from scratch instead: a
+		// genuine log re-verifies fully against its slot arrays and the
+		// reader heals; garbage fails the decode and latches through the
+		// normal corrupt path. Counted as a repair.
+		rs.rebase(cgen)
+		repairing = true
+	}
+	// The publication's length delimits the log: every byte up to it
+	// must parse as whole entries, so a truncated tail entry fails.
+	off := rs.tailOff
+	for off < len(v) {
+		at := off
+		tag, n := binary.Uvarint(v[off:])
+		if n <= 0 || tag>>1 > math.MaxInt32 {
+			return fail(fmt.Errorf("%w: shard %d entry corrupt at offset %d", ErrShardCorrupt, si, at))
 		}
-		if len(v) < dirHeaderSize {
-			return fail(fmt.Errorf("%w: shard %d shorter than header (%d bytes)", ErrShardCorrupt, si, len(v)))
-		}
-		cgen := binary.LittleEndian.Uint32(v)
-		progressed := false
-		if cgen != rs.cgen || (repairing && !rebased) {
-			// A compaction epoch — or a repair, which re-decodes from
-			// scratch unconditionally because the incremental state may
-			// be poisoned. The rebase also re-baselines the frontier:
-			// monotonicity is a per-epoch invariant (DESIGN.md §9), and
-			// insisting on it across a repair would leave a shard whose
-			// reader once accepted garbage unrecoverable.
-			rs.rebase(cgen)
-			rebased, progressed = true, true
-		} else if !rebased && len(v) < rs.tailOff {
-			// Within one compaction epoch ARC never serves an older
-			// publication to the same handle, so a log shorter than the
-			// decoded frontier means either the directory protocol broke
-			// or — indistinguishably from this side — the reader once
-			// accepted a plausible-garbage publication that poisoned its
-			// baseline. Latching here could be permanent (the broken
-			// baseline would condemn every future publication), so
-			// re-decode the current publication from scratch instead: a
-			// genuine log re-verifies fully against the slot array and
-			// the reader heals; garbage fails the decode and latches
-			// through the normal corrupt path. Counted as a repair.
-			rs.rebase(cgen)
-			rebased, progressed, repairing = true, true, true
-		}
-		// Load the slot snapshot after viewing the directory: the writer
-		// stored it before publishing, so it covers every published add —
-		// which also bounds every genuine entry's slot index.
-		el := r.m.shards[si].entries.Load()
-		off := rs.tailOff
-		if len(v) > off {
-			progressed = true
-		}
-		// The publication's length delimits the log: every byte up to it
-		// must parse as whole entries, so a truncated tail entry fails.
-		for off < len(v) {
-			at := off
-			tag, n := binary.Uvarint(v[off:])
-			if n <= 0 || tag>>1 > math.MaxInt32 {
-				return fail(fmt.Errorf("%w: shard %d entry corrupt at offset %d", ErrShardCorrupt, si, at))
+		off += n
+		slot := int(tag >> 1)
+		if tag&tombstoneFlag != 0 {
+			// Only an add makes a slot live, so this also bounds the
+			// slot by the slot array (see the add's check below).
+			if slot >= len(rs.keys) || !rs.live[slot] {
+				return fail(fmt.Errorf("%w: shard %d entry at offset %d tombstones dead slot %d", ErrShardCorrupt, si, at, slot))
 			}
-			off += n
-			slot := int(tag >> 1)
-			if tag&tombstoneFlag != 0 {
-				// Only an add makes a slot live, so this also bounds the
-				// slot by the slot array (see the add's check below).
-				if slot >= len(rs.keys) || !rs.live[slot] {
-					return fail(fmt.Errorf("%w: shard %d entry at offset %d tombstones dead slot %d", ErrShardCorrupt, si, at, slot))
-				}
-				delete(rs.table, rs.keys[slot])
-				rs.live[slot] = false
-				// The handle (if any) stays parked at the dead slot: it
-				// still pins exactly incarnation gens[slot], so a rebase
-				// that re-registers the slot at that generation reuses it,
-				// and a true recycle displaces it below.
-				continue
-			}
-			gen64, n := binary.Uvarint(v[off:])
-			if n <= 0 || gen64 == 0 || gen64 > math.MaxUint32 {
-				return fail(fmt.Errorf("%w: shard %d entry at offset %d has invalid generation", ErrShardCorrupt, si, at))
-			}
-			off += n
-			gen := uint32(gen64)
-			klen, n := binary.Uvarint(v[off:])
-			// Compare in uint64 space: a klen that would overflow int must
-			// not slip past the bound check.
-			if n <= 0 || klen > uint64(len(v)-(off+n)) {
-				return fail(fmt.Errorf("%w: shard %d entry at offset %d has a corrupt key length", ErrShardCorrupt, si, at))
-			}
-			off += n
-			key := string(v[off : off+int(klen)])
-			off += int(klen)
-			// The whole entry parsed; now check what it names. The slot
-			// array is stored before any add naming the slot publishes,
-			// and el was loaded after viewing v — a genuine log can never
-			// name a slot el lacks.
-			if slot >= len(el.regs) {
-				return fail(fmt.Errorf("%w: shard %d entry at offset %d names slot %d beyond the slot array (%d)",
-					ErrShardCorrupt, si, at, slot, len(el.regs)))
-			}
-			// Extend the per-slot arrays up to the named slot: a compacted
-			// log registers only live slots, so its slot indices may be
-			// sparse (bounded by the el check above).
-			for slot >= len(rs.keys) {
-				rs.keys = append(rs.keys, "")
-				rs.gens = append(rs.gens, 0)
-				rs.live = append(rs.live, false)
-				rs.handles = append(rs.handles, nil)
-			}
-			if rs.live[slot] {
-				return fail(fmt.Errorf("%w: shard %d entry at offset %d adds occupied slot %d", ErrShardCorrupt, si, at, slot))
-			}
-			if h := rs.handles[slot]; h != nil && rs.gens[slot] != gen {
-				// The slot re-registers as a different incarnation while
-				// this reader still holds the old one's handle. Stage the
-				// displacement instead of retiring: if this decode fails
-				// and a repair later proves the slot still carries the
-				// staged generation, the handle is reinstated — never
-				// re-acquired (registers hold exactly MaxReaders handles).
-				rs.displaced = append(rs.displaced, displacedHandle{slot: slot, gen: rs.gens[slot], h: h})
-				rs.handles[slot] = nil
-			}
-			rs.keys[slot] = key
-			rs.gens[slot] = gen
-			rs.live[slot] = true
-			if _, dup := rs.table[key]; dup {
-				return fail(fmt.Errorf("%w: shard %d entry at offset %d re-adds live key %q", ErrShardCorrupt, si, at, key))
-			}
-			rs.table[key] = slot
-		}
-		rs.tailOff = off
-		// Verify the snapshot matches the decoded state generation by
-		// generation. The snapshot is stored before its add publishes, so
-		// it can be ahead of the view (never behind it); ahead means a
-		// reuse raced in and el.regs would hand a live binding the wrong
-		// incarnation's register — re-view, which must observe the reuse's
-		// already-published entries (see the progress rule above).
-		ok := true
-		for slot, g := range rs.gens {
-			if !rs.live[slot] {
-				continue
-			}
-			if slot >= len(el.gens) || el.gens[slot] < g {
-				return fail(fmt.Errorf("%w: shard %d slot snapshot behind directory (slot %d gen %d)", ErrShardCorrupt, si, slot, g))
-			}
-			if el.gens[slot] != g {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			if !progressed {
-				return fail(fmt.Errorf("%w: shard %d slot array ahead of a stationary directory", ErrShardCorrupt, si))
-			}
-			runtime.Gosched()
+			delete(rs.table, rs.keys[slot])
+			rs.live[slot] = false
+			// The handle (if any) stays parked at the dead slot: it
+			// still pins exactly incarnation gens[slot], so a rebase
+			// that re-registers the slot at that generation reuses it,
+			// and a true recycle displaces it below.
 			continue
 		}
-		rs.regs = el.regs
-		// Commit the staged displacements: a handle whose slot still
-		// carries its generation (and grew no replacement) was displaced
-		// by a decode that never committed — reinstate it. The rest pin
-		// incarnations that are truly gone, so close them now rather
-		// than at Reader.Close: their registers are never written again,
-		// so views the owner still holds through them stay intact, and
-		// a long-lived reader under delete/re-create churn would
-		// otherwise keep every incarnation it ever observed. Closing
-		// takes the old register's handle-table mutex, as creating a
-		// handle on a key's first Get already does.
-		for _, d := range rs.displaced {
-			if rs.gens[d.slot] == d.gen && rs.handles[d.slot] == nil {
-				rs.handles[d.slot] = d.h
-			} else {
-				r.closeHandle(d.h)
-				rs.retiredN++
-				rs.retiredRMW += d.h.ReadStats().RMW
-			}
+		gen64, n := binary.Uvarint(v[off:])
+		if n <= 0 || gen64 == 0 || gen64 > math.MaxUint32 {
+			return fail(fmt.Errorf("%w: shard %d entry at offset %d has invalid generation", ErrShardCorrupt, si, at))
 		}
-		rs.displaced = rs.displaced[:0]
-		if repairing {
-			rs.corrupt = nil
-			r.repairs++
+		off += n
+		gen := uint32(gen64)
+		klen, n := binary.Uvarint(v[off:])
+		// Compare in uint64 space: a klen that would overflow int must
+		// not slip past the bound check.
+		if n <= 0 || klen > uint64(len(v)-(off+n)) {
+			return fail(fmt.Errorf("%w: shard %d entry at offset %d has a corrupt key length", ErrShardCorrupt, si, at))
 		}
-		r.refreshes++
-		return nil
+		off += n
+		key := string(v[off : off+int(klen)])
+		off += int(klen)
+		// The whole entry parsed; now check what it names. The writer
+		// publishes every add with slot arrays that hold its slot.
+		if slot >= len(d.regs) {
+			return fail(fmt.Errorf("%w: shard %d entry at offset %d names slot %d beyond the slot array (%d)",
+				ErrShardCorrupt, si, at, slot, len(d.regs)))
+		}
+		// Extend the per-slot arrays up to the named slot: a compacted
+		// log registers only live slots, so its slot indices may be
+		// sparse (bounded by the check above).
+		for slot >= len(rs.keys) {
+			rs.keys = append(rs.keys, "")
+			rs.gens = append(rs.gens, 0)
+			rs.live = append(rs.live, false)
+			rs.handles = append(rs.handles, nil)
+		}
+		if rs.live[slot] {
+			return fail(fmt.Errorf("%w: shard %d entry at offset %d adds occupied slot %d", ErrShardCorrupt, si, at, slot))
+		}
+		if h := rs.handles[slot]; h != nil && rs.gens[slot] != gen {
+			// The slot re-registers as a different incarnation while
+			// this reader still holds the old one's handle. Stage the
+			// displacement instead of retiring: if this decode fails
+			// and a repair later proves the slot still carries the
+			// staged generation, the handle is reinstated — never
+			// re-acquired (registers hold exactly MaxReaders handles).
+			rs.displaced = append(rs.displaced, displacedHandle{slot: slot, gen: rs.gens[slot], h: h})
+			rs.handles[slot] = nil
+		}
+		rs.keys[slot] = key
+		rs.gens[slot] = gen
+		rs.live[slot] = true
+		if _, dup := rs.table[key]; dup {
+			return fail(fmt.Errorf("%w: shard %d entry at offset %d re-adds live key %q", ErrShardCorrupt, si, at, key))
+		}
+		rs.table[key] = slot
 	}
+	rs.tailOff = off
+	// Every live binding must name the incarnation its own publication
+	// holds at the slot: d.regs serves it, so a generation that
+	// disagrees would hand the key another incarnation's register.
+	for slot, g := range rs.gens {
+		if rs.live[slot] && (slot >= len(d.gens) || d.gens[slot] != g) {
+			return fail(fmt.Errorf("%w: shard %d slot %d decoded at generation %d disagrees with its publication",
+				ErrShardCorrupt, si, slot, g))
+		}
+	}
+	// Commit the staged displacements: a handle whose slot still
+	// carries its generation (and grew no replacement) was displaced
+	// by a decode that never committed — reinstate it. The rest pin
+	// incarnations that are truly gone, so close them now rather
+	// than at Reader.Close: their registers are never written again,
+	// so views the owner still holds through them stay intact, and
+	// a long-lived reader under delete/re-create churn would
+	// otherwise keep every incarnation it ever observed. Closing
+	// takes the old register's handle-table mutex, as creating a
+	// handle on a key's first Get already does.
+	for _, dh := range rs.displaced {
+		if rs.gens[dh.slot] == dh.gen && rs.handles[dh.slot] == nil {
+			rs.handles[dh.slot] = dh.h
+		} else {
+			r.closeHandle(dh.h)
+			rs.retiredN++
+			rs.retiredRMW += dh.h.ReadStats().RMW
+		}
+	}
+	rs.displaced = rs.displaced[:0]
+	if repairing {
+		rs.corrupt = nil
+		r.repairs++
+	}
+	r.refreshes++
+	return nil
 }
 
 // Get returns a zero-copy view of key's freshest value, or ErrKeyNotFound.
@@ -1410,7 +1331,7 @@ func (r *Reader) get(key string) (v []byte, h *arc.Reader, idx int, changed bool
 	// One extra nil check on the hot path, no RMW: a corrupt shard
 	// routes through refresh, which returns the latch — or repairs it,
 	// if the directory has published something new to rebase onto.
-	dirFresh := rs.corrupt == nil && rs.dirRd.Fresh()
+	dirFresh := rs.current()
 	if !dirFresh {
 		if err := r.refresh(si); err != nil {
 			return nil, nil, 0, false, err
@@ -1428,7 +1349,7 @@ func (r *Reader) get(key string) (v []byte, h *arc.Reader, idx int, changed bool
 	if h == nil {
 		// First read of this incarnation through this handle: a change
 		// by definition (tombstone processing nils replaced handles).
-		h, err = rs.regs[i].NewReaderHandle()
+		h, err = rs.dir.regs[i].NewReaderHandle()
 		if err != nil {
 			return nil, nil, 0, false, fmt.Errorf("regmap: key %q handle: %w", key, err)
 		}
@@ -1474,7 +1395,7 @@ func (r *Reader) Fresh(key string) bool {
 		return false
 	}
 	rs := &r.shards[r.m.ShardOf(key)]
-	if rs.corrupt != nil || !rs.dirRd.Fresh() {
+	if !rs.current() {
 		return false
 	}
 	i, ok := rs.table[key]
@@ -1496,7 +1417,7 @@ func (r *Reader) Keys() ([]string, error) {
 	n := 0
 	for si := range r.shards {
 		rs := &r.shards[si]
-		if rs.corrupt != nil || !rs.dirRd.Fresh() {
+		if !rs.current() {
 			if err := r.refresh(si); err != nil {
 				return nil, err
 			}
@@ -1524,7 +1445,7 @@ func (r *Reader) Len() (int, error) {
 	n := 0
 	for si := range r.shards {
 		rs := &r.shards[si]
-		if rs.corrupt != nil || !rs.dirRd.Fresh() {
+		if !rs.current() {
 			if err := r.refresh(si); err != nil {
 				return 0, err
 			}
@@ -1620,7 +1541,7 @@ func (r *Reader) collectShard(si int) (map[string][]byte, uint64, error) {
 			runtime.Gosched()
 			continue
 		}
-		if rs.corrupt != nil || !rs.dirRd.Fresh() {
+		if !rs.current() {
 			if err := r.refresh(si); err != nil {
 				return nil, 0, err
 			}
@@ -1630,7 +1551,7 @@ func (r *Reader) collectShard(si int) (map[string][]byte, uint64, error) {
 			h := rs.handles[slot]
 			if h == nil {
 				var err error
-				h, err = rs.regs[slot].NewReaderHandle()
+				h, err = rs.dir.regs[slot].NewReaderHandle()
 				if err != nil {
 					return nil, 0, fmt.Errorf("regmap: key %q handle: %w", key, err)
 				}
@@ -1667,17 +1588,16 @@ func (r *Reader) Stats() ReadStats {
 	}
 }
 
-// closeHandle closes a directory or per-key handle, tallying the RMW of
-// the slot release its Close executes.
+// closeHandle closes a per-key handle, tallying the RMW of the slot
+// release its Close executes.
 func (r *Reader) closeHandle(h *arc.Reader) {
 	rmw := h.ReadStats().RMW
 	h.Close()
 	r.rmw += h.ReadStats().RMW - rmw
 }
 
-// Close releases the handle: every per-key handle (live and staged) and
-// directory handle is returned to its register, and the map-level
-// capacity is freed.
+// Close releases the handle: every per-key handle (live and staged) is
+// returned to its register, and the map-level capacity is freed.
 func (r *Reader) Close() error {
 	if r.closed {
 		return register.ErrReaderClosed
@@ -1685,9 +1605,6 @@ func (r *Reader) Close() error {
 	r.closed = true
 	for si := range r.shards {
 		rs := &r.shards[si]
-		if rs.dirRd != nil {
-			r.closeHandle(rs.dirRd)
-		}
 		for _, h := range rs.handles {
 			if h != nil {
 				r.closeHandle(h)

@@ -229,6 +229,61 @@ func TestFreshGatedGetAccounting(t *testing.T) {
 	}
 }
 
+// TestGuardDirectoryRefreshZeroRMW pins what a directory change costs a
+// reader: nothing in RMW. A reader holds a hot key while the writer
+// creates, deletes and compacts keys on the same shard; the reader's
+// next hot Get refreshes once for the one publication it observes and
+// executes no RMW instruction: a refresh is a pointer load and a decode,
+// and must not come to hold a directory handle again.
+func TestGuardDirectoryRefreshZeroRMW(t *testing.T) {
+	m := newMap(t, Config{Shards: 1, MaxReaders: 1, MaxValueSize: 64})
+	if err := m.Set("hot", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := m.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if _, err := rd.Get("hot"); err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		op   func() error
+	}{
+		{"create", func() error { return m.Set("c1", []byte("x")) }},
+		{"delete", func() error { return m.Delete("c1") }},
+		{"create into the freed slot", func() error { return m.Set("c2", []byte("y")) }},
+		{"compact", m.Compact},
+		{"create, delete and compact unobserved", func() error {
+			if err := m.Set("c3", []byte("z")); err != nil {
+				return err
+			}
+			if err := m.Delete("c2"); err != nil {
+				return err
+			}
+			return m.Compact()
+		}},
+	}
+	for _, st := range steps {
+		if err := st.op(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		before := rd.Stats()
+		if v, err := rd.Get("hot"); err != nil || string(v) != "v" {
+			t.Fatalf("%s: Get(hot) = %q, %v", st.name, v, err)
+		}
+		after := rd.Stats()
+		if d := after.RMW - before.RMW; d != 0 {
+			t.Errorf("%s: the hot Get that refreshed the directory executed %d RMW, want 0", st.name, d)
+		}
+		if d := after.DirRefreshes - before.DirRefreshes; d != 1 {
+			t.Errorf("%s: DirRefreshes moved by %d, want 1", st.name, d)
+		}
+	}
+}
+
 // TestViewValidityAcrossOtherKeys pins the documented aliasing rule: a
 // view stays valid across Gets of other keys (only a Get of the same
 // key, or Close, moves its handle).
@@ -257,8 +312,7 @@ func TestViewValidityAcrossOtherKeys(t *testing.T) {
 
 // TestReaderCapacityAndClose pins the handle lifecycle: MaxReaders
 // enforced, capacity recycled on Close, closed handles error, and every
-// component register (directories and keys) reports zero live handles
-// after all readers close.
+// key register reports zero live handles after all readers close.
 func TestReaderCapacityAndClose(t *testing.T) {
 	m := newMap(t, Config{Shards: 2, MaxReaders: 2, MaxValueSize: 32})
 	m.Set("k1", []byte("v"))
@@ -305,9 +359,6 @@ func TestReaderCapacityAndClose(t *testing.T) {
 		t.Fatalf("LiveReaders = %d after close", got)
 	}
 	for si, sh := range m.shards {
-		if got := sh.dir.LiveReaders(); got != 0 {
-			t.Fatalf("shard %d directory leaked %d handles", si, got)
-		}
 		for i, reg := range sh.wregs {
 			if got := reg.LiveReaders(); got != 0 {
 				t.Fatalf("shard %d key %d leaked %d handles", si, i, got)

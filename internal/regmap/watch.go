@@ -8,8 +8,8 @@ package regmap
 //
 //   - A single-key watcher parks on the key's value-register gate (its
 //     own publications only — sibling keys on the shard do not wake
-//     it) AND the shard's directory-register gate (key creation and
-//     deletion — the lifecycle events that re-route the key). The
+//     it) AND the shard's directory gate (key creation and deletion —
+//     the lifecycle events that re-route the key). The
 //     change predicate is Reader.Fresh(key), which is exact, so a
 //     wakeup either yields a change or re-parks.
 //
@@ -145,7 +145,7 @@ func (r *Reader) Watch(ctx context.Context, key string) iter.Seq2[[]byte, error]
 		// long as the iterator; the value leaf follows the key's current
 		// register and is re-subscribed when a delete/recreate rebinds
 		// the key (valOwner tracks the incarnation).
-		dirFan := sh.dir.Notifier().Fan(dirFanArity, dirFanDepth)
+		dirFan := sh.dirNotify.Fan(dirFanArity, dirFanDepth)
 		r.m.traceTree(dirFan, fmt.Sprintf("fan-dir%d", si))
 		dirSub := dirFan.Subscribe()
 		defer dirSub.Close()
@@ -186,9 +186,7 @@ func (r *Reader) Watch(ctx context.Context, key string) iter.Seq2[[]byte, error]
 					r.observe(ws, seen)
 				}
 				first, lastMiss, lastCorrupt = false, true, false
-				err := notify.AwaitStats(ctx, func() bool {
-					return !rs.dirRd.Fresh()
-				}, ws, dirSub.Gate())
+				err := notify.AwaitStats(ctx, rs.moved, ws, dirSub.Gate())
 				if err != nil {
 					yield(nil, err)
 					return
@@ -206,9 +204,7 @@ func (r *Reader) Watch(ctx context.Context, key string) iter.Seq2[[]byte, error]
 					}
 				}
 				first, lastCorrupt = false, true
-				err := notify.AwaitStats(ctx, func() bool {
-					return !rs.dirRd.Fresh()
-				}, ws, dirSub.Gate())
+				err := notify.AwaitStats(ctx, rs.moved, ws, dirSub.Gate())
 				if err != nil {
 					yield(nil, err)
 					return
@@ -237,7 +233,7 @@ func (r *Reader) Watch(ctx context.Context, key string) iter.Seq2[[]byte, error]
 				if !ok {
 					continue // deleted between GetFresh and here: re-read
 				}
-				if reg := rs.regs[slot]; valOwner != reg {
+				if reg := rs.dir.regs[slot]; valOwner != reg {
 					// New incarnation (first round, or delete/recreate
 					// rebound the key): move the value subscription to
 					// the register that Fresh now reads. The old tree

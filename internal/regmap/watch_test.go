@@ -404,7 +404,7 @@ func drainTrees(t *testing.T, m *Map) {
 	for {
 		stuck := ""
 		for si, sh := range m.shards {
-			if tr := sh.dir.Notifier().Gate().Fanned(); tr != nil && tr.Relays() != 0 {
+			if tr := sh.dirNotify.Fanned(); tr != nil && tr.Relays() != 0 {
 				stuck = fmt.Sprintf("shard %d dir tree: %d relays", si, tr.Relays())
 			}
 			for slot, reg := range sh.wregs {

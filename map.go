@@ -25,8 +25,10 @@ var ErrKeyNotFound = regmap.ErrKeyNotFound
 var ErrDirectoryFull = regmap.ErrDirectoryFull
 
 // ErrShardCorrupt is returned by MapOfReader operations when a reader's
-// decode of a shard directory fails validation (torn or damaged
-// publication). The latch is per-reader and sticky until that shard's
+// decode of a shard directory fails validation: the published log is
+// damaged (a publication is one pointer store, so it is never torn, and
+// the map's own writer never publishes a damaged one). The latch is
+// per-reader and sticky until that shard's
 // directory publishes again: a Set that creates a key, a Delete, or a
 // MapOf.Compact repairs the reader, which rebases onto the published
 // log and resumes. A Set of an existing key publishes only that key's
@@ -63,22 +65,25 @@ type MapConfig struct {
 }
 
 // MapReadStats counts a MapOfReader's work: Ops (Gets), FastPath (Gets
-// served with zero RMW instructions), RMW (executed by the directory and
-// per-key handles), plus Misses, DirRefreshes, Snapshots and
-// SnapshotRetries.
+// served with zero RMW instructions), RMW (executed by the per-key
+// handles; a directory refresh executes none), plus Misses,
+// DirRefreshes, Snapshots and SnapshotRetries.
 type MapReadStats = regmap.ReadStats
 
 // MapWriteStats counts the map writer side's work: value publishes,
-// directory publications, keys created and tombstones published.
+// directory publications (Directory.Ops; a publication is one pointer
+// store, so the other Directory counters read 0), keys created and
+// tombstones published.
 type MapWriteStats = regmap.WriteStats
 
 // MapOf is a sharded, keyed store of T values — the keyed counterpart
 // of Reg[T]. Every key is its own wait-free ARC (1,N) register and
-// every shard publishes its key directory through a directory ARC
-// register. Key lookup, key enumeration and value reads are wait-free
-// zero-copy register reads; adding or deleting a key is one directory
-// append and re-publish by that shard's writer, amortized O(1) however
-// many keys the shard holds. A Get of an unchanged hot key costs two
+// every shard publishes its key directory, with the slot arrays it
+// names, by one atomic pointer store per change. Key lookup, key
+// enumeration and value reads are wait-free loads and zero-copy
+// register reads; adding or deleting a key is one directory append and
+// one publication by that shard's writer, amortized O(1) however many
+// keys the shard holds. A Get of an unchanged hot key costs two
 // atomic loads — zero RMW instructions — regardless of map size, and
 // Snapshot yields an atomic point-in-time view of all live keys (see
 // internal/regmap for the protocol). Values are stored encoded by the
@@ -182,13 +187,14 @@ func (t *MapOf[T]) Set(key string, v T) error {
 	return t.m.Set(key, blob)
 }
 
-// Delete removes key by publishing a tombstone through its shard's
-// directory register, recycling the key's slot for a later creation; a
+// Delete removes key by publishing a tombstone in its shard's
+// directory, recycling the key's slot for a later creation; a
 // re-created key gets a fresh value register, so deleted values never
 // resurrect. Returns ErrKeyNotFound for an absent key. Same
 // single-writer-per-shard contract as Set. Concurrent Gets linearize
 // before the delete (returning the last value) or after it (missing);
-// views readers already hold stay valid.
+// views readers already hold stay valid. Each Delete allocates the
+// shard's new directory state (72 B).
 func (t *MapOf[T]) Delete(key string) error { return t.m.Delete(key) }
 
 // Len reports the number of live keys; safe concurrently with Sets and
